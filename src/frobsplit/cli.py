@@ -21,9 +21,8 @@ from .arith import ZpViolationError, is_prime
 from .elliptic import (hasse_closed, hasse_coeff, supersingular_report,
                        write_hasse_table)
 from .fedder import fpt_bounds, is_fpure_pair, nu
-from .fibration import (DEFAULT_BIGRADED_PMAX, cbf_iii_check,
-                        f_discriminant_legendre, is_kgfr_legendre, prime_scan,
-                        total_space_gfs)
+from .fibration import (DEFAULT_BIGRADED_PMAX, f_discriminant_legendre,
+                        is_kgfr_legendre, prime_scan, total_space_gfs)
 from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, DoubleCover,
                      P1Divisor, gfr_p1_bounded, gfs_bigraded_hypersurface,
                      gfs_cy_hypersurface, gfs_p1, parse_divisor, parse_point,
@@ -121,14 +120,17 @@ def _cmd_supersingular(args) -> dict:
     return payload
 
 
-def _cmd_fdisc(args) -> dict:
-    p = _require_prime(args.p)
+def _fdisc_payload(p: int) -> dict:
     rep = f_discriminant_legendre(p)
     return {
         "bY": _divisor_payload(rep.divisor),
         "degree": str(rep.degree),
         "fiber_table": {str(pt): label for pt, label in rep.fiber_table},
     }
+
+
+def _cmd_fdisc(args) -> dict:
+    return _fdisc_payload(_require_prime(args.p))
 
 
 def _poly_from_args(args):
@@ -229,15 +231,7 @@ def _cmd_kgfr(args) -> dict:
     p = _require_prime(args.p)
     verdict = is_kgfr_legendre(p, e_max=_opt(args.emax, DEFAULT_EMAX),
                                perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
-    rep = f_discriminant_legendre(p)
-    return {
-        "prime": p,
-        "bY": _divisor_payload(rep.divisor),
-        "degree": str(rep.degree),
-        "fiber_table": {str(pt): label for pt, label in rep.fiber_table},
-        "kgfr": verdict.to_dict(),
-        "timings_ms": None,
-    }
+    return {"prime": p, **_fdisc_payload(p), "kgfr": verdict.to_dict(), "timings_ms": None}
 
 
 def _cmd_scan(args) -> dict:
@@ -261,14 +255,14 @@ def _cmd_scan(args) -> dict:
 
 
 def _cmd_cbf(args) -> dict:
+    # the same comparison as cbf_iii_check, from values already at hand
     p = _require_prime(args.p)
-    total = total_space_gfs(p, e_max=_opt(args.emax, DEFAULT_EMAX),
+    e_max = _opt(args.emax, DEFAULT_EMAX)
+    total = total_space_gfs(p, e_max=e_max,
                             pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
-    base = gfs_p1(f_discriminant_legendre(p).divisor,
-                  e_max=_opt(args.emax, DEFAULT_EMAX)).is_yes
-    match = cbf_iii_check(p, e_max=_opt(args.emax, DEFAULT_EMAX),
-                          pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
-    return {"total_space_gfs": total, "base_couple_gfs": base, "match": match}
+    base = gfs_p1(f_discriminant_legendre(p).divisor, e_max=e_max).is_yes
+    return {"total_space_gfs": total, "base_couple_gfs": base,
+            "match": None if total is None else total == base}
 
 
 def _cmd_kappa(args) -> dict:
@@ -291,11 +285,11 @@ def _cmd_kappa(args) -> dict:
     }
 
 
-def _parse_case(text: str) -> tuple[str, dict]:
-    case_id, _, params_str = text.partition(":")
+def _parse_params(text: str) -> dict:
+    """Comma-separated k=v case parameters; v is true, false or an integer."""
     params: dict = {}
-    if params_str:
-        for chunk in params_str.split(","):
+    if text:
+        for chunk in text.split(","):
             key, _, val = chunk.partition("=")
             if not val:
                 raise CliError(f"bad case parameter {chunk!r}")
@@ -305,7 +299,12 @@ def _parse_case(text: str) -> tuple[str, dict]:
                 params[key] = val == "true"
             else:
                 params[key] = int(val)
-    return case_id.strip(), params
+    return params
+
+
+def _parse_case(text: str) -> tuple[str, dict]:
+    case_id, _, params_str = text.partition(":")
+    return case_id.strip(), _parse_params(params_str)
 
 
 def load_catalog() -> list[dict]:
@@ -320,12 +319,7 @@ def load_catalog() -> list[dict]:
         if len(cols) != 4:
             raise CliError(f"bad catalog row: {line}")
         case_id, params_str, expected_str, basis = cols
-        params = {}
-        if params_str:
-            for chunk in params_str.split(","):
-                k, _, v = chunk.partition("=")
-                params[k.strip()] = (v.strip() == "true") if v.strip() in ("true", "false") \
-                    else int(v.strip())
+        params = _parse_params(params_str)
         expected = {}
         for chunk in expected_str.split(";"):
             k, _, v = chunk.partition("=")
@@ -381,64 +375,72 @@ def _cmd_catalog(args) -> dict:
     return {"cases": results, "all_match": all(r["matches_expected"] for r in results)}
 
 
-_HANDLERS = {
-    "hasse": _cmd_hasse,
-    "supersingular": _cmd_supersingular,
-    "fdisc": _cmd_fdisc,
-    "fedder-nu": _cmd_fedder_nu,
-    "fpt": _cmd_fpt,
-    "gfs-p1": _cmd_gfs_p1,
-    "gfr-p1": _cmd_gfr_p1,
-    "gfs-cy": _cmd_gfs_cy,
-    "gfs-bigraded": _cmd_gfs_bigraded,
-    "cover-check": _cmd_cover_check,
-    "kgfr": _cmd_kgfr,
-    "cbf": _cmd_cbf,
-    "scan": _cmd_scan,
-    "kappa": _cmd_kappa,
-    "catalog": _cmd_catalog,
+# Every flag a subcommand may read, in the order reports echo them: the
+# option string and its add_argument keywords, keyed by its dest.
+_FLAGS = {
+    "p": ("--p", {"type": int}),
+    "lam": ("--lambda", {}),
+    "e": ("--e", {"type": int}),
+    "emax": ("--emax", {"type": int}),
+    "poly": ("--poly", {}),
+    "vars": ("--vars", {}),
+    "divisor": ("--divisor", {}),
+    "groups": ("--groups", {}),
+    "cover": ("--cover", {}),
+    "range": ("--range", {}),
+    "case": ("--case", {}),
+    "genus": ("--genus", {"type": int}),
+    "degree": ("--degree", {"type": int}),
+    "degree_zero": ("--degree-zero", {"choices": ["trivial", "generic"]}),
+    "mmax": ("--mmax", {"type": int}),
+    "budget": ("--budget", {"type": int}),
+    "bigraded_pmax": ("--bigraded-pmax", {"type": int}),
+    "workers": ("--workers", {"type": int}),
+    "out": ("--out", {}),
+}
+
+# Each subcommand: its handler and the flags that handler reads.  Every
+# subcommand also takes --json, --strict and --timings.
+_COMMANDS = {
+    "hasse": (_cmd_hasse, ("p", "lam", "out")),
+    "supersingular": (_cmd_supersingular, ("p", "out")),
+    "fdisc": (_cmd_fdisc, ("p",)),
+    "fedder-nu": (_cmd_fedder_nu, ("p", "poly", "vars", "e")),
+    "fpt": (_cmd_fpt, ("p", "poly", "vars", "emax")),
+    "gfs-p1": (_cmd_gfs_p1, ("p", "divisor", "emax")),
+    "gfr-p1": (_cmd_gfr_p1, ("p", "divisor", "emax", "budget")),
+    "gfs-cy": (_cmd_gfs_cy, ("p", "poly", "vars", "e")),
+    "gfs-bigraded": (_cmd_gfs_bigraded, ("p", "poly", "vars", "groups", "e")),
+    "cover-check": (_cmd_cover_check, ("p", "cover", "lam", "divisor", "e")),
+    "kgfr": (_cmd_kgfr, ("p", "emax", "budget")),
+    "cbf": (_cmd_cbf, ("p", "emax", "bigraded_pmax")),
+    "scan": (_cmd_scan, ("range", "emax", "budget", "workers", "out")),
+    "kappa": (_cmd_kappa, ("case", "genus", "degree", "degree_zero", "mmax")),
+    "catalog": (_cmd_catalog, ("case",)),
 }
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="frobsplit", description=__doc__)
+    # no abbreviations: a prefix of a flag the subcommand lacks must not
+    # silently become a longer flag it has (--e for --emax)
+    parser = _Parser(prog="frobsplit", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    for name in _HANDLERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--lambda", dest="lam")
-        sp.add_argument("--e", type=int)
-        sp.add_argument("--emax", type=int)
-        sp.add_argument("--poly")
-        sp.add_argument("--vars")
-        sp.add_argument("--divisor")
-        sp.add_argument("--groups")
-        sp.add_argument("--cover")
-        sp.add_argument("--range")
-        sp.add_argument("--case")
-        sp.add_argument("--genus", type=int)
-        sp.add_argument("--degree", type=int)
-        sp.add_argument("--degree-zero", dest="degree_zero",
-                        choices=["trivial", "generic"])
-        sp.add_argument("--mmax", type=int)
-        sp.add_argument("--budget", type=int)
-        sp.add_argument("--bigraded-pmax", dest="bigraded_pmax", type=int)
-        sp.add_argument("--workers", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--strict", action="store_true")
-        sp.add_argument("--timings", action="store_true")
+    for name, (_, keys) in _COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for key in keys:
+            option, kwargs = _FLAGS[key]
+            sp.add_argument(option, dest=key, **kwargs)
+        for option in ("--json", "--strict", "--timings"):
+            sp.add_argument(option, action="store_true")
     return parser
 
 
 def _echo_inputs(args) -> dict:
     # workers is deliberately not echoed: results are independent of the
     # worker count, and the contract is byte-identical output across it
-    keys = ["p", "lam", "e", "emax", "poly", "vars", "divisor", "groups",
-            "cover", "range", "case", "genus", "degree", "degree_zero",
-            "mmax", "budget", "bigraded_pmax", "out"]
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in _FLAGS
+            if k != "workers" and getattr(args, k, None) is not None}
 
 
 def _contains_unknown(obj) -> bool:
@@ -448,7 +450,7 @@ def _contains_unknown(obj) -> bool:
         return any(_contains_unknown(v) for v in obj.values())
     if isinstance(obj, list):
         return any(_contains_unknown(v) for v in obj)
-    return obj is None and False
+    return False
 
 
 def _render_text(obj, indent: int = 0, out=None) -> None:
@@ -479,12 +481,9 @@ def run(argv=None) -> tuple[int, dict | None]:
         if not args.command:
             raise CliError("a subcommand is required (see --help)")
         started = time.perf_counter()
-        results = _HANDLERS[args.command](args)
+        results = _COMMANDS[args.command][0](args)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1, None
-    except (ValueError, ZpViolationError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
     report = {

@@ -100,7 +100,9 @@ def parse_point(text: str, p: int) -> P1Point:
     if text in ("inf", "infty", "oo"):
         return P1Point.infinity()
     if "t" in text:
-        head, _, _ = text.partition("t")
+        head, _, tail = text.partition("t")
+        if tail:
+            raise ValueError(f"bad point {text!r}: text after 't'")
         a_str, sep, b_str = head.rpartition("+")
         if not sep:
             a_str, sep, b_str = head.rpartition("-")
@@ -201,7 +203,11 @@ def parse_divisor(text: str, p: int) -> P1Divisor:
             coeff_str, sep, point_str = chunk.partition("@")
             if not sep:
                 raise ValueError(f"bad divisor entry {chunk!r}, expected coeff@point")
-            entries.append((parse_point(point_str, p), Fraction(coeff_str.strip())))
+            try:
+                coeff = Fraction(coeff_str.strip())
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {chunk!r}") from None
+            entries.append((parse_point(point_str, p), coeff))
     return P1Divisor(p, entries)
 
 
@@ -416,16 +422,16 @@ def _generic_point_splits(B: P1Divisor, e: int) -> bool:
     return False
 
 
-def _splits_at_level(divisor: P1Divisor, e: int) -> bool:
+def _splits_at_level(divisor: P1Divisor, e: int) -> tuple[bool, Optional[int]]:
     """Level test tolerating coefficients pushed above 1 by a perturbation.
 
     A boundary coefficient above 1 already rules out sub-F-splitting, so
-    such a perturbed couple simply does not split at this level.
+    such a perturbed couple simply does not split at this level.  Returns
+    gfs_p1_level's (split?, certificate j).
     """
     if any(c > 1 for c in divisor.entries.values()):
-        return False
-    ok, _ = gfs_p1_level(divisor, e)
-    return ok
+        return False, None
+    return gfs_p1_level(divisor, e)
 
 
 def _all_p2_points(p: int) -> list[P1Point]:
@@ -481,8 +487,8 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
         pert = B
         for pt in e0_points:
             pert = pert.add_point(pt, Fraction(1, q - 1))
-        if _splits_at_level(pert, e):
-            ok, j = gfs_p1_level(pert, e)
+        ok, j = _splits_at_level(pert, e)
+        if ok:
             aggregate = (e, j)
             break
 
@@ -494,13 +500,8 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
         truncated = True
     failures = []
     for pt in family:
-        passed = False
-        for e in levels:
-            q = p ** e
-            if _splits_at_level(B.add_point(pt, Fraction(1, q - 1)), e):
-                passed = True
-                break
-        if not passed:
+        if not any(_splits_at_level(B.add_point(pt, Fraction(1, p ** e - 1)), e)[0]
+                   for e in levels):
             failures.append(str(pt))
     generic_ok = any(_generic_point_splits(B, e) for e in levels)
 

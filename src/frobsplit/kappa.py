@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Protocol
+from typing import Optional
 
 NEG_INF = float("-inf")
 
@@ -52,10 +52,6 @@ def h0_curve(g: int, d: int, degree_zero: Optional[str] = None, m: int = 1) -> H
             return H0Interval(m, 0, 0)
         raise ValueError("degree_zero flag must be 'trivial' or 'generic'")
     return H0Interval(m, max(0, d + 1 - g), 1 + d // 2)
-
-
-class H0Source(Protocol):
-    def h0(self, m: int) -> H0Interval: ...
 
 
 @dataclass(frozen=True)

@@ -226,22 +226,6 @@ class MPoly:
         return acc
 
 
-def add(f: MPoly, g: MPoly) -> MPoly:
-    return f + g
-
-
-def mul(f: MPoly, g: MPoly) -> MPoly:
-    return f * g
-
-
-def power_qm1(f: MPoly, e: int) -> MPoly:
-    return f.power_qm1(e)
-
-
-def coeff(f: MPoly, exps: Sequence[int]) -> FieldElement:
-    return f.coeff(exps)
-
-
 # -- univariate utilities ----------------------------------------------------
 
 def univ_to_dense(f: MPoly) -> list[int]:

@@ -1,6 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
-from frobsplit.cli import main, run
+from frobsplit.cli import build_parser, main, run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _json_report(argv, capsys):
@@ -61,12 +65,24 @@ def test_strict_exit_code_on_unknown(capsys):
     assert code == 2
 
 
-def test_input_error_exit_code(capsys):
+def test_input_error_exit_code(tmp_path, capsys):
     assert main(["hasse", "--p", "4", "--lambda", "2"]) == 1
     assert main(["hasse", "--p", "5", "--lambda", "0"]) == 1
     assert main(["fedder-nu", "--p", "5", "--poly", "x + q", "--vars", "x"]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+    for argv in (
+        ["gfs-p1", "--p", "5", "--divisor", "1/0@1"],
+        ["gfs-p1", "--p", "5", "--divisor", "1/2@3+2tt"],
+        ["scan", "--range", "3..5", "--out", str(tmp_path / "missing" / "x.csv")],
+        # a flag the subcommand does not read, and abbreviations
+        ["fdisc", "--p", "5", "--poly", "x"],
+        ["fpt", "--p", "5", "--poly", "x*y", "--vars", "x,y", "--e", "2"],
+        ["gfr-p1", "--p", "5", "--divisor", "1/2@inf", "--bud", "3"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_scan_subcommand_with_csv(tmp_path, capsys):
@@ -89,6 +105,34 @@ def test_catalog_strict(capsys):
     assert case["report"]["inequality_holds"] is False
     assert case["report"]["hypothesis_flags"]["fixed_part_flag"] is True
     assert case["matches_expected"] is True
+
+
+def test_gfs_cy_subcommand(capsys):
+    # the Fermat cubic cone splits iff p = 1 (mod 3)
+    for p, split in (("5", False), ("7", True)):
+        code, rep = _json_report(
+            ["gfs-cy", "--p", p, "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z"], capsys)
+        assert code == 0
+        assert rep["inputs"] == {"p": int(p), "poly": "x^3 + y^3 + z^3", "vars": "x,y,z"}
+        assert rep["results"] == {"poly": "x^3 + y^3 + z^3", "split": split}
+
+
+def test_gfs_bigraded_subcommand(capsys):
+    code, rep = _json_report(
+        ["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
+         "--groups", "2,2"], capsys)
+    assert code == 0
+    assert rep["results"] == {"poly": "x*y*u", "groups": [2, 2], "split": True}
+
+
+def test_readme_examples_parse():
+    # every documented command line must be accepted by the parser
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [ln for ln in block.splitlines() if ln.startswith("frobsplit ")]
+    assert len(lines) == 15
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_cover_check_subcommand(capsys):

@@ -20,6 +20,8 @@ def test_point_normalization_and_parsing():
     assert parse_point("7", 5) == P1Point(FieldElement(2, 5))
     assert parse_point("3+2t", 5) == P1Point(ExtFieldElement(3, 2, 5))
     assert str(parse_point("3+2t", 5)) == "3+2t"
+    with pytest.raises(ValueError):
+        parse_point("3+2tt", 5)
 
 
 def test_divisor_merging_and_degree():
