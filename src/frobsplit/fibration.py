@@ -267,6 +267,8 @@ def prime_scan(start: int, stop: int, e_max: int = DEFAULT_EMAX,
     deterministic regardless of completion order.
     """
     from .arith import is_prime
+    if start > stop or workers < 1:
+        raise ValueError(f"need start <= stop and workers >= 1, got {start}..{stop}, {workers}")
     primes = [p for p in range(max(3, start), stop + 1) if p % 2 and is_prime(p)]
     jobs = [(p, e_max, perturbation_budget) for p in primes]
     if workers > 1 and len(jobs) > 1:

@@ -26,6 +26,7 @@ from .mpoly import MPoly, univ_squarefree, univ_to_dense
 
 DEFAULT_EMAX = 2
 DEFAULT_POINT_BUDGET = 20000
+_ALL = "all"  # every finite perturbation centre fails (_finite_centres_failing)
 
 
 # -- points and divisors on P^1 ----------------------------------------------
@@ -381,7 +382,7 @@ def gfs_p1(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
     d is the minimal level clearing the coefficient denominators.  A degree
     > 2 boundary violates the sub-log-canonical necessary condition and is a
     certified No; otherwise the answer is Yes with a replayable certificate
-    or No with the list of levels tried.
+    or No with the list of levels tried; Unknown if no level is <= e_max.
     """
     for _, c in B.sorted_entries():
         if c < 0 or c > 1:
@@ -390,6 +391,8 @@ def gfs_p1(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
         return GfsVerdict(CERTIFIED_NO, reason="deg B > 2: not sub-log-canonical")
     d = B.level()
     levels = tuple(range(d, e_max + 1, d))
+    if not levels:
+        return GfsVerdict(UNKNOWN, reason="no admissible level within e_max")
     for e in levels:
         ok, j = gfs_p1_level(B, e)
         if ok:
@@ -397,49 +400,41 @@ def gfs_p1(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
     return GfsVerdict(NO, levels_tested=levels)
 
 
-def _generic_point_splits(B: P1Divisor, e: int) -> bool:
-    """Level-e splitting of B + (s)/(q-1) for s an indeterminate point.
+def _centre_index(pt: P1Point, p: int) -> int:
+    """Place in the family order of P^1(F_{p^2}): inf, F_p by value, a+bt by
+    (b, a).  _centre_at inverts it."""
+    v = pt.value
+    if v is None:
+        return 0
+    return 1 + (v.value if isinstance(v, FieldElement) else p * v.b + v.a)
 
-    The window coefficients of g*(x - s) are affine polynomials
-    c_k(s) = g[k-1] - s*g[k]; the perturbed couple splits at a generic s iff
-    some window c_k is a nonzero polynomial.  This certifies splitting for
-    all but finitely many perturbation centers at once.
-    """
+
+def _centre_at(i: int, p: int) -> P1Point:
+    b, a = divmod(i - 1, p)
+    return P1Point(ExtFieldElement(a, b, p) if i else None)
+
+
+def _finite_centres_failing(B: P1Divisor, e: int):
+    """Finite centres s whose perturbation B + (s)/(q-1) fails at level e:
+    none (None), all (_ALL), or one, returned as its _centre_index."""
     q, finite_parts, n_inf = _level_data(B, e)
     S = sum(n for _, n in finite_parts) + 1
     D = 2 * (q - 1) - n_inf - S
     if D < 0:
-        return False
+        return _ALL
     if S <= q - 1:
-        return True
+        return None
     g = _boundary_poly(finite_parts, B.prime)
-    lo = max(0, q - 1 - D)
-    for k in range(min(q - 1, S), lo - 1, -1):
-        for kk in (k, k - 1):
-            c = g.get(kk)
-            if c is not None and not c.is_zero():
-                return True
-    return False
-
-
-def _splits_at_level(divisor: P1Divisor, e: int) -> tuple[bool, Optional[int]]:
-    """Level test tolerating coefficients pushed above 1 by a perturbation.
-
-    A boundary coefficient above 1 already rules out sub-F-splitting, so
-    such a perturbed couple simply does not split at this level.  Returns
-    gfs_p1_level's (split?, certificate j).
-    """
-    if any(c > 1 for c in divisor.entries.values()):
-        return False, None
-    return gfs_p1_level(divisor, e)
-
-
-def _all_p2_points(p: int) -> list[P1Point]:
-    points = [P1Point.infinity()]
-    points += [P1Point(FieldElement(v, p)) for v in range(p)]
-    points += [P1Point(ExtFieldElement(a, b, p))
-               for b in range(1, p) for a in range(p)]
-    return points
+    roots = set()
+    for k in range(max(0, q - 1 - D), q):
+        a, b = g.get(k - 1, 0), g.get(k, 0)
+        if b:
+            roots.add(_centre_index(P1Point(a / b), B.prime))
+        elif a:
+            return None  # c_k is a nonzero constant
+    if not roots:
+        return _ALL
+    return roots.pop() if len(roots) == 1 else None
 
 
 def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
@@ -453,13 +448,21 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
       B + E0/(p^e - 1), where E0 is the sum of the boundary support points
       plus one auxiliary point, so that the complement of E0 is affine and
       regular -- the standard sufficient criterion for F-regularity;
-    * every single-point perturbation B + (P)/(p^e - 1) over P in
-      P^1(F_{p^2}) splitting at some tested level;
+    * every single-point perturbation B + (P)/(p^e - 1) over the first
+      perturbation_budget centres P of P^1(F_{p^2}) (inf, F_p by value,
+      a+bt by (b, a)) splitting at some tested level;
     * the symbolic generic-point perturbation splitting likewise.
 
-    Anything short of that within the budgets returns Unknown with the
-    failures recorded; the finite family is not claimed complete for No.
+    A finite centre s turns the boundary polynomial g into g*(x - s), whose
+    window coefficients g[k-1] - s*g[k] are affine in s: at each level the
+    failing finite centres are none, all (then every centre fails and so
+    does the generic point), or g[k-1]/g[k].  So only inf, the support and
+    one candidate per level are tested one at a time: O(|support| * levels)
+    level tests, not O(p^2).  Anything short of Yes returns Unknown with the
+    first ten failures recorded; the family is not claimed complete for No.
     """
+    if perturbation_budget < 0:
+        raise ValueError(f"perturbation budget must be >= 0, got {perturbation_budget}")
     p = B.prime
     for point, c in B.sorted_entries():
         if c >= 1:
@@ -476,51 +479,45 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
         return GfsVerdict(UNKNOWN, reason="no admissible level within e_max",
                           evidence=budgets)
 
-    # aggregate certificate; a nonempty support already has affine complement
+    # aggregate certificate; a nonempty support already has affine complement.
+    # No perturbation lifts a c < 1 above 1: (q-1)*c is an integer < q - 1.
     support = B.support()
-    e0_points = list(support)
-    if not e0_points:
-        e0_points = [P1Point.infinity()]
     aggregate = None
     for e in levels:
-        q = p ** e
-        pert = B
-        for pt in e0_points:
-            pert = pert.add_point(pt, Fraction(1, q - 1))
-        ok, j = _splits_at_level(pert, e)
+        E0 = [(pt, Fraction(1, p ** e - 1)) for pt in support or [P1Point.infinity()]]
+        ok, j = gfs_p1_level(B + P1Divisor(p, E0), e)
         if ok:
             aggregate = (e, j)
             break
 
-    # single-point family over P^1(F_{p^2}), plus the generic proxy
-    family = _all_p2_points(p)
-    truncated = False
-    if len(family) > perturbation_budget:
-        family = family[:perturbation_budget]
-        truncated = True
-    failures = []
-    for pt in family:
-        if not any(_splits_at_level(B.add_point(pt, Fraction(1, p ** e - 1)), e)[0]
-                   for e in levels):
-            failures.append(str(pt))
-    generic_ok = any(_generic_point_splits(B, e) for e in levels)
+    tested = min(perturbation_budget, p * p + 1)
+    outcomes = {_finite_centres_failing(B, e) for e in levels} - {_ALL}
+    if not outcomes:  # inf and the support perturb the same zero window
+        failing = range(tested)
+    else:
+        centres = {_centre_index(pt, p): pt for pt in [P1Point.infinity()] + support}
+        centres.update((i, _centre_at(i, p)) for i in outcomes - {None})
+        failing = sorted(i for i, pt in centres.items() if i < tested and not any(
+            gfs_p1_level(B.add_point(pt, Fraction(1, p ** e - 1)), e)[0] for e in levels))
+    generic_ok = bool(outcomes)
+    truncated = tested < p * p + 1
 
     evidence = dict(budgets)
     evidence.update({
         "aggregate_certificate": list(aggregate) if aggregate else None,
-        "points_tested": len(family),
-        "family_failures": failures[:10],
+        "points_tested": tested,
+        "family_failures": [str(_centre_at(i, p)) for i in failing[:10]],
         "generic_point": generic_ok,
         "truncated": truncated,
     })
-    if aggregate and not failures and generic_ok and not truncated:
+    if aggregate and not failing and generic_ok and not truncated:
         return GfsVerdict(YES, level=aggregate[0], certificate=aggregate[1],
                           levels_tested=levels, evidence=evidence)
     reasons = []
     if aggregate is None:
         reasons.append("no aggregate certificate within e_max")
-    if failures:
-        reasons.append(f"{len(failures)} point perturbations undecided")
+    if failing:
+        reasons.append(f"{len(failing)} point perturbations undecided")
     if not generic_ok:
         reasons.append("generic perturbation undecided")
     if truncated:

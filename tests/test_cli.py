@@ -59,6 +59,16 @@ def test_gfs_and_gfr_subcommands(capsys):
     assert code == 0 and rep["results"]["verdict"]["status"] == "yes"
 
 
+def test_gfs_p1_without_admissible_level_is_unknown(capsys):
+    # e_max below 1, and a divisor whose level (2) exceeds e_max: nothing tested
+    for argv in (["gfs-p1", "--p", "5", "--divisor", "1/2@inf", "--emax", "0"],
+                 ["gfs-p1", "--p", "5", "--divisor", "1/8@1", "--emax", "1"]):
+        code, rep = _json_report(argv + ["--strict"], capsys)
+        assert code == 2, argv
+        assert rep["results"]["verdict"] == {
+            "status": "unknown", "reason": "no admissible level within e_max"}, argv
+
+
 def test_strict_exit_code_on_unknown(capsys):
     code = main(["kgfr", "--p", "17", "--budget", "0", "--strict", "--json"])
     capsys.readouterr()
@@ -79,6 +89,10 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["fdisc", "--p", "5", "--poly", "x"],
         ["fpt", "--p", "5", "--poly", "x*y", "--vars", "x,y", "--e", "2"],
         ["gfr-p1", "--p", "5", "--divisor", "1/2@inf", "--bud", "3"],
+        # a negative budget, a reversed range, zero workers
+        ["gfr-p1", "--p", "5", "--divisor", "1/4@1", "--budget", "-1"],
+        ["scan", "--range", "5..3"],
+        ["scan", "--range", "3..7", "--workers", "0"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

@@ -168,6 +168,144 @@ def test_gfr_budget_exhaustion_reports_unknown():
     assert "truncated" in v.reason
 
 
+def test_gfr_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        gfr_p1_bounded(parse_divisor("1/4@1", 5), perturbation_budget=-1)
+
+
+def _all_p2_points(p):
+    """P^1(F_{p^2}) in the family order: inf, F_p by value, a+bt by (b, a)."""
+    points = [P1Point.infinity()]
+    points += [P1Point(FieldElement(v, p)) for v in range(p)]
+    points += [P1Point(ExtFieldElement(a, b, p)) for b in range(1, p) for a in range(p)]
+    return points
+
+
+def _bruteforce_gfr(B, e_max, budget):
+    """gfr_p1_bounded by enumeration, for p <= 31: every centre of
+    P^1(F_{p^2}) rebuilt as a perturbed divisor and tested at every level.
+
+    Returns (the verdict's to_dict(), every failing centre within the budget).
+    The generic point is decided by specialisation: its window coefficients
+    are affine in the centre, so a nonzero one vanishes at one centre at
+    most, and the generic point splits at a level iff some centre off the
+    support does (there are at least two of them).
+    """
+    p = B.prime
+    assert p <= 31 and budget >= 0
+    assert all(0 < c < 1 for c in B.entries.values()) and B.degree < 2
+    d = B.level()
+    levels = tuple(range(d, e_max + 1, d))
+    assert levels
+    family = _all_p2_points(p)
+    splits = {(pt, e): gfs_p1_level(B.add_point(pt, Fraction(1, p ** e - 1)), e)[0]
+              for pt in family for e in levels}
+    aggregate = None
+    for e in levels:
+        pert = B
+        for pt in B.support() or [P1Point.infinity()]:
+            pert = pert.add_point(pt, Fraction(1, p ** e - 1))
+        ok, j = gfs_p1_level(pert, e)
+        if ok:
+            aggregate = [e, j]
+            break
+    off = [pt for pt in family if not pt.is_infinity and pt not in B.entries]
+    assert len(off) >= 2
+    generic_ok = any(splits[pt, e] for pt in off for e in levels)
+    failing = [str(pt) for pt in family[:budget]
+               if not any(splits[pt, e] for e in levels)]
+    truncated = budget < len(family)
+    evidence = {"aggregate_certificate": aggregate, "e_max": e_max,
+                "family_failures": failing[:10], "generic_point": generic_ok,
+                "levels": list(levels), "perturbation_budget": budget,
+                "points_tested": min(budget, len(family)), "truncated": truncated}
+    if aggregate and not failing and generic_ok and not truncated:
+        return {"status": "yes", "level": aggregate[0], "certificate": aggregate[1],
+                "levels_tested": list(levels), "evidence": evidence}, failing
+    reasons = []
+    if aggregate is None:
+        reasons.append("no aggregate certificate within e_max")
+    if failing:
+        reasons.append(f"{len(failing)} point perturbations undecided")
+    if not generic_ok:
+        reasons.append("generic perturbation undecided")
+    if truncated:
+        reasons.append("point family truncated by budget")
+    return {"status": "unknown", "levels_tested": list(levels),
+            "reason": "; ".join(reasons), "evidence": evidence}, failing
+
+
+def _check_gfr_against_bruteforce(p, divisor, e_max, budget=20000):
+    B = parse_divisor(divisor, p)
+    want, failing = _bruteforce_gfr(B, e_max, budget)
+    assert gfr_p1_bounded(B, e_max, budget).to_dict() == want, (p, divisor, e_max, budget)
+    return B, want, failing
+
+
+def test_gfr_single_failing_centre_off_support():
+    # in F_p, with inf off the support
+    B, _, failing = _check_gfr_against_bruteforce(3, "1/2@2+1t,1/2@2+2t,1/2@1", 1)
+    assert failing == ["0"] and P1Point.infinity() not in B.entries
+    # in F_{p^2}, the last centre of the family, with inf on the support
+    B, _, failing = _check_gfr_against_bruteforce(3, "1/2@inf,1/2@0,1/2@1+1t", 1)
+    assert failing == ["2+2t"] and P1Point.infinity() in B.entries
+    _, _, failing = _check_gfr_against_bruteforce(
+        13, "5/12@9+9t,9/12@9+3t,6/12@5+1t,3/12@6+2t", 1)
+    assert failing == ["4+2t"]
+    # level-2 denominators, at e_max 2 and at e_max 3
+    for divisor, e_max in (("4/8@0+2t,2/8@0+1t,1/8@1,5/8@2+1t,3/8@inf", 2),
+                           ("4/8@inf,7/8@2+2t,2/8@2+1t,2/8@1+2t", 3)):
+        B, want, failing = _check_gfr_against_bruteforce(3, divisor, e_max)
+        assert B.level() == 2 and want["levels_tested"] == [2]
+        assert failing == ["0"]
+
+
+def test_gfr_every_centre_failing():
+    cases = [(5, "1/4@0,1/4@1,1/4@2,1/4@3,1/4@4,2/4@inf", 1),    # g = x^5 - x
+             (3, "6/8@0+2t,6/8@1+1t,3/8@2+1t", 2),               # level 2, inf off
+             (5, "1/4@0+4t,1/4@4,2/4@2,1/4@2+3t,1/4@1+4t,1/4@4+3t", 3)]
+    for p, divisor, e_max in cases:
+        _, want, failing = _check_gfr_against_bruteforce(p, divisor, e_max)
+        assert len(failing) == p * p + 1 and not want["evidence"]["generic_point"]
+        assert len(want["evidence"]["family_failures"]) == 10
+        assert len(want["levels_tested"]) == (3 if e_max == 3 else 1)
+
+
+def test_gfr_failing_support_point_and_infinity():
+    B, _, failing = _check_gfr_against_bruteforce(
+        5, "1/4@0+3t,2/4@3+4t,3/4@1+4t,1/4@4+3t", 1)
+    assert failing == ["4+3t"] and parse_point("4+3t", 5) in B.entries
+    B, want, failing = _check_gfr_against_bruteforce(3, "3/4@1+1t,3/4@inf,1/4@1", 3)
+    assert failing == ["1"] and parse_point("1", 3) in B.entries
+    assert want["levels_tested"] == [2]
+    B, _, failing = _check_gfr_against_bruteforce(3, "1/2@1+1t,1/2@0+2t,1/2@2", 1)
+    assert failing == ["inf"] and P1Point.infinity() not in B.entries
+
+
+def test_gfr_budgets_against_bruteforce():
+    # the last centre fails: it falls outside every budget below p^2 + 1
+    for budget in (0, 1, 4, 9, 10):
+        _, want, failing = _check_gfr_against_bruteforce(
+            3, "1/2@inf,1/2@0,1/2@1+1t", 1, budget)
+        assert failing == (["2+2t"] if budget == 10 else [])
+        assert want["evidence"]["truncated"] == (budget < 10)
+    # every centre fails: the count follows the budget, the list stops at ten
+    for budget in (0, 1, 6, 25, 26):
+        _, want, failing = _check_gfr_against_bruteforce(
+            5, "1/4@0,1/4@1,1/4@2,1/4@3,1/4@4,2/4@inf", 1, budget)
+        assert len(failing) == budget
+        assert want["evidence"]["family_failures"] == failing[:10]
+
+
+def test_gfr_yes_cases_against_bruteforce():
+    from frobsplit.fibration import f_discriminant_legendre
+    for p, e_max in ((5, 3), (13, 2), (31, 2)):
+        B = f_discriminant_legendre(p).divisor
+        want, failing = _bruteforce_gfr(B, e_max, 20000)
+        assert gfr_p1_bounded(B, e_max).to_dict() == want
+        assert want["status"] == "yes" and failing == []
+
+
 # -- hypersurface criteria -------------------------------------------------------
 
 def test_cy_hypersurface_examples():
