@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .arith import ZpViolationError, is_prime
@@ -60,10 +59,6 @@ def _parse_lambda(text: str, p: int):
     if pt.is_infinity:
         raise CliError("lambda must be finite")
     return pt.value
-
-
-def _fraction_dict(fr: Fraction) -> dict:
-    return {"num": fr.numerator, "den": fr.denominator}
 
 
 def _divisor_payload(B: P1Divisor) -> list[dict]:

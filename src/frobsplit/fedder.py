@@ -114,26 +114,24 @@ def nu(f: MPoly, e: int) -> int:
 
 
 def _pruned_power_survives(f: MPoly, N: int, q: int) -> bool:
-    """True iff f^N is outside m^[q], by pruned binary exponentiation."""
-    if N == 0:
-        return True
-    nvars, p = f.nvars, f.p
-    fac = _pack_terms(f, q)
-    if not fac:
-        return False
-    base = dict(fac)
-    result = {0: 1}
-    while N:
-        if N & 1:
-            result = _pruned_times(result, list(base.items()), nvars, q, p)
-            if not result:
-                return False
-        N >>= 1
-        if N:
-            base = _pruned_times(base, list(base.items()), nvars, q, p)
-            if not base:
-                return False  # remaining bits all multiply by 0
-    return bool(result)
+    """True iff f^N is outside m^[q], powering by base-p digits of N.
+
+    Over F_p, f^N = prod_j Frob^j(f^(d_j)) for N = sum_j d_j p^j, and Frob^j
+    only scales exponents by p^j (coefficients are fixed), so each factor is
+    an exact twist of the small power f^(d_j).  Reduction mod m^[q] commutes
+    with products, so each factor is pruned to the box [0, q)^n on packing
+    and the running product is pruned after every step; an empty product
+    means f^N lies in m^[q].
+    """
+    acc = {0: 1}
+    j = 0
+    while N and acc:
+        N, d = divmod(N, f.p)
+        if d:
+            fac = _pack_terms((f ** d).frobenius_twist(j), q)
+            acc = _pruned_times(acc, fac, f.nvars, q, f.p)
+        j += 1
+    return bool(acc)
 
 
 def nu_binary(f: MPoly, e: int) -> int:

@@ -40,12 +40,6 @@ class FDiscriminantReport:
     fiber_table: tuple[tuple[P1Point, str], ...]
     degree: Fraction
 
-    def fiber_class(self, point: P1Point) -> str:
-        for pt, label in self.fiber_table:
-            if pt == point:
-                return label
-        return SMOOTH_ORDINARY
-
 
 @lru_cache(maxsize=None)
 def f_discriminant_legendre(p: int) -> FDiscriminantReport:

@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, lift_to_ext, normalize_element,
                     require_p_free, splitting_level)
+from .fedder import _pruned_power_survives
 from .mpoly import MPoly, univ_squarefree, univ_to_dense
 
 DEFAULT_EMAX = 2
@@ -171,10 +172,6 @@ class P1Divisor:
         if self.prime != other.prime:
             raise ValueError("prime mismatch")
         return P1Divisor(self.prime, list(self.entries.items()) + list(other.entries.items()))
-
-    def scale(self, c) -> "P1Divisor":
-        c = Fraction(c)
-        return P1Divisor(self.prime, [(pt, v * c) for pt, v in self.entries.items()])
 
     def __eq__(self, other):
         if not isinstance(other, P1Divisor):
@@ -456,10 +453,11 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
     A finite centre s turns the boundary polynomial g into g*(x - s), whose
     window coefficients g[k-1] - s*g[k] are affine in s: at each level the
     failing finite centres are none, all (then every centre fails and so
-    does the generic point), or g[k-1]/g[k].  So only inf, the support and
-    one candidate per level are tested one at a time: O(|support| * levels)
-    level tests, not O(p^2).  Anything short of Yes returns Unknown with the
-    first ten failures recorded; the family is not claimed complete for No.
+    does the generic point), or g[k-1]/g[k].  That covers the support points
+    too, so only inf is tested one at a time: one boundary polynomial per
+    level, O(|support| * levels) work, not O(p^2).  Anything short of Yes
+    returns Unknown with the first ten failures recorded; the family is not
+    claimed complete for No.
     """
     if perturbation_budget < 0:
         raise ValueError(f"perturbation budget must be >= 0, got {perturbation_budget}")
@@ -490,15 +488,19 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
             aggregate = (e, j)
             break
 
+    # A centre fails when it fails at every level; a support point s, like
+    # any finite centre, turns g into g*(x - s), so only inf is tested alone.
     tested = min(perturbation_budget, p * p + 1)
     outcomes = {_finite_centres_failing(B, e) for e in levels} - {_ALL}
-    if not outcomes:  # inf and the support perturb the same zero window
+    if not outcomes:  # inf perturbs the same zero window
         failing = range(tested)
     else:
-        centres = {_centre_index(pt, p): pt for pt in [P1Point.infinity()] + support}
-        centres.update((i, _centre_at(i, p)) for i in outcomes - {None})
-        failing = sorted(i for i, pt in centres.items() if i < tested and not any(
-            gfs_p1_level(B.add_point(pt, Fraction(1, p ** e - 1)), e)[0] for e in levels))
+        inf = P1Point.infinity()
+        failing = [0] if tested and not any(
+            gfs_p1_level(B.add_point(inf, Fraction(1, p ** e - 1)), e)[0]
+            for e in levels) else []
+        if len(outcomes) == 1 and None not in outcomes:
+            failing += [r for r in outcomes if r < tested]
     generic_ok = bool(outcomes)
     truncated = tested < p * p + 1
 
@@ -531,14 +533,19 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
 def gfs_cy_hypersurface(F: MPoly, e: int = 1) -> bool:
     """Splitting of a Calabi-Yau hypersurface (degree = nvars) in P^n.
 
-    True iff the coefficient of (x_0*...*x_n)^(q-1) in F^(q-1) is nonzero.
+    Fedder's criterion: True iff the coefficient of (x_0*...*x_n)^(q-1) in
+    F^(q-1) is nonzero.  F^(q-1) is homogeneous of degree n1*(q-1), so that
+    diagonal monomial is its only one with every exponent <= q-1, and the
+    test is exactly F^(q-1) outside m^[q], which fedder's pruned power
+    decides without expanding F^(q-1).
     """
     n1 = F.nvars
     if F.is_zero() or not F.is_homogeneous_on(range(n1)) or F.degree() != n1:
         raise ValueError(f"F must be homogeneous of degree {n1} in {n1} variables")
+    if e < 1:
+        raise ValueError("e must be >= 1")
     q = F.p ** e
-    G = F.power_qm1(e)
-    return not G.coeff((q - 1,) * n1).is_zero()
+    return _pruned_power_survives(F, q - 1, q)
 
 
 def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> bool:
@@ -547,7 +554,9 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
     Operational criterion: F^(q-1) must contain a monomial all of whose
     exponents are <= q-1; the complementary monomial then supplies the
     multiplier of the remaining anticanonical budget.  Sufficiency is exact;
-    necessity is only cross-validated downstream, never assumed.
+    necessity is only cross-validated downstream, never assumed.  Such a
+    monomial exists iff F^(q-1) is outside m^[q], which is fedder's pruned
+    power test word for word (a nonzero constant F survives, so it splits).
     """
     g1, g2 = groups
     if g1 + g2 != F.nvars:
@@ -558,9 +567,10 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
     a, b = F.degree_on(idx1), F.degree_on(idx2)
     if a > g1 or b > g2:
         raise ValueError(f"bidegree ({a}, {b}) outside the anticanonical-nonnegative regime")
+    if e < 1:
+        raise ValueError("e must be >= 1")
     q = F.p ** e
-    G = F.power_qm1(e)
-    return any(all(x <= q - 1 for x in exps) for exps in G.terms)
+    return _pruned_power_survives(F, q - 1, q)
 
 
 # -- double covers and trace pushforward --------------------------------------

@@ -241,10 +241,6 @@ def univ_to_dense(f: MPoly) -> list[int]:
     return dense
 
 
-def univ_from_dense(dense: Sequence[int], p: int) -> MPoly:
-    return MPoly(1, p, {(i,): c for i, c in enumerate(dense) if c % p})
-
-
 def _dense_trim(v: list[int]) -> list[int]:
     while v and v[-1] == 0:
         v.pop()

@@ -93,6 +93,10 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["gfr-p1", "--p", "5", "--divisor", "1/4@1", "--budget", "-1"],
         ["scan", "--range", "5..3"],
         ["scan", "--range", "3..7", "--workers", "0"],
+        # a level below 1 for the two hypersurface criteria
+        ["gfs-cy", "--p", "5", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z", "--e", "0"],
+        ["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
+         "--groups", "2,2", "--e", "0"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frobsplit.fedder import (NuMonotonicityError, fpt_bounds, in_bracket_ideal,
-                              is_fpure_pair, nu, nu_binary)
+from frobsplit.fedder import (NuMonotonicityError, _pruned_power_survives, fpt_bounds,
+                              in_bracket_ideal, is_fpure_pair, nu, nu_binary)
 from frobsplit.mpoly import MPoly, parse_poly
 
 
@@ -116,3 +118,65 @@ def test_monotonicity_error_wiring():
     seq = fpt_bounds(parse_poly("x*y", ["x", "y"], 5), 2)
     for (e1, v1), (e2, v2) in zip(seq.values, seq.values[1:]):
         assert v2 >= 5 * v1
+
+
+# -- the pruned Frobenius-digit power against full expansion --------------------
+
+KERNEL_QS = ((3, 3), (3, 9), (3, 27), (5, 5), (5, 25), (7, 7), (7, 49))  # (p, q)
+
+
+def _check_every_power(f, q):
+    """Compare the kernel with a full MPoly power f^N for every N <= n(q-1)+1;
+    returns the set of outcomes seen."""
+    seen = set()
+    power = MPoly.one(f.nvars, f.p)
+    for N in range(f.nvars * (q - 1) + 2):
+        survives = _pruned_power_survives(f, N, q)
+        assert survives == (not in_bracket_ideal(power, q)), (f, N, q)
+        seen.add(survives)
+        power = power * f
+    return seen
+
+
+def _random_poly(rng, p, nvars, nterms, max_exp):
+    return MPoly(nvars, p, {tuple(rng.randrange(max_exp + 1) for _ in range(nvars)):
+                            rng.randrange(1, p) for _ in range(nterms)})
+
+
+def test_pruned_power_matches_full_power_seeded():
+    rng = random.Random(5)
+    seen = set()
+    for p, q in KERNEL_QS:
+        polys = [
+            _random_poly(rng, p, 2, 3, 3),
+            _random_poly(rng, p, 2, 2, 2) + 1,                # a constant term: never dies
+            parse_poly("x^3*y^2 + x^2*y^4", ["x", "y"], p),   # dies after a few powers
+            parse_poly("x*y + y^2", ["x", "y"], p),
+        ]
+        if q <= 27:
+            polys.append(_random_poly(rng, p, 3, 3, 2))
+            polys.append(parse_poly("x*y*z + z^3", ["x", "y", "z"], p))
+        for f in polys:
+            seen |= _check_every_power(f, q)
+    assert seen == {True, False}
+
+
+@st.composite
+def _kernel_cases(draw):
+    p, q = draw(st.sampled_from(KERNEL_QS))
+    nvars = draw(st.integers(2, 3)) if q <= 27 else 2
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=3))
+    return MPoly(nvars, p, terms), q
+
+
+def test_pruned_power_matches_full_power_drawn():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(_kernel_cases())
+    def check(case):
+        seen.update(_check_every_power(*case))
+
+    check()
+    assert seen == {True, False}

@@ -9,7 +9,7 @@ from frobsplit.gsplit import (DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
                               gfs_bigraded_hypersurface, gfs_cy_hypersurface,
                               gfs_p1, gfs_p1_level, parse_divisor, parse_point,
                               pushforward_splitting_check)
-from frobsplit.mpoly import parse_poly
+from frobsplit.mpoly import MPoly, parse_poly
 
 
 # -- points and divisors -------------------------------------------------------
@@ -323,11 +323,17 @@ def test_cy_hypersurface_examples():
 
 
 def test_cy_matches_hasse_on_plane_cubics():
-    # Legendre cubic: splitting equals Hasse nonvanishing, all lambda, p <= 13
+    # Legendre cubic: splitting equals Hasse nonvanishing, all lambda, p <= 13;
+    # F-splitting does not depend on the level, so e = 2 agrees too
+    verdicts = []
     for p in (3, 5, 7, 11, 13):
         for lv in range(2, p):
             F = parse_poly(f"y^2*z - x*(x-z)*(x-{lv}*z)", ["x", "y", "z"], p)
-            assert gfs_cy_hypersurface(F) == (not hasse_closed(lv, p).is_zero()), (p, lv)
+            for e in (1, 2):
+                got = gfs_cy_hypersurface(F, e)
+                assert got == (not hasse_closed(lv, p).is_zero()), (p, lv, e)
+                verdicts.append(got)
+    assert set(verdicts) == {True, False}
 
 
 def test_bigraded_examples():
@@ -346,6 +352,86 @@ def test_bigraded_legendre_total_space():
     for p in (3, 5, 7):
         F = legendre_bigraded_poly(p)
         assert gfs_bigraded_hypersurface(F, (3, 2)), p
+
+
+# Full-expansion oracles for the two criteria: F^(q-1) expanded whole by
+# MPoly.power_qm1, a path independent of fedder's pruned power.
+
+def _cy_oracle(F, e):
+    q = F.p ** e
+    return F.power_qm1(e).terms.get((q - 1,) * F.nvars, 0) != 0
+
+
+def _bigraded_oracle(F, e):
+    q = F.p ** e
+    return any(all(x <= q - 1 for x in exps) for exps in F.power_qm1(e).terms)
+
+
+FERMAT3 = ("x^3 + y^3 + z^3", ["x", "y", "z"])
+FERMAT4 = ("x^4 + y^4 + z^4 + w^4", ["x", "y", "z", "w"])
+
+
+def _legendre_cone(lv, p):
+    return parse_poly(f"y^2*z - x*(x-z)*(x-{lv}*z)", ["x", "y", "z"], p)
+
+
+def test_cy_matches_full_expansion_oracle():
+    verdicts = []
+    for p in (3, 5, 7):
+        for e in (1, 2):
+            cases = [_legendre_cone(lv, p) for lv in range(2, p)]
+            cases += [parse_poly(text, names, p) for text, names in (FERMAT3, FERMAT4)]
+            for F in cases:
+                got = gfs_cy_hypersurface(F, e)
+                assert got == _cy_oracle(F, e), (F, e)
+                verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
+def test_bigraded_matches_full_expansion_oracle():
+    from frobsplit.fibration import legendre_bigraded_poly
+    rng = random.Random(11)
+    names = ["x", "y", "u", "v"]
+    verdicts = []
+    for p in (3, 5, 7):
+        cases = [(legendre_bigraded_poly(p), (3, 2)),
+                 (parse_poly("x*y*u", names, p), (2, 2)),
+                 (parse_poly("x^2*u", names, p), (2, 2))]
+        for _ in range(4):
+            a, b = rng.randrange(1, 3), rng.randrange(1, 3)
+            terms = {(i, a - i, j, b - j): rng.randrange(1, p)
+                     for i, j in {(rng.randrange(a + 1), rng.randrange(b + 1))
+                                  for _ in range(rng.randrange(1, 4))}}
+            cases.append((MPoly(4, p, terms), (2, 2)))
+        for e in (1, 2):
+            for F, groups in cases:
+                got = gfs_bigraded_hypersurface(F, groups, e)
+                assert got == _bigraded_oracle(F, e), (F, groups, e)
+                verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
+def test_fermat_cubic_splits_iff_p_is_1_mod_3():
+    # the Fermat cubic curve is ordinary iff p = 1 mod 3 (p = 3 is excluded:
+    # there it is the triple line (x + y + z)^3)
+    verdicts = {}
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 43):
+        F = parse_poly(*FERMAT3, p)
+        for e in (1, 2) if p <= 13 else (1,):
+            verdicts[p, e] = gfs_cy_hypersurface(F, e)
+            assert verdicts[p, e] == (p % 3 == 1), (p, e)
+    assert set(verdicts.values()) == {True, False}
+
+
+def test_fermat_quartic_splits_iff_p_is_1_mod_4():
+    # the Fermat quartic K3 surface is F-split iff p = 1 mod 4
+    verdicts = {}
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        F = parse_poly(*FERMAT4, p)
+        for e in (1, 2) if p <= 7 else (1,):
+            verdicts[p, e] = gfs_cy_hypersurface(F, e)
+            assert verdicts[p, e] == (p % 4 == 1), (p, e)
+    assert set(verdicts.values()) == {True, False}
 
 
 # -- double covers ---------------------------------------------------------------
