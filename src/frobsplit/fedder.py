@@ -16,7 +16,8 @@ from .mpoly import MPoly
 
 
 class NuMonotonicityError(RuntimeError):
-    """nu_f(p^{e+1}) < p*nu_f(p^e): signals an arithmetic bug, not bad input."""
+    """nu_f(p^(e+1)) outside [p*nu_f(p^e), p*nu_f(p^e) + p - 1], a theorem:
+    signals an arithmetic bug, not bad input."""
 
 
 def _is_power_of(q: int, p: int) -> bool:
@@ -38,111 +39,146 @@ def in_bracket_ideal(g: MPoly, q: int) -> bool:
     return all(any(e >= q for e in exps) for exps in g.terms)
 
 
-def _require_in_maximal_ideal(f: MPoly) -> None:
-    if f.is_zero() or all(not any(e) for e in f.terms):
+def _require_local_input(f: MPoly, e: int) -> None:
+    if f.is_zero() or all(not any(exps) for exps in f.terms):
         raise ValueError("f must be nonconstant")
     if not f.constant_term().is_zero():
         raise ValueError("f must vanish at the origin (f(0) = 0)")
+    if e < 1:
+        raise ValueError("e must be >= 1")
 
 
-# Fast pruned product arithmetic on monomials packed into single integers.
-# Components stay < q in both operands, so digitwise sums stay < 2q and a
-# base-2q packing has no carries; pruning re-normalizes after each step.
+# Pruned product arithmetic on monomials packed into single integers, one
+# base-2q digit per variable.  Both operands keep every digit < q, so digitwise
+# sums stay < 2q and the packing has no carries; dropping the keys with a digit
+# >= q is reduction mod the monomial ideal m^[q], which commutes with products.
 
-def _pack_terms(f: MPoly, q: int) -> list[tuple[int, int]] | None:
+def _pack_terms(f: MPoly, q: int) -> list[tuple[int, int]]:
+    """f's terms inside the box [0, q)^n, packed; the others lie in m^[q]."""
     base = 2 * q
-    packed = []
-    for exps, c in f.terms.items():
-        if any(e >= q for e in exps):
-            continue  # already inside m^[q], irrelevant mod the bracket ideal
-        key = 0
-        for e in reversed(exps):
-            key = key * base + e
-        packed.append((key, c))
-    return packed
+    return [(sum(e * base ** i for i, e in enumerate(exps)), c)
+            for exps, c in f.terms.items() if max(exps) < q]
+
+
+def _box(terms: dict[int, int], nvars: int, q: int, lim: int, p: int) -> dict[int, int]:
+    """The terms with a coefficient nonzero mod p and every base-2q digit < lim."""
+    base = 2 * q
+    out = {}
+    for key, c in terms.items():
+        c %= p
+        if not c:
+            continue
+        kk = key
+        for _ in range(nvars):
+            if kk % base >= lim:
+                break
+            kk //= base
+        else:
+            out[key] = c
+    return out
 
 
 def _pruned_times(acc: dict[int, int], fac: list[tuple[int, int]],
                   nvars: int, q: int, p: int) -> dict[int, int]:
-    base = 2 * q
+    """acc * fac mod m^[q], on packed terms."""
     out: dict[int, int] = {}
+    get = out.get
     for k1, c1 in acc.items():
         for k2, c2 in fac:
             key = k1 + k2
-            # reject any digit >= q
-            kk = key
-            ok = True
-            for _ in range(nvars):
-                if kk % base >= q:
-                    ok = False
-                    break
-                kk //= base
-            if not ok:
-                continue
-            v = (out.get(key, 0) + c1 * c2) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = get(key, 0) + c1 * c2
+    return _box(out, nvars, q, q, p)
 
 
-def nu(f: MPoly, e: int) -> int:
-    """max r >= 0 with f^r outside m^[p^e].
+class _DigitTable:
+    """Packed f^d mod m^[q] for the base-p digits d = 0..p-1.
 
-    Incremental products with monomials pruned against the box [0, q)^n;
-    pruning is reduction mod the monomial ideal m^[q], so it commutes with
-    multiplication and membership tests stay exact.
+    Over F_p, f^N = prod_j Frob^j(f^(d_j)) for N = sum_j d_j p^j, and Frob^j
+    scales exponents by p^j with coefficients fixed.  A monomial of f^d
+    survives the twist mod m^[q] iff every exponent is below q/p^j, so each
+    factor is a filtered row of this table with its packed keys times p^j
+    (each digit stays < q, hence no carry).  No f^d is expanded outside the box.
     """
-    _require_in_maximal_ideal(f)
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    q = f.p ** e
-    fac = _pack_terms(f, q)
-    if not fac:
-        return 0
-    acc = {0: 1}
-    r = 0
-    bound = f.nvars * (q - 1) + 1
-    while True:
-        acc = _pruned_times(acc, fac, f.nvars, q, f.p)
-        if not acc:
-            return r
-        r += 1
-        if r > bound:
-            raise NuMonotonicityError("nu search exceeded the box bound; arithmetic bug")
+
+    def __init__(self, f: MPoly, q: int):
+        self.nvars, self.q, self.p = f.nvars, q, f.p
+        fac = _pack_terms(f, q)
+        self.rows = [{0: 1}]
+        for _ in range(f.p - 1):
+            self.rows.append(_pruned_times(self.rows[-1], fac, f.nvars, q, f.p))
+
+    def twisted(self, d: int, j: int) -> list[tuple[int, int]]:
+        """Frob^j(f^d) mod m^[q], packed."""
+        s = self.p ** j
+        row = _box(self.rows[d], self.nvars, self.q, -(-self.q // s), self.p)
+        return [(key * s, c) for key, c in row.items()]
+
+    def survives(self, N: int) -> bool:
+        """True iff f^N is outside m^[q].
+
+        The factors go in from the highest digit down, since the most
+        twisted rows are the sparsest, and the product stops once it is empty.
+        """
+        digits = []
+        while N:
+            N, d = divmod(N, self.p)
+            digits.append(d)
+        acc = {0: 1}
+        for j in reversed(range(len(digits))):
+            if acc and digits[j]:
+                acc = _pruned_times(acc, self.twisted(digits[j], j), self.nvars, self.q, self.p)
+        return bool(acc)
 
 
 def _pruned_power_survives(f: MPoly, N: int, q: int) -> bool:
-    """True iff f^N is outside m^[q], powering by base-p digits of N.
+    """True iff f^N is outside m^[q], powering by base-p digits of N."""
+    return _DigitTable(f, q).survives(N)
 
-    Over F_p, f^N = prod_j Frob^j(f^(d_j)) for N = sum_j d_j p^j, and Frob^j
-    only scales exponents by p^j (coefficients are fixed), so each factor is
-    an exact twist of the small power f^(d_j).  Reduction mod m^[q] commutes
-    with products, so each factor is pruned to the box [0, q)^n on packing
-    and the running product is pruned after every step; an empty product
-    means f^N lies in m^[q].
+
+def _nu_levels(f: MPoly, e_max: int) -> list[int]:
+    """nu_f(p^e) for e = 1..e_max, one level at a time.
+
+    nu_f(1) = 0 since f lies in m = m^[1].  Given nu = nu_f(p^(e-1)),
+    nu_f(p^e) lies in [p*nu, p*nu + p - 1]: the lower end is
+    Mustata-Takagi-Watanabe, the upper holds because f^(nu+1) in m^[p^(e-1)]
+    gives f^(p*nu+p) in m^[p^e].  Both ends are checked with the kernel, then
+    f^r outside m^[p^e] (monotone in r) is binary-searched between them.
     """
-    acc = {0: 1}
-    j = 0
-    while N and acc:
-        N, d = divmod(N, f.p)
-        if d:
-            fac = _pack_terms((f ** d).frobenius_twist(j), q)
-            acc = _pruned_times(acc, fac, f.nvars, q, f.p)
-        j += 1
-    return bool(acc)
+    p = f.p
+    values = []
+    v = 0
+    for e in range(1, e_max + 1):
+        table = _DigitTable(f, p ** e)
+        lo, hi = p * v, p * v + p
+        if not table.survives(lo) or table.survives(hi):
+            raise NuMonotonicityError(
+                f"nu({p}^{e}) outside [p*nu, p*nu + p - 1] = [{lo}, {hi - 1}] "
+                f"for nu = nu({p}^{e - 1}) = {v}")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if table.survives(mid):
+                lo = mid
+            else:
+                hi = mid
+        v = lo
+        values.append(v)
+    return values
+
+
+def nu(f: MPoly, e: int) -> int:
+    """max r >= 0 with f^r outside m^[p^e]: the last level of the search
+    `fpt_bounds` runs, at most ceil(log2 p) + 2 kernel calls per level."""
+    _require_local_input(f, e)
+    return _nu_levels(f, e)[-1]
 
 
 def nu_binary(f: MPoly, e: int) -> int:
-    """Cross-check for nu: binary search on r with pruned binary powering.
+    """Cross-check for nu: binary search on r over [0, n(q-1)+1].
 
     Membership of f^r in m^[q] is monotone in r, so the predicate is
-    searchable.  Kept independent of the incremental path.
+    searchable.  Kept independent of the level-by-level brackets of `nu`.
     """
-    _require_in_maximal_ideal(f)
-    if e < 1:
-        raise ValueError("e must be >= 1")
+    _require_local_input(f, e)
     q = f.p ** e
     lo, hi = 0, f.nvars * (q - 1) + 1  # f^hi is always inside
     while lo < hi - 1:
@@ -166,29 +202,15 @@ class NuSequence:
 def fpt_bounds(f: MPoly, e_max: int) -> NuSequence:
     """nu values for e = 1..e_max and the F-pure threshold bracket they pin.
 
-    Raises NuMonotonicityError if nu(p^{e+1}) < p*nu(p^e) ever holds; that
-    inequality is a theorem, so a violation means the arithmetic is broken.
+    All levels come from one level-by-level pass, the one `nu` runs; it
+    raises NuMonotonicityError if some level leaves its theorem bracket.
     """
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    values = []
-    prev = None
-    for e in range(1, e_max + 1):
-        v = nu(f, e)
-        if prev is not None and v < f.p * prev:
-            raise NuMonotonicityError(
-                f"nu({f.p}^{e}) = {v} < p*nu({f.p}^{e-1}) = {f.p * prev}")
-        values.append((e, v))
-        prev = v
-    q = f.p ** e_max
-    last = values[-1][1]
-    return NuSequence(
-        poly=f,
-        prime=f.p,
-        values=tuple(values),
-        fpt_lower=Fraction(last, q),
-        fpt_upper=Fraction(last + 1, q),
-    )
+    _require_local_input(f, e_max)
+    values = tuple(enumerate(_nu_levels(f, e_max), start=1))
+    q, last = f.p ** e_max, values[-1][1]
+    return NuSequence(f, f.p, values, Fraction(last, q), Fraction(last + 1, q))
 
 
 def is_fpure_pair(f: MPoly, t, e: int) -> bool:
@@ -197,9 +219,7 @@ def is_fpure_pair(f: MPoly, t, e: int) -> bool:
     Requires t*(p^e - 1) integral, mirroring the convention that boundary
     coefficients are only tested at levels where they clear denominators.
     """
-    _require_in_maximal_ideal(f)
-    if e < 1:
-        raise ValueError("e must be >= 1")
+    _require_local_input(f, e)
     t = require_p_free(Fraction(t), f.p)
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -536,8 +536,8 @@ def gfs_cy_hypersurface(F: MPoly, e: int = 1) -> bool:
     Fedder's criterion: True iff the coefficient of (x_0*...*x_n)^(q-1) in
     F^(q-1) is nonzero.  F^(q-1) is homogeneous of degree n1*(q-1), so that
     diagonal monomial is its only one with every exponent <= q-1, and the
-    test is exactly F^(q-1) outside m^[q], which fedder's pruned power
-    decides without expanding F^(q-1).
+    test is exactly F^(q-1) outside m^[q]: fedder's kernel decides it from
+    the pruned powers F^d mod m^[q], d < p, never expanding F^(q-1).
     """
     n1 = F.nvars
     if F.is_zero() or not F.is_homogeneous_on(range(n1)) or F.degree() != n1:
@@ -555,8 +555,9 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
     exponents are <= q-1; the complementary monomial then supplies the
     multiplier of the remaining anticanonical budget.  Sufficiency is exact;
     necessity is only cross-validated downstream, never assumed.  Such a
-    monomial exists iff F^(q-1) is outside m^[q], which is fedder's pruned
-    power test word for word (a nonzero constant F survives, so it splits).
+    monomial exists iff F^(q-1) is outside m^[q], which fedder's kernel
+    decides from the pruned powers F^d mod m^[q], d < p (a nonzero constant
+    F survives, so it splits).
     """
     g1, g2 = groups
     if g1 + g2 != F.nvars:

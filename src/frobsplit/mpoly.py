@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
+from math import comb
 from typing import Mapping, Sequence
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
@@ -403,6 +404,11 @@ def _default_names(nvars: int) -> list[str]:
     return [f"x{i}" for i in range(nvars)]
 
 
+# A power of a base with more than one term is expanded in full.  Its term
+# count is at most C(n + k*deg, n) for n variables, exponent k and base
+# degree deg; past this ceiling the expansion can run for minutes or never end.
+MAX_POWER_TERMS = 5000
+
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\+|\-|\^|\(|\))")
 
 
@@ -476,7 +482,12 @@ class _Parser:
             tok = self._next()
             if not tok.isdigit():
                 raise PolyParseError(f"exponent must be a nonnegative integer, got {tok!r}")
-            return base ** int(tok)
+            k = int(tok)
+            if (len(base.terms) > 1
+                    and comb(self.nvars + k * base.degree(), self.nvars) > MAX_POWER_TERMS):
+                raise PolyParseError(f"power ^{k} of a {len(base.terms)}-term base may have "
+                                     f"more than {MAX_POWER_TERMS} terms")
+            return base ** k
         return base
 
     def _base(self) -> MPoly:

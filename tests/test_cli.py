@@ -3,6 +3,7 @@ import shlex
 from pathlib import Path
 
 from frobsplit.cli import build_parser, main, run
+from frobsplit.mpoly import parse_poly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -97,6 +98,8 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["gfs-cy", "--p", "5", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z", "--e", "0"],
         ["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
          "--groups", "2,2", "--e", "0"],
+        # a power whose expansion would never finish
+        ["fedder-nu", "--p", "5", "--poly", "(x+y+1)^1000000000 - 1", "--vars", "x,y"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
@@ -151,6 +154,24 @@ def test_readme_examples_parse():
     assert len(lines) == 15
     for line in lines:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_documented_polynomials_parse():
+    # the size guard on powers must pass every polynomial the README and the
+    # benchmark workloads use (the catalog carries no polynomial text)
+    block = README.read_text().split("## Command line", 1)[1]
+    args = shlex.split(block.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " "),
+                       comments=True)
+    readme = [(args[i + 1], args[args.index("--vars", i) + 1].split(","))
+              for i, a in enumerate(args) if a == "--poly"]
+    assert len(readme) == 4
+    cones = [f"y^2*z-x*(x-z)*(x-{lam}*z)" for lam in range(2, 31)]
+    workloads = ([(f, ["x", "y"]) for f in ("y^2-x^3+x^2", "y^2-x^3")]
+                 + [(f, ["x", "y", "z"]) for f in ["x^3+y^3+z^3", "x^9*y^9*z^9"] + cones]
+                 + [("x^4+y^4+z^4+w^4", ["x", "y", "z", "w"])])
+    for p in (3, 5, 7, 11, 13, 23, 31):
+        for text, names in readme + workloads:
+            assert not parse_poly(text, names, p).is_zero(), (text, p)
 
 
 def test_cover_check_subcommand(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from frobsplit.arith import ExtFieldElement, FieldElement
-from frobsplit.mpoly import (MPoly, PolyParseError, format_poly, parse_poly,
+from frobsplit.mpoly import (MAX_POWER_TERMS, MPoly, PolyParseError, format_poly, parse_poly,
                              univ_derivative, univ_roots, univ_squarefree,
                              univ_to_dense)
 
@@ -166,6 +166,20 @@ def test_parse_errors():
         parse_poly("(x + 1", ["x"], 5)
     with pytest.raises(PolyParseError):
         parse_poly("x + ", ["x"], 5)
+
+
+def test_power_size_guard():
+    # a power of a base with several terms is refused once its expansion could
+    # exceed MAX_POWER_TERMS monomials, C(n + k*deg, n); a monomial never is
+    with pytest.raises(PolyParseError):
+        parse_poly("(x+y+1)^1000000000 - 1", ["x", "y"], 5)
+    k = MAX_POWER_TERMS - 1                       # C(1 + k, 1) == MAX_POWER_TERMS
+    assert parse_poly(f"(x+1)^{k}", ["x"], 5).degree() == k
+    with pytest.raises(PolyParseError):
+        parse_poly(f"(x+1)^{k + 1}", ["x"], 5)
+    assert parse_poly("x^1000000000 - 1", ["x", "y"], 5).degree() == 10 ** 9
+    assert parse_poly("(2*x^3*y)^1000000000", ["x", "y"], 5).degree() == 4 * 10 ** 9
+    assert parse_poly("(3)^1000000000", ["x"], 5) == MPoly.constant(1, 1, 5)
 
 
 def test_format_parse_roundtrip():
