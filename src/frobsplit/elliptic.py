@@ -85,43 +85,20 @@ def hasse_closed_symbolic(p: int) -> MPoly:
 
 @lru_cache(maxsize=None)
 def hasse_coeff_symbolic(p: int) -> MPoly:
-    """Coefficient extraction with lambda symbolic.
+    """Coefficient extraction with lambda symbolic, in O(p^2).
 
-    Iterates multiplication by (x^2 - (1+lambda)x + lambda) with x-degrees
-    truncated at m = (p-1)/2 (higher x-degrees cannot reach the target
-    coefficient since degrees only grow); entries are lambda-coefficient
-    lists over F_p.
+    The x^m coefficient of ((x-1)(x-lambda))^m, m = (p-1)/2.  With
+    a_k = [x^k](x-1)^m, the factor (x-lambda)^m has coefficients
+    a_k * lambda^(m-k), so the lambda^i coefficient is a_i * a_(m-i).  The a_k
+    come from m multiplications by (x-1), Pascal's rule mod p: no binomial
+    identity anywhere, so this is an independent oracle for the closed form.
     """
     _check_modulus(p)
     m = (p - 1) // 2
-    # table[i] = lambda-poly coefficient of x^i, as a dense int list
-    table: list[list[int]] = [[1]] + [[] for _ in range(m)]
+    a = [1]
     for _ in range(m):
-        new: list[list[int]] = [[] for _ in range(m + 1)]
-        for i in range(m + 1):
-            acc: dict[int, int] = {}
-
-            def _add(coeffs: list[int], shift: int, scale: int) -> None:
-                for d, c in enumerate(coeffs):
-                    v = (acc.get(d + shift, 0) + scale * c) % p
-                    if v:
-                        acc[d + shift] = v
-                    elif d + shift in acc:
-                        del acc[d + shift]
-
-            if i >= 2:
-                _add(table[i - 2], 0, 1)          # * x^2
-            if i >= 1:
-                _add(table[i - 1], 0, p - 1)      # * (-x)
-                _add(table[i - 1], 1, p - 1)      # * (-lambda x)
-            _add(table[i], 1, 1)                  # * lambda
-            if acc:
-                out = [0] * (max(acc) + 1)
-                for d, c in acc.items():
-                    out[d] = c
-                new[i] = out
-        table = new
-    return MPoly(1, p, {(d,): c for d, c in enumerate(table[m]) if c})
+        a = [(lo - hi) % p for lo, hi in zip([0] + a, a + [0])]
+    return MPoly(1, p, {(i,): a[i] * a[m - i] for i in range(m + 1)})
 
 
 def count_points(lam: LambdaLike, p: int) -> int:

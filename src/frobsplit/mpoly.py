@@ -379,13 +379,14 @@ def univ_roots(f: MPoly, level: int = 1) -> list[tuple[AnyFieldElement, int]]:
         if len(cur) <= 2:
             break
         nb2 = n * b * b % p
+        bn = b * n % p
         for a in range(p):
             if len(cur) <= 2:
                 break
             # evaluate cur at a + b t without building extension elements
             u, v = 0, 0  # value = u + v t
             for c in reversed(cur):
-                u, v = (u * a + v * b % p * n + c) % p, (u * b + v * a) % p
+                u, v = (u * a + v * bn + c) % p, (u * b + v * a) % p
             if u == 0 and v == 0:
                 s = (-2 * a) % p
                 t0 = (a * a - nb2) % p
@@ -407,6 +408,9 @@ def _default_names(nvars: int) -> list[str]:
 # A power of a base with more than one term is expanded in full.  Its term
 # count is at most C(n + k*deg, n) for n variables, exponent k and base
 # degree deg; past this ceiling the expansion can run for minutes or never end.
+# A product A*B of two multi-term factors is refused on the same ceiling when
+# both its work, |A|*|B| term products, and its size bound
+# C(n + deg A + deg B, n) pass it.
 MAX_POWER_TERMS = 5000
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\+|\-|\^|\(|\))")
@@ -472,7 +476,15 @@ class _Parser:
         acc = self._factor()
         while self._peek() == "*":
             self._next()
-            acc = acc * self._factor()
+            rhs = self._factor()
+            sizes = len(acc.terms), len(rhs.terms)
+            if (min(sizes) > 1
+                    and min(sizes[0] * sizes[1],
+                            comb(self.nvars + acc.degree() + rhs.degree(), self.nvars))
+                    > MAX_POWER_TERMS):
+                raise PolyParseError(f"product of a {sizes[0]}-term and a {sizes[1]}-term "
+                                     f"factor may have more than {MAX_POWER_TERMS} terms")
+            acc = acc * rhs
         return acc
 
     def _factor(self) -> MPoly:

@@ -100,6 +100,7 @@ def test_input_error_exit_code(tmp_path, capsys):
          "--groups", "2,2", "--e", "0"],
         # a power whose expansion would never finish
         ["fedder-nu", "--p", "5", "--poly", "(x+y+1)^1000000000 - 1", "--vars", "x,y"],
+        ["fedder-nu", "--p", "101", "--poly", "(x+y+z+1)^20*(x+y+z+1)^20", "--vars", "x,y,z"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

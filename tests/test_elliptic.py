@@ -2,14 +2,14 @@ import io
 
 import pytest
 
-from frobsplit.arith import ExtFieldElement, FieldElement, is_prime
+from frobsplit.arith import ExtFieldElement, FieldElement, is_prime, lift_to_ext
 from frobsplit.elliptic import (CurveKgfrVerdict, LegendreCurve,
                                 classify_curve_kgfr, count_points,
                                 hasse_closed, hasse_coeff,
                                 hasse_closed_symbolic, hasse_coeff_symbolic,
                                 is_supersingular_by_count,
                                 supersingular_report, write_hasse_table)
-from frobsplit.mpoly import parse_poly
+from frobsplit.mpoly import MPoly, parse_poly, univ_to_dense
 
 
 def test_hasse_examples():
@@ -23,6 +23,91 @@ def test_hasse_symbolic_examples():
     assert hasse_closed_symbolic(5) == hasse_coeff_symbolic(5)
     # degree 1 polynomial with both coefficients -1 mod 3
     assert hasse_coeff_symbolic(3) == parse_poly("2*x + 2", ["x"], 3)
+
+
+def _cubic_hasse_symbolic(p):
+    """[x^m]((x-1)(x-lam))^m by m multiplications with x^2 - (1+lam)x + lam,
+    x-degrees truncated at m, every entry a dense lambda-coefficient list:
+    O(m^3), the extraction the library ran before Pascal's rule."""
+    m = (p - 1) // 2
+    table = [[1]] + [[] for _ in range(m)]
+    for _ in range(m):
+        new = []
+        for i in range(m + 1):
+            acc = [0] * (m + 1)   # lambda-degrees stay at most m
+            for src, shift, scale in ((table[i - 2] if i >= 2 else [], 0, 1),
+                                      (table[i - 1] if i >= 1 else [], 0, -1),
+                                      (table[i - 1] if i >= 1 else [], 1, -1),
+                                      (table[i], 1, 1)):
+                for d, c in enumerate(src):
+                    if c:
+                        acc[d + shift] = (acc[d + shift] + scale * c) % p
+            new.append(acc)
+        table = new
+    return MPoly(1, p, {(d,): c for d, c in enumerate(table[m])})
+
+
+def _odd_primes(lo, hi):
+    return [p for p in range(max(lo, 3), hi + 1) if is_prime(p)]
+
+
+def test_hasse_symbolic_against_cubic_extraction():
+    primes = _odd_primes(3, 61)
+    assert {p % 4 for p in primes} == {1, 3}   # both signs (-1)^m
+    for p in primes:
+        assert hasse_coeff_symbolic(p) == _cubic_hasse_symbolic(p), p
+
+
+def test_hasse_symbolic_routes_agree_to_400():
+    primes = _odd_primes(3, 400)
+    assert {p % 4 for p in primes} == {1, 3}
+    for p in primes:
+        assert hasse_coeff_symbolic(p) == hasse_closed_symbolic(p), p
+
+
+def test_eichler_deuring_supersingular_j_count():
+    # the supersingular lambda give floor(p/12) + {0, 1, 1, 2} distinct
+    # j = 256(lam^2 - lam + 1)^3 / (lam^2 (lam - 1)^2) for p = 1, 5, 7, 11 mod 12
+    extra = {1: 0, 5: 1, 7: 1, 11: 2}
+    primes = _odd_primes(5, 109)
+    assert {p % 12 for p in primes} == set(extra)
+    for p in primes:
+        js = set()
+        for r, _ in supersingular_report(p).roots:
+            lam = lift_to_ext(r, p)
+            js.add(256 * (lam * lam - lam + 1) ** 3 / (lam * lam * (lam - 1) ** 2))
+        assert len(js) == p // 12 + extra[p % 12], p
+
+
+def test_hasse_factorisation_against_sympy():
+    # over GF(p), H_p's linear factors are its F_p roots and its quadratic
+    # factors the conjugate pairs of F_{p^2} roots, each once
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    kinds = set()
+    primes = _odd_primes(3, 61)
+    assert {p % 4 for p in primes} == {1, 3}
+    for p in primes:
+        rep = supersingular_report(p)
+        _, factors = sympy.Poly(univ_to_dense(rep.poly)[::-1], lam,
+                                modulus=p).factor_list()
+        linear, quadratic = set(), set()
+        for g, mult in factors:
+            coeffs = [int(c) % p for c in g.all_coeffs()]
+            assert mult == 1 and coeffs[0] == 1 and len(coeffs) in (2, 3), (p, g)
+            if len(coeffs) == 2:
+                linear.add(-coeffs[1] % p)
+            else:
+                quadratic.add(tuple(coeffs[1:]))
+        fp_roots = {r.value for r, _ in rep.roots if isinstance(r, FieldElement)}
+        pairs = {((-2 * r.a) % p, r.norm().value)
+                 for r, _ in rep.roots if isinstance(r, ExtFieldElement)}
+        assert linear == fp_roots and quadratic == pairs, p
+        if linear:
+            kinds.add("linear")
+        if quadratic:
+            kinds.add("quadratic")
+    assert kinds == {"linear", "quadratic"}
 
 
 def test_hasse_rejects_nodal_parameters():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit.arith import ExtFieldElement, FieldElement, ZpViolationError
 from frobsplit.elliptic import hasse_closed
@@ -37,6 +39,58 @@ def test_divisor_merging_and_degree():
 def test_divisor_zp_enforcement():
     with pytest.raises(ZpViolationError):
         parse_divisor("1/5@0", 5)
+
+
+@st.composite
+def _divisors(draw):
+    p = draw(st.sampled_from([3, 5, 7, 13]))
+    point = st.one_of(
+        st.just(P1Point.infinity()),
+        st.integers(0, p - 1).map(lambda v: P1Point(FieldElement(v, p))),
+        st.tuples(st.integers(0, p - 1), st.integers(1, p - 1)).map(
+            lambda ab: P1Point(ExtFieldElement(ab[0], ab[1], p))))
+    coeff = st.builds(Fraction, st.integers(-12, 12),
+                      st.integers(1, 30).filter(lambda d: d % p))
+    return P1Divisor(p, draw(st.lists(st.tuples(point, coeff), max_size=5)))
+
+
+def test_divisor_text_roundtrip_drawn():
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_divisors())
+    def check(B):
+        text = ",".join(f"{c}@{pt}" for pt, c in B.sorted_entries())
+        assert parse_divisor(text, B.prime) == B
+
+    check()
+
+
+def _token_strings(tokens, max_size):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map("".join)
+
+
+# entries 'coeff@point' and free token strings over the grammar's alphabet,
+# with a p-divisible denominator and whitespace
+_DIVISOR_TEXT = st.lists(
+    st.one_of(st.builds("{}@{}".format, _token_strings(["0", "1", "5", "/", "-"], 4),
+                        _token_strings(["0", "1", "3", "+", "-", "*", "t", "inf", " "], 4)),
+              _token_strings(["0", "1", "/", "@", ",", "+", "-", "t", "inf", " "], 8)),
+    max_size=3).map(",".join)
+
+
+def test_parse_divisor_fuzz_parses_or_rejects():
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_DIVISOR_TEXT)
+    def check(text):
+        try:
+            parse_divisor(text, 5)
+            outcomes.add("parsed")
+        except ValueError:
+            outcomes.add("rejected")
+
+    check()
+    assert outcomes == {"parsed", "rejected"}
 
 
 # -- the P^1 splitting criterion -----------------------------------------------

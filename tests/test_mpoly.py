@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit.arith import ExtFieldElement, FieldElement
 from frobsplit.mpoly import (MAX_POWER_TERMS, MPoly, PolyParseError, format_poly, parse_poly,
@@ -182,6 +184,24 @@ def test_power_size_guard():
     assert parse_poly("(3)^1000000000", ["x"], 5) == MPoly.constant(1, 1, 5)
 
 
+def test_product_size_guard():
+    # a product A*B of two multi-term factors is refused once both its work
+    # |A|*|B| and its size bound C(n + deg A + deg B, n) exceed MAX_POWER_TERMS
+    names = ["x", "y", "z"]
+    with pytest.raises(PolyParseError):
+        parse_poly("(x+y+z+1)^20*(x+y+z+1)^20", names, 101)
+    with pytest.raises(PolyParseError):                  # C(33, 3) = 5456
+        parse_poly("(x+y+1)^15*(x+y+1)^15", names, 101)
+    assert parse_poly("(x+y+1)^14*(x+y+1)^15", names, 101).degree() == 29   # C(32, 3) = 4960
+    with pytest.raises(PolyParseError):                  # 71 * 71 = 5041 products
+        parse_poly("(x+1)^70*(y+1)^70", ["x", "y"], 101)
+    # few term products, or a monomial factor, pass whatever the degrees
+    assert len(parse_poly("(x+1)^70*(y+1)^69", ["x", "y"], 101).terms) == 4970
+    assert len(parse_poly("(x^100+1)*(y^100+1)", names, 101).terms) == 4
+    big = "(x+1)^70*(y+1)^69 + x^200*(x+1)^70*(y+1)^69"
+    assert len(parse_poly(f"y*({big})*x^40", ["x", "y"], 101).terms) == 9940
+
+
 def test_format_parse_roundtrip():
     rng = random.Random(23)
     names = ["x", "y", "z"]
@@ -191,6 +211,45 @@ def test_format_parse_roundtrip():
         assert parse_poly(text, names, 7) == f
         # printing is canonical: formatting again is bit-identical
         assert format_poly(parse_poly(text, names, 7), names) == text
+
+
+@st.composite
+def _polys(draw):
+    p = draw(st.sampled_from([3, 5, 7, 101]))
+    nvars = draw(st.integers(1, 3))
+    monomial = st.tuples(*[st.integers(0, 6)] * nvars)
+    terms = draw(st.dictionaries(monomial, st.integers(1, p - 1), max_size=6))
+    return MPoly(nvars, p, terms), ["x", "y", "z"][:nvars]
+
+
+def test_format_parse_roundtrip_drawn():
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_polys())
+    def check(case):
+        f, names = case
+        assert parse_poly(format_poly(f, names), names, f.p) == f
+
+    check()
+
+
+# the grammar's tokens, an undeclared name and whitespace
+_POLY_TOKENS = ["x", "y", "z", "q", "0", "1", "2", "7", "10", "+", "-", "*", "^", "(", ")", " "]
+
+
+def test_parse_poly_fuzz_parses_or_rejects():
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(_POLY_TOKENS), max_size=12).map("".join))
+    def check(text):
+        try:
+            parse_poly(text, ["x", "y", "z"], 5)
+            outcomes.add("parsed")
+        except PolyParseError:
+            outcomes.add("rejected")
+
+    check()
+    assert outcomes == {"parsed", "rejected"}
 
 
 def test_format_zero_and_constants():
