@@ -201,6 +201,9 @@ def parse_divisor(text: str, p: int) -> P1Divisor:
             coeff_str, sep, point_str = chunk.partition("@")
             if not sep:
                 raise ValueError(f"bad divisor entry {chunk!r}, expected coeff@point")
+            # Fraction would read "1e999999999" as a huge integer
+            if "e" in coeff_str.lower():
+                raise ValueError(f"exponent notation is not accepted in {chunk!r}")
             try:
                 coeff = Fraction(coeff_str.strip())
             except ZeroDivisionError:

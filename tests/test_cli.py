@@ -85,6 +85,8 @@ def test_input_error_exit_code(tmp_path, capsys):
     for argv in (
         ["gfs-p1", "--p", "5", "--divisor", "1/0@1"],
         ["gfs-p1", "--p", "5", "--divisor", "1/2@3+2tt"],
+        # exponent notation, which would build a huge integer
+        ["gfs-p1", "--p", "5", "--divisor", "1e999999999@1"],
         ["scan", "--range", "3..5", "--out", str(tmp_path / "missing" / "x.csv")],
         # a flag the subcommand does not read, and abbreviations
         ["fdisc", "--p", "5", "--poly", "x"],
@@ -152,7 +154,7 @@ def test_readme_examples_parse():
     block = README.read_text().split("## Command line", 1)[1]
     block = block.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
     lines = [ln for ln in block.splitlines() if ln.startswith("frobsplit ")]
-    assert len(lines) == 15
+    assert len(lines) == 16
     for line in lines:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
 

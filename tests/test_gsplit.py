@@ -41,6 +41,16 @@ def test_divisor_zp_enforcement():
         parse_divisor("1/5@0", 5)
 
 
+def test_divisor_exponent_notation_refused():
+    # Fraction would read "1e999999999" as an integer of a billion digits; the
+    # grammar has no exponents, so such text is refused before it is built
+    for text in ("1e999999999@1", "1E3@inf", "2e0@1", "1/2@0,1e-5@1"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_divisor(text, 5)
+    assert parse_divisor("1/2@inf", 5) == P1Divisor(5, [(P1Point.infinity(), Fraction(1, 2))])
+    assert parse_divisor("0.5@1", 5) == parse_divisor("1/2@1", 5)
+
+
 @st.composite
 def _divisors(draw):
     p = draw(st.sampled_from([3, 5, 7, 13]))

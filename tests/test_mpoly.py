@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobsplit.arith import ExtFieldElement, FieldElement
-from frobsplit.mpoly import (MAX_POWER_TERMS, MPoly, PolyParseError, format_poly, parse_poly,
-                             univ_derivative, univ_roots, univ_squarefree,
-                             univ_to_dense)
+from frobsplit import elliptic
+from frobsplit.arith import (ExtFieldElement, FieldElement, is_prime, legendre_symbol,
+                             quadratic_nonresidue)
+from frobsplit.cli import run
+from frobsplit.elliptic import supersingular_report
+from frobsplit.mpoly import (MAX_POWER_TERMS, MPoly, PolyParseError, _norm_character,
+                             _Residues, format_poly, parse_poly, univ_derivative,
+                             univ_roots, univ_squarefree, univ_to_dense)
 
 
 def _random_sparse(rng, nvars, p, max_exp=4, max_terms=4):
@@ -157,6 +161,198 @@ def test_multiplicity_sum_equals_degree_iff_split():
     assert _roots_by_full_scan(g, 2) == []
     assert univ_roots(g, 1) == []
     assert sum(m for _, m in univ_roots(g, 2)) == 0 < g.degree()
+
+
+def _long_division(a, b, p):
+    """Quotient and remainder of a by the monic b, dense lists mod p."""
+    a = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = a[i + len(b) - 1] % p
+        for j, c in enumerate(b):
+            a[i + j] = (a[i + j] - quot[i] * c) % p
+    return quot, a[:len(b) - 1]
+
+
+def _scan_roots(f, level):
+    """The F_{p^2} scan univ_roots ran before its gcd route, as an oracle:
+    every r in F_p, then every a + b*t with 1 <= b <= (p-1)/2 and a in F_p,
+    each root's multiplicity by dividing it out of the deflating polynomial."""
+    p = f.p
+    cur = univ_to_dense(f)
+    roots = []
+
+    def deflate(divisor):
+        nonlocal cur
+        mult = 0
+        while len(cur) >= len(divisor):
+            quot, rem = _long_division(cur, divisor, p)
+            if any(rem):
+                break
+            cur, mult = quot, mult + 1
+        return mult
+
+    for r in range(p):
+        if len(cur) <= 1:
+            break
+        if sum(c * pow(r, i, p) for i, c in enumerate(cur)) % p == 0:
+            roots.append((FieldElement(r, p), deflate([-r % p, 1])))
+    if level == 1:
+        return roots
+    n = quadratic_nonresidue(p)
+    for b in range(1, (p - 1) // 2 + 1):
+        for a in range(p):
+            if len(cur) <= 2:
+                return roots
+            u, v = 0, 0   # cur(a + b*t) = u + v*t, t^2 = n
+            for c in reversed(cur):
+                u, v = (u * a + v * b * n + c) % p, (u * b + v * a) % p
+            if u == v == 0:
+                mult = deflate([(a * a - n * b * b) % p, -2 * a % p, 1])
+                roots += [(ExtFieldElement(a, b, p), mult), (ExtFieldElement(a, -b, p), mult)]
+    return roots
+
+
+def _listing(roots):
+    # repr tells F_p elements from F_{p^2} ones, which compare equal
+    return [(repr(r), m) for r, m in roots]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@st.composite
+def _univariates(draw):
+    """Degree <= 12 over F_p, p <= 13: either free coefficients (constants
+    included) or a product of monic factors of degree <= 3 taken up to three
+    times, so repeated and irreducible factors are common."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    coeff = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        dense = draw(st.lists(coeff, max_size=12)) + [draw(st.integers(1, p - 1))]
+    else:
+        dense = [draw(st.integers(1, p - 1))]
+        for _ in range(draw(st.integers(0, 4))):
+            factor = draw(st.lists(coeff, min_size=1, max_size=3)) + [1]
+            for _ in range(draw(st.integers(1, 3))):
+                if len(dense) + len(factor) > 14:
+                    break
+                dense = _times(dense, factor, p)
+    return MPoly(1, p, {(i,): c for i, c in enumerate(dense)})
+
+
+def test_univ_roots_equals_scan_drawn():
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_univariates(), st.sampled_from([1, 2]))
+    def check(f, level):
+        assert _listing(univ_roots(f, level)) == _listing(_scan_roots(f, level))
+
+    check()
+
+
+def test_supersingular_output_equals_scan(monkeypatch, capsys):
+    # H_p at every prime < 100 and at the benchmark's primes 101..199: the
+    # supersingular report prints the same bytes with the scan as root finder
+    primes = [p for p in range(3, 100) if is_prime(p)] + [101, 127, 151, 173, 199]
+
+    def printed():
+        supersingular_report.cache_clear()
+        outs = []
+        for p in primes:
+            assert run(["supersingular", "--p", str(p), "--json"])[0] == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    try:
+        got = printed()
+        monkeypatch.setattr(elliptic, "univ_roots", _scan_roots)
+        assert printed() == got
+    finally:
+        supersingular_report.cache_clear()
+
+
+def test_univ_roots_against_sympy_factorisation():
+    # over GF(p), the linear factors of f are its F_p roots and its quadratic
+    # factors its conjugate pairs, with the same multiplicities; irreducible
+    # cubics and quartics have no root in F_{p^2}
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(29)
+    kinds = set()
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(6):
+            f = MPoly.one(1, p)
+            # (degree, how many factors at most, multiplicity at most)
+            for deg, count, max_mult in ((1, 3, 3), (2, 2, 2), (3, 1, 1), (4, 1, 1)):
+                for _ in range(rng.randrange(count + 1)):
+                    while True:
+                        g = [rng.randrange(p) for _ in range(deg)] + [1]
+                        if deg == 1 or sympy.Poly(g[::-1], x, modulus=p).is_irreducible:
+                            break
+                    f = f * MPoly(1, p, {(i,): c for i, c in enumerate(g)}) ** rng.randrange(
+                        1, max_mult + 1)
+            _, factors = sympy.Poly(univ_to_dense(f)[::-1], x, modulus=p).factor_list()
+            linear, quadratic = {}, {}
+            for g, mult in factors:
+                coeffs = [int(c) % p for c in g.all_coeffs()]
+                assert coeffs[0] == 1
+                if len(coeffs) == 2:
+                    linear[-coeffs[1] % p] = mult
+                elif len(coeffs) == 3:
+                    quadratic[tuple(coeffs[1:])] = mult
+                kinds.add((len(coeffs) - 1, mult > 1))
+            got = univ_roots(f, 2)
+            fp_roots = {r.value: m for r, m in got if isinstance(r, FieldElement)}
+            pairs = {((-2 * r.a) % p, r.norm().value): m
+                     for r, m in got if isinstance(r, ExtFieldElement)}
+            assert fp_roots == linear and pairs == quadratic, (p, f)
+            assert len(got) == len(linear) + 2 * len(quadratic)
+            assert univ_roots(f, 1) == got[:len(linear)]
+    assert {(1, True), (2, True), (3, False), (4, False)} <= kinds
+
+
+def test_norm_character_separates_quadratics():
+    # univ_roots splits quadratic factors by chi(q(-a)), a = 0, 1, 2, ...;
+    # Weil's bound shows two distinct irreducible quadratics differ at some
+    # a in F_p once p >= 11, and here every pair is checked for p <= 13.
+    # The library's character must equal chi(q(-a)), so a sign slip in its
+    # u = (x + a)(x^p + a) shows here as well.
+    for p in (3, 5, 7, 11, 13):
+        quadratics = [(s, c) for s in range(p) for c in range(p)
+                      if legendre_symbol(s * s - 4 * c, p) == -1]
+        assert len(quadratics) == (p * p - p) // 2
+        signatures = set()
+        for s, c in quadratics:
+            ring = _Residues([c, s, 1], p)
+            x_q = ring.pow([0, 1], p)
+            chis = tuple(legendre_symbol(a * a - s * a + c, p) for a in range(p))
+            assert [_norm_character(ring, x_q, a) for a in range(p)] == [[v % p] for v in chis]
+            signatures.add(chis)
+        assert len(signatures) == len(quadratics), p
+
+
+def test_residue_products_against_schoolbook():
+    # slots of 1, 2, 4 and 8 bytes pack through array; wider ones byte by byte
+    rng = random.Random(41)
+    widths = set()
+    for p in (3, 13, 199, 1000003, 2 ** 61 - 1):
+        for d in (1, 2, 5, 17):
+            modulus = [rng.randrange(p) for _ in range(d)] + [1]
+            ring = _Residues(modulus, p)
+            widths.add(ring.w)
+            for _ in range(4):
+                a, b = ([rng.randrange(p) for _ in range(rng.randrange(d + 1))]
+                        for _ in range(2))
+                want = _long_division(_times(a, b, p), modulus, p)[1]
+                while want and want[-1] == 0:
+                    want.pop()
+                assert ring.mul(a, b) == want, (p, modulus, a, b)
+    assert {1, 2, 4, 8} < widths and max(widths) > 8
 
 
 def test_parse_errors():
