@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -498,7 +499,14 @@ def run(argv=None) -> tuple[int, dict | None]:
 
 
 def main(argv=None) -> int:
-    code, _ = run(argv)
+    try:
+        code, _ = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`| head`); Python's documented recipe:
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
-                    _check_modulus, lift_to_ext, normalize_element,
+                    _check_modulus, normalize_element, quadratic_nonresidue,
                     require_p_free, splitting_level)
 from .fedder import _pruned_power_survives
 from .mpoly import MPoly, univ_squarefree, univ_to_dense
@@ -253,81 +253,109 @@ class GfsVerdict:
 
 
 # -- sparse univariate arithmetic over F_p / F_{p^2} --------------------------
+#
+# A UPoly maps degree -> nonzero coefficient.  Over F_p (ext False) a
+# coefficient is an int in [0, p); over F_{p^2} (ext True) it is a pair
+# (a, b) of such ints meaning a + b*t with t^2 = quadratic_nonresidue(p), the
+# t of ExtFieldElement.  Field objects appear only at the API boundary.
 
-UPoly = dict  # degree -> field element, zero coefficients absent
+UPoly = dict
 
 
-def _uone(p: int, ext: bool) -> AnyFieldElement:
-    return ExtFieldElement(1, 0, p) if ext else FieldElement(1, p)
+def _uone(ext: bool):
+    return (1, 0) if ext else 1
 
 
-def _umul(f: UPoly, g: UPoly) -> UPoly:
-    out: UPoly = {}
+def _umul(f: UPoly, g: UPoly, p: int, ext: bool) -> UPoly:
+    """f*g: unreduced products are summed per degree and reduced once.
+
+    Over F_{p^2}, a + bt is packed as the int a + b*2^K, so one int product
+    holds a1a2, a1b2 + b1a2 and b1b2 in K-bit slots.  A degree sums at most
+    one product per term of the shorter factor, and K is wide enough for
+    that many; t^2 = n then folds the third slot into the first.
+    """
     small, big = (f, g) if len(f) <= len(g) else (g, f)
+    if ext:
+        K = (2 * len(small) * (p - 1) ** 2).bit_length()
+        small = {d: a | b << K for d, (a, b) in small.items()}
+        big = {d: a | b << K for d, (a, b) in big.items()}
+    big = list(big.items())
+    acc: dict = {}
+    get = acc.get
     for d1, c1 in small.items():
-        for d2, c2 in big.items():
+        for d2, c2 in big:
             d = d1 + d2
-            v = out.get(d)
-            v = c1 * c2 if v is None else v + c1 * c2
-            if v.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = v
-    return out
+            acc[d] = get(d, 0) + c1 * c2
+    # reduced in place: a second map would double the peak memory
+    if ext:
+        n, mask, zero = quadratic_nonresidue(p), (1 << K) - 1, (0, 0)
+        for d, v in acc.items():
+            acc[d] = ((v & mask) + n * (v >> 2 * K)) % p, (v >> K & mask) % p
+    else:
+        zero = 0
+        for d, v in acc.items():
+            acc[d] = v % p
+    for d in [d for d, c in acc.items() if c == zero]:
+        del acc[d]
+    return acc
 
 
 def _upow_small(f: UPoly, k: int, p: int, ext: bool) -> UPoly:
-    result: UPoly = {0: _uone(p, ext)}
+    result: UPoly = {0: _uone(ext)}
     base = f
     while k:
         if k & 1:
-            result = _umul(result, base)
+            result = _umul(result, base, p, ext)
         k >>= 1
         if k:
-            base = _umul(base, base)
+            base = _umul(base, base, p, ext)
     return result
 
 
-def _ufrob(f: UPoly, j: int, p: int) -> UPoly:
-    """f -> f^(p^j): exponents scale by p^j, coefficients get Frobenius^j."""
+def _ufrob(f: UPoly, j: int, p: int, ext: bool) -> UPoly:
+    """f -> f^(p^j): exponents scale by p^j, coefficients get Frobenius^j,
+    which on F_{p^2} is a + bt -> a - bt for odd j."""
     s = p ** j
-    conj = j % 2 == 1
-    out: UPoly = {}
-    for d, c in f.items():
-        out[d * s] = c.frobenius() if conj and isinstance(c, ExtFieldElement) else c
-    return out
+    if ext and j % 2 == 1:
+        return {d * s: (a, -b % p) for d, (a, b) in f.items()}
+    return {d * s: c for d, c in f.items()}
 
 
 def _upow_frobenius(f: UPoly, n: int, p: int, ext: bool) -> UPoly:
     """f^n via base-p digits: prod_j Frob^j(f^(d_j)), exact over F_p / F_{p^2}."""
     if n == 0:
-        return {0: _uone(p, ext)}
+        return {0: _uone(ext)}
     pieces = []
     j = 0
     while n:
         d = n % p
         if d:
-            pieces.append(_ufrob(_upow_small(f, d, p, ext), j, p))
+            pieces.append(_ufrob(_upow_small(f, d, p, ext), j, p, ext))
         n //= p
         j += 1
-    return reduce(_umul, pieces)
+    return reduce(lambda a, b: _umul(a, b, p, ext), pieces)
 
 
-def _boundary_poly(finite_parts: Sequence[tuple[AnyFieldElement, int]], p: int) -> UPoly:
-    """prod (x - lambda_i)^(n_i), grouped by exponent for Frobenius powering."""
-    ext = any(isinstance(elt, ExtFieldElement) for elt, _ in finite_parts)
-    one = _uone(p, ext)
+def _boundary_poly(finite_parts: Sequence[tuple[AnyFieldElement, int]], p: int,
+                   ext: bool | None = None) -> UPoly:
+    """prod (x - lambda_i)^(n_i), grouped by exponent for Frobenius powering.
+
+    Over F_{p^2} when ext is set, or by default when some lambda_i is there.
+    """
+    if ext is None:
+        ext = any(isinstance(elt, ExtFieldElement) for elt, _ in finite_parts)
     by_n: dict[int, UPoly] = {}
     for elt, n in finite_parts:
         if n == 0:
             continue
-        if ext:
-            elt = lift_to_ext(elt, p)
-        u = {1: one, 0: -elt}
-        by_n[n] = _umul(by_n[n], u) if n in by_n else u
-    prod: UPoly = {0: one}
+        a, b = (elt.a, elt.b) if isinstance(elt, ExtFieldElement) else (elt.value, 0)
+        u = {1: _uone(ext)}
+        if a or b:
+            u[0] = (-a % p, -b % p) if ext else -a % p
+        by_n[n] = _umul(by_n[n], u, p, ext) if n in by_n else u
+    prod: UPoly = {0: _uone(ext)}
     for n, u in sorted(by_n.items()):
-        prod = _umul(prod, _upow_frobenius(u, n, p, ext))
+        prod = _umul(prod, _upow_frobenius(u, n, p, ext), p, ext)
     return prod
 
 
@@ -360,6 +388,11 @@ def gfs_p1_level(B: P1Divisor, e: int) -> tuple[bool, Optional[int]]:
     A negative degree budget means no admissible sections and returns False.
     """
     q, finite_parts, n_inf = _level_data(B, e)
+    return _window_split(q, finite_parts, n_inf, B.prime)
+
+
+def _window_split(q: int, finite_parts, n_inf: int, p: int) -> tuple[bool, Optional[int]]:
+    """gfs_p1_level on _level_data's output."""
     S = sum(n for _, n in finite_parts)
     D = 2 * (q - 1) - n_inf - S
     if D < 0:
@@ -367,11 +400,9 @@ def gfs_p1_level(B: P1Divisor, e: int) -> tuple[bool, Optional[int]]:
     if S <= q - 1:
         # g is monic of degree S and x^S lies in the window: instant certificate
         return True, q - 1 - S
-    g = _boundary_poly(finite_parts, B.prime)
-    lo = max(0, q - 1 - D)
-    for k in range(min(q - 1, S), lo - 1, -1):
-        c = g.get(k)
-        if c is not None and not c.is_zero():
+    g = _boundary_poly(finite_parts, p)
+    for k in range(min(q - 1, S), max(0, q - 1 - D) - 1, -1):
+        if k in g:
             return True, q - 1 - k
     return False, None
 
@@ -400,23 +431,16 @@ def gfs_p1(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
     return GfsVerdict(NO, levels_tested=levels)
 
 
-def _centre_index(pt: P1Point, p: int) -> int:
-    """Place in the family order of P^1(F_{p^2}): inf, F_p by value, a+bt by
-    (b, a).  _centre_at inverts it."""
-    v = pt.value
-    if v is None:
-        return 0
-    return 1 + (v.value if isinstance(v, FieldElement) else p * v.b + v.a)
-
-
 def _centre_at(i: int, p: int) -> P1Point:
+    """The i-th centre of P^1(F_{p^2}) in the family order: inf, F_p by value,
+    a+bt by (b, a); a + b*t is centre 1 + p*b + a."""
     b, a = divmod(i - 1, p)
     return P1Point(ExtFieldElement(a, b, p) if i else None)
 
 
 def _finite_centres_failing(B: P1Divisor, e: int):
     """Finite centres s whose perturbation B + (s)/(q-1) fails at level e:
-    none (None), all (_ALL), or one, returned as its _centre_index."""
+    none (None), all (_ALL), or one, returned as its index in _centre_at."""
     q, finite_parts, n_inf = _level_data(B, e)
     S = sum(n for _, n in finite_parts) + 1
     D = 2 * (q - 1) - n_inf - S
@@ -424,14 +448,21 @@ def _finite_centres_failing(B: P1Divisor, e: int):
         return _ALL
     if S <= q - 1:
         return None
-    g = _boundary_poly(finite_parts, B.prime)
+    p = B.prime
+    g = _boundary_poly(finite_parts, p)
+    n = quadratic_nonresidue(p)
     roots = set()
     for k in range(max(0, q - 1 - D), q):
-        a, b = g.get(k - 1, 0), g.get(k, 0)
-        if b:
-            roots.add(_centre_index(P1Point(a / b), B.prime))
-        elif a:
-            return None  # c_k is a nonzero constant
+        lead, low = g.get(k), g.get(k - 1)
+        if lead is None:
+            if low is not None:
+                return None  # c_k is a nonzero constant
+            continue
+        # the root s = a + bt of c_k = low - s*lead is low*conj(lead)/N(lead),
+        # taken as centre 1 + p*b + a; an F_p value c is the pair (c, 0)
+        (a1, b1), (a2, b2) = (c if isinstance(c, tuple) else (c or 0, 0) for c in (low, lead))
+        inv = pow(a2 * a2 - n * b2 * b2, -1, p)
+        roots.add(1 + p * ((b1 * a2 - a1 * b2) * inv % p) + (a1 * a2 - n * b1 * b2) * inv % p)
     if not roots:
         return _ALL
     return roots.pop() if len(roots) == 1 else None
@@ -480,13 +511,15 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
         return GfsVerdict(UNKNOWN, reason="no admissible level within e_max",
                           evidence=budgets)
 
-    # aggregate certificate; a nonempty support already has affine complement.
-    # No perturbation lifts a c < 1 above 1: (q-1)*c is an integer < q - 1.
-    support = B.support()
+    # aggregate certificate B + E0/(q-1), E0 the support (inf if it is empty;
+    # a nonempty support already has affine complement): +1 on each support
+    # exponent.  That lifts no c < 1 above 1, as (q-1)*c + 1 <= q - 1.
+    data = [(e, _level_data(B, e)) for e in levels]
     aggregate = None
-    for e in levels:
-        E0 = [(pt, Fraction(1, p ** e - 1)) for pt in support or [P1Point.infinity()]]
-        ok, j = gfs_p1_level(B + P1Divisor(p, E0), e)
+    for e, (q, finite_parts, n_inf) in data:
+        E0_inf = 1 if n_inf or not finite_parts else 0
+        ok, j = _window_split(q, [(elt, n + 1) for elt, n in finite_parts],
+                              n_inf + E0_inf, p)
         if ok:
             aggregate = (e, j)
             break
@@ -498,10 +531,9 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
     if not outcomes:  # inf perturbs the same zero window
         failing = range(tested)
     else:
-        inf = P1Point.infinity()
         failing = [0] if tested and not any(
-            gfs_p1_level(B.add_point(inf, Fraction(1, p ** e - 1)), e)[0]
-            for e in levels) else []
+            _window_split(q, finite_parts, n_inf + 1, p)[0]
+            for _, (q, finite_parts, n_inf) in data) else []
         if len(outcomes) == 1 and None not in outcomes:
             failing += [r for r in outcomes if r < tested]
     generic_ok = bool(outcomes)
@@ -644,19 +676,14 @@ def _cartier_pick(poly: UPoly, q: int, p: int, e: int) -> UPoly:
     odd = e % 2 == 1
     for m, c in poly.items():
         if m % q == q - 1:
-            if odd and isinstance(c, ExtFieldElement):
-                c = c.frobenius()  # c^(1/p) = c^p on F_{p^2}
+            if odd and isinstance(c, tuple):
+                c = (c[0], -c[1] % p)  # c^(1/p) = c^p = conj(c) on F_{p^2}
             out[(m - (q - 1)) // q] = c
     return out
 
 
 def _upoly_from_mpoly(f: MPoly, ext: bool) -> UPoly:
-    p = f.p
-    out: UPoly = {}
-    for i, c in enumerate(univ_to_dense(f)):
-        if c:
-            out[i] = ExtFieldElement(c, 0, p) if ext else FieldElement(c, p)
-    return out
+    return {i: (c, 0) if ext else c for i, c in enumerate(univ_to_dense(f)) if c}
 
 
 def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
@@ -703,10 +730,10 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
                 gz_parts.append((elt, n))
                 source_zero = False
 
-    g_y = _boundary_poly(gy_parts, p)
-    g_z = _boundary_poly(gz_parts, p)
+    g_y = _boundary_poly(gy_parts, p, ext)
+    g_z = _boundary_poly(gz_parts, p, ext)
     f_half = _upow_frobenius(_upoly_from_mpoly(cover.branch_poly, ext), half, p, ext)
-    lhs_core = _umul(g_z, f_half)
+    lhs_core = _umul(g_z, f_half, p, ext)
 
     if degree_range is None:
         degree_range = 2 * q
@@ -717,9 +744,8 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
     agree = True
     tested = 0
     for i in range(degree_range):
-        xi = {i: _uone(p, ext)}
-        lhs = _cartier_pick(_umul(lhs_core, xi), q, p, e)
-        rhs = _cartier_pick(_umul(g_y, xi), q, p, e)
+        lhs = _cartier_pick({d + i: c for d, c in lhs_core.items()}, q, p, e)
+        rhs = _cartier_pick({d + i: c for d, c in g_y.items()}, q, p, e)
         tested += 1
         if lhs != rhs:
             agree = False
@@ -732,8 +758,7 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
         if degf == 1:
             source_gfs, _ = gfs_p1_level(P1Divisor.zero(p), e)
         elif degf == 3:
-            c = f_half.get(q - 1)
-            source_gfs = c is not None and not c.is_zero()
+            source_gfs = q - 1 in f_half
     verdicts_agree = None if source_gfs is None else source_gfs == target_gfs
     return CoverCheckReport(
         agree=agree,

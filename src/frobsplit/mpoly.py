@@ -524,7 +524,8 @@ def _default_names(nvars: int) -> list[str]:
 # C(n + deg A + deg B, n) pass it.
 MAX_POWER_TERMS = 5000
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\+|\-|\^|\(|\))")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(rf"\s*(\d+|{_NAME_RE.pattern}|\*|\+|\-|\^|\(|\))")
 
 
 class PolyParseError(ValueError):
@@ -633,6 +634,11 @@ def parse_poly(text: str, names: Sequence[str], p: int) -> MPoly:
     """Parse the plain-text grammar over the declared ordered variable list."""
     if not names:
         raise PolyParseError("empty variable list")
+    for i, name in enumerate(names):
+        if not _NAME_RE.fullmatch(name):
+            raise PolyParseError(f"bad variable name {name!r}")
+        if name in names[:i]:
+            raise PolyParseError(f"variable {name!r} declared twice")
     return _Parser(text, names, p).parse()
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from frobsplit.cli import build_parser, main, run
@@ -103,10 +106,31 @@ def test_input_error_exit_code(tmp_path, capsys):
         # a power whose expansion would never finish
         ["fedder-nu", "--p", "5", "--poly", "(x+y+1)^1000000000 - 1", "--vars", "x,y"],
         ["fedder-nu", "--p", "101", "--poly", "(x+y+z+1)^20*(x+y+z+1)^20", "--vars", "x,y,z"],
+        # a repeated variable name, and names that can never be a token
+        ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,x"],
+        ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,1"],
+        ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,y z"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the reader of stdout is gone before the report is written, as with
+    # `frobsplit ... | head` when head exits first
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frobsplit.cli", "gfs-p1", "--p", "7",
+         "--divisor", "1/2@1+3t,1/4@6,1/2@inf,1/2@4+3t,1/4@3+4t", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err, err
 
 
 def test_scan_subcommand_with_csv(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import random
 from fractions import Fraction
 
@@ -5,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobsplit.arith import ExtFieldElement, FieldElement, ZpViolationError
+from frobsplit import gsplit
+from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError, lift_to_ext,
+                             quadratic_nonresidue)
 from frobsplit.elliptic import hasse_closed
 from frobsplit.gsplit import (DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
                               gfs_bigraded_hypersurface, gfs_cy_hypersurface,
                               gfs_p1, gfs_p1_level, parse_divisor, parse_point,
                               pushforward_splitting_check)
-from frobsplit.mpoly import MPoly, parse_poly
+from frobsplit.mpoly import MPoly, parse_poly, univ_to_dense
 
 
 # -- points and divisors -------------------------------------------------------
@@ -555,3 +559,305 @@ def test_cover_with_nonzero_effective_source_boundary():
 def test_cover_rejects_non_squarefree_branch():
     with pytest.raises(ValueError):
         DoubleCover(parse_poly("x^2", ["x"], 5))
+
+
+# -- the integer kernel against field-object arithmetic ----------------------------
+#
+# gsplit's univariate kernel works on plain ints: an F_p coefficient is an int,
+# an F_{p^2} one the pair (a, b) for a + b*t.  The helpers below are the same
+# kernel on FieldElement / ExtFieldElement coefficients, kept as an oracle.
+# They take the kernel's signatures, so they can stand in for it in gsplit.
+
+def _obj_uone(p, ext):
+    return ExtFieldElement(1, 0, p) if ext else FieldElement(1, p)
+
+
+def _obj_umul(f, g, p=None, ext=None):
+    out = {}
+    small, big = (f, g) if len(f) <= len(g) else (g, f)
+    for d1, c1 in small.items():
+        for d2, c2 in big.items():
+            d = d1 + d2
+            v = out.get(d)
+            v = c1 * c2 if v is None else v + c1 * c2
+            if v.is_zero():
+                out.pop(d, None)
+            else:
+                out[d] = v
+    return out
+
+
+def _obj_upow_small(f, k, p, ext):
+    result = {0: _obj_uone(p, ext)}
+    base = f
+    while k:
+        if k & 1:
+            result = _obj_umul(result, base)
+        k >>= 1
+        if k:
+            base = _obj_umul(base, base)
+    return result
+
+
+def _obj_ufrob(f, j, p):
+    s = p ** j
+    conj = j % 2 == 1
+    return {d * s: c.frobenius() if conj and isinstance(c, ExtFieldElement) else c
+            for d, c in f.items()}
+
+
+def _obj_upow_frobenius(f, n, p, ext):
+    if n == 0:
+        return {0: _obj_uone(p, ext)}
+    pieces = []
+    j = 0
+    while n:
+        d = n % p
+        if d:
+            pieces.append(_obj_ufrob(_obj_upow_small(f, d, p, ext), j, p))
+        n //= p
+        j += 1
+    return functools.reduce(_obj_umul, pieces)
+
+
+def _obj_boundary_poly(finite_parts, p, ext=None):
+    if ext is None:
+        ext = any(isinstance(elt, ExtFieldElement) for elt, _ in finite_parts)
+    one = _obj_uone(p, ext)
+    by_n = {}
+    for elt, n in finite_parts:
+        if n == 0:
+            continue
+        if ext:
+            elt = lift_to_ext(elt, p)
+        u = {1: one, 0: -elt}
+        by_n[n] = _obj_umul(by_n[n], u) if n in by_n else u
+    prod = {0: one}
+    for n, u in sorted(by_n.items()):
+        prod = _obj_umul(prod, _obj_upow_frobenius(u, n, p, ext))
+    return prod
+
+
+def _obj_cartier_pick(poly, q, p, e):
+    out = {}
+    odd = e % 2 == 1
+    for m, c in poly.items():
+        if m % q == q - 1:
+            if odd and isinstance(c, ExtFieldElement):
+                c = c.frobenius()
+            out[(m - (q - 1)) // q] = c
+    return out
+
+
+def _obj_upoly_from_mpoly(f, ext):
+    return {i: ExtFieldElement(c, 0, f.p) if ext else FieldElement(c, f.p)
+            for i, c in enumerate(univ_to_dense(f)) if c}
+
+
+_OBJECT_KERNEL = {"_umul": _obj_umul, "_upow_frobenius": _obj_upow_frobenius,
+                  "_boundary_poly": _obj_boundary_poly, "_cartier_pick": _obj_cartier_pick,
+                  "_upoly_from_mpoly": _obj_upoly_from_mpoly}
+
+
+@contextlib.contextmanager
+def _object_kernel():
+    """gsplit with the field-object kernel in place of the integer one."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in _OBJECT_KERNEL.items():
+            mp.setattr(gsplit, name, fn)
+        yield
+
+
+def _as_ints(poly):
+    return {d: (c.a, c.b) if isinstance(c, ExtFieldElement) else c.value
+            for d, c in poly.items() if not c.is_zero()}
+
+
+# (p, level) with p^level small enough for the object kernel
+_SMALL_LEVELS = [(p, e) for p in (3, 5, 7, 11, 13) for e in (1, 2, 3) if p ** e <= 343]
+
+
+@st.composite
+def _finite_points(draw, p, max_size):
+    point = st.one_of(
+        st.integers(0, p - 1).map(lambda v: FieldElement(v, p)),
+        st.tuples(st.integers(0, p - 1), st.integers(1, p - 1)).map(
+            lambda ab: ExtFieldElement(ab[0], ab[1], p)))
+    return draw(st.lists(point, min_size=1, max_size=max_size, unique=True))
+
+
+@st.composite
+def _boundary_parts(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    e = draw(st.integers(1, 3))
+    q = p ** e
+    # the object kernel is the slow side: fewer points the larger q
+    max_size = 5 if q <= 13 else 3 if q <= 343 else 1
+    points = draw(_finite_points(p, max_size))
+    return p, [(pt, draw(st.integers(0, q - 1))) for pt in points]
+
+
+def test_boundary_poly_equals_object_oracle_drawn():
+    fields = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_boundary_parts())
+    def check(drawn):
+        p, parts = drawn
+        ext = any(isinstance(elt, ExtFieldElement) for elt, _ in parts)
+        got, want = gsplit._boundary_poly(parts, p), _obj_boundary_poly(parts, p)
+        assert got == _as_ints(want), (p, parts)
+        assert all(c != (0, 0) if ext else isinstance(c, int) and 0 < c < p
+                   for c in got.values())
+        for e in (1, 2):  # the Cartier selector, whose q-th root is Frobenius^e
+            assert gsplit._cartier_pick(got, p ** e, p, e) == \
+                _as_ints(_obj_cartier_pick(want, p ** e, p, e)), (p, parts, e)
+        fields.add(ext)
+
+    check()
+    assert fields == {False, True}
+
+
+def _rescaled(nums, total, den):
+    """nums in [1, den - 1] moved to sum to total where those bounds allow."""
+    nums = [max(1, min(den - 1, round(k * total / sum(nums)))) for k in nums]
+    for i in range(len(nums)):
+        nums[i] = max(1, min(den - 1, nums[i] + total - sum(nums)))
+    return nums
+
+
+@st.composite
+def _couples(draw, primes, max_q, max_points, below_two):
+    """(B, e_max): coefficients k/den in (0, 1), den | p^level - 1, on
+    distinct points of P^1(F_{p^2}), often of total degree 2 (below_two:
+    between 1 and 2), where the window is narrow and splitting can fail."""
+    p, level = draw(st.sampled_from([(p, e) for p, e in _SMALL_LEVELS
+                                     if p in primes and p ** e <= max_q]))
+    q = p ** level
+    den = draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0]))
+    points = [P1Point(pt) for pt in draw(_finite_points(p, max_points - 1))]
+    if draw(st.booleans()):
+        points.append(P1Point.infinity())
+    nums = [draw(st.integers(1, den - 1)) for _ in points]
+    if draw(st.integers(0, 3)):
+        total = draw(st.integers(den + 1, 2 * den - 1)) if below_two else 2 * den
+        nums = _rescaled(nums, total, den)
+    B = P1Divisor(p, [(pt, Fraction(k, den)) for pt, k in zip(points, nums)])
+    e_max = level if draw(st.booleans()) else draw(st.sampled_from(
+        [e for e in (2 * level, 3 * level) if p ** e <= max_q] or [level]))
+    return B, e_max
+
+
+def test_gfs_p1_equals_object_oracle_drawn():
+    verdicts = set()
+
+    # "no" needs the one window coefficient of a degree-2 boundary to vanish
+    # at every level: about one draw in twenty
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_couples((3, 5, 7, 11, 13), 343, 5, below_two=False))
+    def check(drawn):
+        B, e_max = drawn
+        got = gfs_p1(B, e_max).to_dict()
+        with _object_kernel():
+            assert gfs_p1(B, e_max).to_dict() == got, (B, e_max)
+        verdicts.add(got["status"])
+
+    check()
+    assert {"yes", "no"} <= verdicts
+
+
+def test_gfr_p1_equals_object_oracle_drawn():
+    verdicts = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(_couples((3, 5, 7), 49, 4, below_two=True),
+           st.one_of(st.just(20000), st.integers(0, 60)))
+    def check(drawn, budget):
+        B, e_max = drawn
+        if B.degree >= 2:
+            return  # certified-no: no boundary polynomial
+        got = gfr_p1_bounded(B, e_max, budget).to_dict()
+        with _object_kernel():
+            assert _bruteforce_gfr(B, e_max, budget)[0] == got, (B, e_max, budget)
+        verdicts.add(got["status"])
+
+    check()
+    assert verdicts == {"yes", "unknown"}
+
+
+@st.composite
+def _cover_cases(draw):
+    """(cover, B, e) with the source boundary effective: at least 1/2 at each
+    branch point, anything in [0, 1] elsewhere."""
+    p, level = draw(st.sampled_from([(p, e) for p, e in _SMALL_LEVELS if p ** e <= 125]))
+    q = p ** level
+    den = draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0 and d % 2 == 0]))
+    kind = draw(st.sampled_from(["squaring", "legendre", "quadratic"]))
+    if kind == "squaring":
+        cover, branch = DoubleCover.squaring_map(p), ["0", "inf"]
+    elif kind == "legendre":
+        lv = draw(st.integers(2, p - 1))
+        cover, branch = DoubleCover.legendre(lv, p), ["0", "1", str(lv), "inf"]
+    else:  # branched at the roots +-t of x^2 - t^2, off the prime field
+        cover = DoubleCover(parse_poly(f"x^2 - {quadratic_nonresidue(p)}", ["x"], p))
+        branch = ["0+1t", f"0+{p - 1}t"]
+    entries = [f"{draw(st.integers(den // 2, den))}/{den}@{pt}" for pt in branch]
+    others = draw(_finite_points(p, 2))
+    entries += [f"{draw(st.integers(0, den))}/{den}@{P1Point(pt)}" for pt in others
+                if str(P1Point(pt)) not in branch]
+    e = draw(st.sampled_from([1, 2])) if level == 1 else level
+    return cover, parse_divisor(",".join(entries), p), e
+
+
+def test_pushforward_equals_object_oracle_drawn():
+    verdicts = set()
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_cover_cases())
+    def check(drawn):
+        cover, B, e = drawn
+        got = pushforward_splitting_check(cover, B, e)
+        with _object_kernel():
+            assert pushforward_splitting_check(cover, B, e) == got, (cover, B, e)
+        verdicts.add(got.target_gfs)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_umul_slot_width_on_the_largest_sums():
+    # with every coefficient (p-1)(1 + t), the middle slot of degree L - 1
+    # sums 2*L*(p-1)^2, the most its width K is chosen for
+    for p in (3, 5, 13, 101):
+        for L in (1, 2, 3, 8, 33):
+            f = {i: (p - 1, p - 1) for i in range(L)}
+            obj = {i: ExtFieldElement(p - 1, p - 1, p) for i in range(L)}
+            assert gsplit._umul(f, f, p, True) == _as_ints(_obj_umul(obj, obj)), (p, L)
+
+
+def test_high_level_couples_fail_at_every_level():
+    # the object kernel needed ~7 s and ~3.5 s for these; the verdicts only
+    # are asserted here
+    v = gfs_p1(parse_divisor("1/2@1+3t,1/4@6,1/2@inf,1/2@4+3t,1/4@3+4t", 7), e_max=4)
+    assert (v.status, v.levels_tested) == ("no", (2, 4))
+    v = gfs_p1(parse_divisor("5/8@2+4t,5/8@3,1/2@inf,1/4@3+4t", 5), e_max=8)
+    assert (v.status, v.levels_tested) == ("no", (2, 4, 6, 8))
+
+
+def test_level_tests_build_no_field_elements(monkeypatch):
+    # the boundary polynomial and the failing-centre search run on ints: a
+    # level-2 couple at p = 7, whose polynomial has degree 72 > q - 1, builds
+    # no FieldElement or ExtFieldElement (the object kernel built thousands)
+    built = []
+    for cls in (FieldElement, ExtFieldElement):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    B = parse_divisor("1/2@1+3t,1/4@6,1/2@inf,1/2@4+3t,1/4@3+4t", 7)
+    del built[:]
+    assert gfs_p1_level(B, 2) == (False, None)
+    gsplit._finite_centres_failing(B, 2)
+    assert len(built) <= 5, len(built)

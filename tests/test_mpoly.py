@@ -364,6 +364,11 @@ def test_parse_errors():
         parse_poly("(x + 1", ["x"], 5)
     with pytest.raises(PolyParseError):
         parse_poly("x + ", ["x"], 5)
+    # a repeated name, or one that no token can spell, is refused up front
+    for names in (["x", "x"], ["x", "1"], ["x", "y z"], ["x", ""], ["x", "y-1"]):
+        with pytest.raises(PolyParseError, match="variable"):
+            parse_poly("x", names, 5)
+    assert parse_poly("_a1 + B", ["_a1", "B"], 5).nvars == 2
 
 
 def test_power_size_guard():
