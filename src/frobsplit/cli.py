@@ -20,7 +20,7 @@ from . import __version__
 from .arith import ZpViolationError, is_prime
 from .elliptic import (hasse_closed, hasse_coeff, supersingular_report,
                        write_hasse_table)
-from .fedder import fpt_bounds, is_fpure_pair, nu
+from .fedder import fpt_bounds, nu
 from .fibration import (DEFAULT_BIGRADED_PMAX, f_discriminant_legendre,
                         is_kgfr_legendre, prime_scan, total_space_gfs)
 from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, DoubleCover,
@@ -149,12 +149,14 @@ def _cmd_fedder_nu(args) -> dict:
 def _cmd_fpt(args) -> dict:
     f, names = _poly_from_args(args)
     seq = fpt_bounds(f, _opt(args.emax, 3))
+    e_max, nu_max = seq.values[-1]
     return {
         "poly": format_poly(f, names),
         "values": [{"e": e, "nu": v} for e, v in seq.values],
         "fpt_lower": str(seq.fpt_lower),
         "fpt_upper": str(seq.fpt_upper),
-        "fpure_at_one": is_fpure_pair(f, 1, seq.values[-1][0]),
+        # f^(q-1) outside m^[q] iff nu(q) = q - 1, the most nu can be as f(0) = 0
+        "fpure_at_one": nu_max == f.p ** e_max - 1,
     }
 
 

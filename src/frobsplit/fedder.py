@@ -135,6 +135,24 @@ def _pruned_power_survives(f: MPoly, N: int, q: int) -> bool:
     return _DigitTable(f, q).survives(N)
 
 
+def _diagonal_coefficient(f: MPoly) -> int:
+    """The coefficient of (x_1*...*x_n)^(p-1) in f^(p-1), mod p.
+
+    With A = f^((p-1)/2), that coefficient is sum_u A_u * A_(D-u) over
+    D = (p-1, ..., p-1); both u and D - u lie in the box [0, p)^n, so A mod
+    m^[p] suffices, built by (p-1)/2 pruned products.  A packed key u has
+    every digit <= p - 1, so D - u subtracts digitwise with no borrow.
+    """
+    p, n = f.p, f.nvars
+    fac = _pack_terms(f, p)
+    half = {0: 1}
+    for _ in range((p - 1) // 2):
+        half = _pruned_times(half, fac, n, p, p)
+    diag = sum((p - 1) * (2 * p) ** i for i in range(n))
+    get = half.get
+    return sum(c * get(diag - u, 0) for u, c in half.items()) % p
+
+
 def _nu_levels(f: MPoly, e_max: int) -> list[int]:
     """nu_f(p^e) for e = 1..e_max, one level at a time.
 

@@ -115,11 +115,12 @@ def total_space_gfs(p: int, e_max: int = DEFAULT_EMAX,
     """Splitting of the Legendre surface via the bigraded criterion.
 
     None means the bigraded budget was exceeded (Unknown), not a verdict.
+    The criterion does not depend on the level (see gsplit's hypersurface
+    criteria), so splitting at some level <= e_max is splitting at level 1.
     """
     if p > pmax:
         return None
-    F = legendre_bigraded_poly(p)
-    return any(gfs_bigraded_hypersurface(F, (3, 2), e) for e in range(1, e_max + 1))
+    return e_max >= 1 and gfs_bigraded_hypersurface(legendre_bigraded_poly(p), (3, 2), 1)
 
 
 def cbf_iii_check(p: int, e_max: int = DEFAULT_EMAX,

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, normalize_element, quadratic_nonresidue,
                     require_p_free, splitting_level)
-from .fedder import _pruned_power_survives
+from .fedder import _diagonal_coefficient, _pruned_power_survives
 from .mpoly import MPoly, univ_squarefree, univ_to_dense
 
 DEFAULT_EMAX = 2
@@ -564,23 +564,36 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
 
 
 # -- hypersurface criteria ----------------------------------------------------
+#
+# Both criteria are Fedder's test F^(q-1) outside m^[q], and that test does
+# not depend on the level (Fedder 1983, Lemma 1.6): F^(p^e-1) is outside
+# m^[p^e] iff F^(p-1) is outside m^[p], for any F.
+#   =>  F^(p^e-1) = F^(p^(e-1)-1) * (F^(p-1))^(p^(e-1)), and F^(p-1) in m^[p]
+#       puts the last factor in m^[p^e].
+#   <=  Write F^(p^e-1) = g * h^p with g = F^(p-1), h = F^(p^(e-1)-1).  Let
+#       T_p be the trace x^(pb + p - 1) -> x^b, other monomials -> 0.  For a
+#       box monomial x^a of g, s = x^((p-1) - a) makes T_p(s*g) a unit at
+#       the origin.  Then T_p(s*g*h^p) = T_p(s*g) * h, and h is outside
+#       m^[Q], Q = p^(e-1), by induction; m^[Q] is m-primary, so the product
+#       is outside it too.  As T_p maps m^[p^e] into m^[Q], g * h^p is
+#       outside m^[p^e].
+# So both test at q = p and only validate e.
 
 def gfs_cy_hypersurface(F: MPoly, e: int = 1) -> bool:
     """Splitting of a Calabi-Yau hypersurface (degree = nvars) in P^n.
 
-    Fedder's criterion: True iff the coefficient of (x_0*...*x_n)^(q-1) in
-    F^(q-1) is nonzero.  F^(q-1) is homogeneous of degree n1*(q-1), so that
-    diagonal monomial is its only one with every exponent <= q-1, and the
-    test is exactly F^(q-1) outside m^[q]: fedder's kernel decides it from
-    the pruned powers F^d mod m^[q], d < p, never expanding F^(q-1).
+    Fedder's criterion: True iff F^(q-1) is outside m^[q], and by the level
+    lemma above iff F^(p-1) is outside m^[p].  F^(p-1) is homogeneous of
+    degree n1*(p-1), so the diagonal (x_0*...*x_n)^(p-1) is its only
+    monomial with every exponent <= p-1: the test is that one coefficient,
+    which fedder reads off the half power F^((p-1)/2) mod m^[p].
     """
     n1 = F.nvars
     if F.is_zero() or not F.is_homogeneous_on(range(n1)) or F.degree() != n1:
         raise ValueError(f"F must be homogeneous of degree {n1} in {n1} variables")
     if e < 1:
         raise ValueError("e must be >= 1")
-    q = F.p ** e
-    return _pruned_power_survives(F, q - 1, q)
+    return _diagonal_coefficient(F) != 0
 
 
 def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> bool:
@@ -590,9 +603,10 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
     exponents are <= q-1; the complementary monomial then supplies the
     multiplier of the remaining anticanonical budget.  Sufficiency is exact;
     necessity is only cross-validated downstream, never assumed.  Such a
-    monomial exists iff F^(q-1) is outside m^[q], which fedder's kernel
-    decides from the pruned powers F^d mod m^[q], d < p (a nonzero constant
-    F survives, so it splits).
+    monomial exists iff F^(q-1) is outside m^[q], and by the level lemma
+    above iff F^(p-1) is outside m^[p], which fedder's kernel decides from
+    the pruned powers F^d mod m^[p], d < p (a nonzero constant F survives,
+    so it splits).
     """
     g1, g2 = groups
     if g1 + g2 != F.nvars:
@@ -605,8 +619,7 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
         raise ValueError(f"bidegree ({a}, {b}) outside the anticanonical-nonnegative regime")
     if e < 1:
         raise ValueError("e must be >= 1")
-    q = F.p ** e
-    return _pruned_power_survives(F, q - 1, q)
+    return _pruned_power_survives(F, F.p - 1, F.p)
 
 
 # -- double covers and trace pushforward --------------------------------------
@@ -670,16 +683,24 @@ class CoverCheckReport:
     source_boundary_zero: bool
 
 
-def _cartier_pick(poly: UPoly, q: int, p: int, e: int) -> UPoly:
-    """x^m -> x^((m-(q-1))/q) on m = q-1 mod q, with coefficient q-th roots."""
-    out: UPoly = {}
-    odd = e % 2 == 1
-    for m, c in poly.items():
-        if m % q == q - 1:
-            if odd and isinstance(c, tuple):
-                c = (c[0], -c[1] % p)  # c^(1/p) = c^p = conj(c) on F_{p^2}
-            out[(m - (q - 1)) // q] = c
-    return out
+def _routes_agree(lhs_core: UPoly, g_y: UPoly, q: int, degree_range: int) -> tuple[bool, int]:
+    """(agree, monomials tested) for the composites on x^i, i < degree_range.
+
+    The level-e selector on x^i * P keeps P's degrees d = q-1-i mod q, as
+    x^((d + i - (q-1))/q) with Frobenius^(-e) on the coefficients, both
+    injective: the routes agree on x^i iff lhs_core and g_y agree on the
+    residue class q-1-i mod q, so every i is decided from one grouping.
+    The scan stops at the first disagreement, which counts as tested.
+    """
+    lhs_by_r: dict[int, UPoly] = {}
+    rhs_by_r: dict[int, UPoly] = {}
+    for poly, groups in ((lhs_core, lhs_by_r), (g_y, rhs_by_r)):
+        for d, c in poly.items():
+            groups.setdefault(d % q, {})[d] = c
+    differs = {r for r in lhs_by_r.keys() | rhs_by_r.keys()
+               if lhs_by_r.get(r) != rhs_by_r.get(r)}
+    first_bad = next((i for i in range(degree_range) if (q - 1 - i) % q in differs), None)
+    return (True, degree_range) if first_bad is None else (False, first_bad + 1)
 
 
 def _upoly_from_mpoly(f: MPoly, ext: bool) -> UPoly:
@@ -714,9 +735,11 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
     gz_parts = []
     gy_parts = []
     ext = any(isinstance(elt, ExtFieldElement) for elt, _ in finite_parts)
+    branch_in_support = 0
     for elt, n in finite_parts:
         gy_parts.append((elt, n))
         if cover.is_branch_value(P1Point(elt)):
+            branch_in_support += 1
             m = 2 * n - (q - 1)  # multiplicity of the ramification point, doubled
             if m < 0:
                 raise ValueError(f"source boundary not effective over {elt!r}")
@@ -729,6 +752,11 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
             if n:
                 gz_parts.append((elt, n))
                 source_zero = False
+    # f is squarefree, so a finite branch point off the support (coefficient
+    # 0, pulled back to -1) leaves fewer branch values in it than deg f
+    if branch_in_support < cover.branch_poly.degree():
+        raise ValueError("source boundary not effective over a branch point "
+                         "outside the divisor's support")
 
     g_y = _boundary_poly(gy_parts, p, ext)
     g_z = _boundary_poly(gz_parts, p, ext)
@@ -741,15 +769,7 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
     # boundary equation has even y-parity, so the source trace output keeps
     # the factor y and the cover trace kills it, while the cover trace kills
     # x^i * y outright on the other route.  Only the x^i line needs comparing.
-    agree = True
-    tested = 0
-    for i in range(degree_range):
-        lhs = _cartier_pick({d + i: c for d, c in lhs_core.items()}, q, p, e)
-        rhs = _cartier_pick({d + i: c for d, c in g_y.items()}, q, p, e)
-        tested += 1
-        if lhs != rhs:
-            agree = False
-            break
+    agree, tested = _routes_agree(lhs_core, g_y, q, degree_range)
 
     target_gfs, _ = gfs_p1_level(B_target, e)
     source_gfs: Optional[bool] = None

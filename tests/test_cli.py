@@ -110,6 +110,8 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,x"],
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,1"],
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,y z"],
+        # a branch point of the cover outside the divisor's support
+        ["cover-check", "--p", "11", "--cover", "squaring", "--divisor", "1/2@inf,1/2@1"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

@@ -311,6 +311,40 @@ def test_fpure_at_one_iff_nu_is_q_minus_1():
     assert seen == {True, False}
 
 
+# -- Fedder's lemma: the splitting test does not depend on the level -------------
+
+@st.composite
+def _level_cases(draw):
+    """(f, e, homogeneous): f homogeneous or not, constant terms allowed."""
+    p, e = draw(st.sampled_from([(p, e) for p in (3, 5, 7) for e in (1, 2, 3)]))
+    nvars = draw(st.integers(2, 3)) if p ** e <= 27 else 2
+    homogeneous = draw(st.booleans())
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    if homogeneous:
+        deg = draw(st.integers(1, 3))
+        monomial = monomial.filter(lambda t: sum(t) == deg)
+    terms = draw(st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=4))
+    return MPoly(nvars, p, terms), e, homogeneous
+
+
+def test_splitting_test_is_level_free_drawn():
+    # Fedder 1983, Lemma 1.6: f^(p^e-1) outside m^[p^e] iff f^(p-1) outside
+    # m^[p]; the level-e digit table is the oracle for the level-1 test
+    seen = set()
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_level_cases())
+    def check(case):
+        f, e, homogeneous = case
+        p = f.p
+        at_level_e = _pruned_power_survives(f, p ** e - 1, p ** e)
+        assert at_level_e == _pruned_power_survives(f, p - 1, p), (f, e)
+        seen.add((homogeneous, at_level_e))
+
+    check()
+    assert seen == {(h, s) for h in (True, False) for s in (True, False)}
+
+
 # -- the level search against nu_binary and the full expansion ----------------------
 
 NU_QS = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2))  # (p, e)

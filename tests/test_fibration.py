@@ -4,6 +4,7 @@ import pytest
 
 from frobsplit.arith import is_prime
 from frobsplit.elliptic import supersingular_report
+from frobsplit.fedder import _pruned_power_survives
 from frobsplit.fibration import (BOUNDARY_INFINITY, NODAL, SMOOTH_ORDINARY,
                                  SMOOTH_SUPERSINGULAR, cbf_iii_check,
                                  classify_fibers, f_discriminant_legendre,
@@ -88,6 +89,20 @@ def test_total_space_gfs_and_budget():
     assert total_space_gfs(3) is True
     assert total_space_gfs(5) is True
     assert total_space_gfs(17, pmax=13) is None  # budget exceeded -> unknown
+
+
+def test_total_space_gfs_equals_every_level_tried():
+    # the criterion is level-free, so level 1 alone gives the verdict of a
+    # level-e digit table at every level up to e_max
+    verdicts = set()
+    for p in (3, 5, 7, 11, 13):
+        F = legendre_bigraded_poly(p)
+        for e_max in range(4):
+            want = any(_pruned_power_survives(F, p ** e - 1, p ** e)
+                       for e in range(1, e_max + 1))
+            assert total_space_gfs(p, e_max) is want, (p, e_max)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_cbf_equivalence():

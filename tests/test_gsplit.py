@@ -11,6 +11,7 @@ from frobsplit import gsplit
 from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError, lift_to_ext,
                              quadratic_nonresidue)
 from frobsplit.elliptic import hasse_closed
+from frobsplit.fedder import _diagonal_coefficient
 from frobsplit.gsplit import (DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
                               gfs_bigraded_hypersurface, gfs_cy_hypersurface,
                               gfs_p1, gfs_p1_level, parse_divisor, parse_point,
@@ -479,6 +480,67 @@ def test_bigraded_matches_full_expansion_oracle():
     assert set(verdicts) == {True, False}
 
 
+def _forms(draw, sizes, degrees, p):
+    """A nonzero form over F_p: one homogeneous block of the given degree per
+    group of variables (the group sizes), a few random terms."""
+    blocks = [st.tuples(*[st.integers(0, d)] * k).filter(lambda t, d=d: sum(t) == d)
+              for k, d in zip(sizes, degrees)]
+    monomial = st.tuples(*blocks).map(lambda parts: sum(parts, ()))
+    terms = draw(st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=5))
+    return MPoly(sum(sizes), p, terms)
+
+
+@st.composite
+def _cy_forms(draw):
+    """(F, e): degree n in n variables, with q^(n-1) <= 729 so that the full
+    expansion of F^(q-1) stays small."""
+    p, e, n = draw(st.sampled_from([(p, e, n) for p in (3, 5, 7) for e in (1, 2, 3)
+                                    for n in (2, 3, 4) if (p ** e) ** (n - 1) <= 729]))
+    return _forms(draw, (n,), (n,), p), e
+
+
+def test_cy_diagonal_equals_full_expansion_drawn():
+    verdicts = set()
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_cy_forms())
+    def check(case):
+        F, e = case
+        p = F.p
+        assert _diagonal_coefficient(F) == (F ** (p - 1)).terms.get((p - 1,) * F.nvars, 0), F
+        got = gfs_cy_hypersurface(F, e)
+        assert got == _cy_oracle(F, e), (F, e)
+        verdicts.add(got)
+
+    check()
+    assert verdicts == {True, False}
+
+
+@st.composite
+def _bigraded_forms(draw):
+    """(F, groups) over F_3 in four variables, bidegree within the groups."""
+    g1 = draw(st.integers(1, 3))
+    groups = (g1, 4 - g1)
+    degrees = (draw(st.integers(0, g1)), draw(st.integers(0, 4 - g1)))
+    return _forms(draw, groups, degrees, 3), groups
+
+
+def test_bigraded_equals_full_expansion_at_level_3_drawn():
+    # the criterion runs at level 1; the oracle expands F^26 whole
+    verdicts = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(_bigraded_forms())
+    def check(case):
+        F, groups = case
+        got = gfs_bigraded_hypersurface(F, groups, 3)
+        assert got == _bigraded_oracle(F, 3), (F, groups)
+        verdicts.add(got)
+
+    check()
+    assert verdicts == {True, False}
+
+
 def test_fermat_cubic_splits_iff_p_is_1_mod_3():
     # the Fermat cubic curve is ordinary iff p = 1 mod 3 (p = 3 is excluded:
     # there it is the triple line (x + y + z)^3)
@@ -554,6 +616,18 @@ def test_cover_with_nonzero_effective_source_boundary():
     assert rep.agree
     assert not rep.source_boundary_zero
     assert rep.source_gfs is None  # verdict only computed for boundary zero
+
+
+def test_cover_rejects_branch_point_outside_support():
+    # a branch point off the support has coefficient 0 < 1/2, so the source
+    # boundary is -1 times the ramification point over it
+    for cover, text in (
+            (DoubleCover.squaring_map(11), "1/2@inf,1/2@1"),
+            (DoubleCover.legendre(2, 5), "1/2@0,1/2@1,1/2@inf,1/4@3"),
+            (DoubleCover(parse_poly(f"x^2 - {quadratic_nonresidue(7)}", ["x"], 7)),
+             "1/2@0+1t")):
+        with pytest.raises(ValueError, match="outside the divisor's support"):
+            pushforward_splitting_check(cover, parse_divisor(text, cover.prime), 1)
 
 
 def test_cover_rejects_non_squarefree_branch():
@@ -649,13 +723,39 @@ def _obj_cartier_pick(poly, q, p, e):
     return out
 
 
+def _cartier_pick(poly, q, p, e):
+    """x^m -> x^((m-(q-1))/q) on m = q-1 mod q, with coefficient q-th roots,
+    on the integer kernel's coefficients."""
+    out = {}
+    odd = e % 2 == 1
+    for m, c in poly.items():
+        if m % q == q - 1:
+            if odd and isinstance(c, tuple):
+                c = (c[0], -c[1] % p)  # c^(1/p) = c^p = conj(c) on F_{p^2}
+            out[(m - (q - 1)) // q] = c
+    return out
+
+
+def _loop_routes_agree(lhs_core, g_y, q, p, e, degree_range):
+    """gsplit._routes_agree as a scan: shift both products by x^i, apply the
+    level-e selector to each and compare, for every i until one differs."""
+    tested = 0
+    for i in range(degree_range):
+        lhs = _cartier_pick({d + i: c for d, c in lhs_core.items()}, q, p, e)
+        rhs = _cartier_pick({d + i: c for d, c in g_y.items()}, q, p, e)
+        tested += 1
+        if lhs != rhs:
+            return False, tested
+    return True, tested
+
+
 def _obj_upoly_from_mpoly(f, ext):
     return {i: ExtFieldElement(c, 0, f.p) if ext else FieldElement(c, f.p)
             for i, c in enumerate(univ_to_dense(f)) if c}
 
 
 _OBJECT_KERNEL = {"_umul": _obj_umul, "_upow_frobenius": _obj_upow_frobenius,
-                  "_boundary_poly": _obj_boundary_poly, "_cartier_pick": _obj_cartier_pick,
+                  "_boundary_poly": _obj_boundary_poly,
                   "_upoly_from_mpoly": _obj_upoly_from_mpoly}
 
 
@@ -710,7 +810,7 @@ def test_boundary_poly_equals_object_oracle_drawn():
         assert all(c != (0, 0) if ext else isinstance(c, int) and 0 < c < p
                    for c in got.values())
         for e in (1, 2):  # the Cartier selector, whose q-th root is Frobenius^e
-            assert gsplit._cartier_pick(got, p ** e, p, e) == \
+            assert _cartier_pick(got, p ** e, p, e) == \
                 _as_ints(_obj_cartier_pick(want, p ** e, p, e)), (p, parts, e)
         fields.add(ext)
 
@@ -823,6 +923,59 @@ def test_pushforward_equals_object_oracle_drawn():
 
     check()
     assert verdicts == {True, False}
+
+
+def test_pushforward_equals_scan_drawn():
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(_cover_cases())
+    def check(drawn):
+        cover, B, e = drawn
+        got = pushforward_splitting_check(cover, B, e)
+
+        def scan(lhs, rhs, q, degree_range):
+            return _loop_routes_agree(lhs, rhs, q, cover.prime, e, degree_range)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gsplit, "_routes_agree", scan)
+            assert pushforward_splitting_check(cover, B, e) == got, (cover, B, e)
+
+    check()
+
+
+@st.composite
+def _route_products(draw):
+    """(lhs, rhs, q, p, e, degree_range): an integer-kernel UPoly and a copy
+    with a few degrees changed or dropped, so that some residue classes mod
+    q agree and some differ."""
+    p, e = draw(st.sampled_from(_SMALL_LEVELS))
+    q = p ** e
+    coeff = (st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any)
+             if draw(st.booleans()) else st.integers(1, p - 1))
+    lhs = draw(st.dictionaries(st.integers(0, 3 * q), coeff, max_size=12))
+    rhs = dict(lhs)
+    for d in draw(st.lists(st.integers(0, 3 * q), max_size=2)):
+        if draw(st.booleans()):
+            rhs.pop(d, None)
+        else:
+            rhs[d] = draw(coeff)
+    return lhs, rhs, q, p, e, draw(st.integers(0, 3 * q))
+
+
+def test_routes_agree_equals_scan_drawn():
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_route_products())
+    def check(case):
+        lhs, rhs, q, p, e, degree_range = case
+        got = gsplit._routes_agree(lhs, rhs, q, degree_range)
+        assert got == _loop_routes_agree(lhs, rhs, q, p, e, degree_range), case
+        outcomes.add((got[0], lhs == rhs))
+
+    check()
+    # equal products, products that differ somewhere the scan reaches, and
+    # products that differ only where it does not
+    assert outcomes == {(True, True), (False, False), (True, False)}
 
 
 def test_umul_slot_width_on_the_largest_sums():
