@@ -8,8 +8,7 @@ anticanonical superadditivity catalog.
 
 __version__ = "0.1.0"
 
-from .arith import (ExtFieldElement, FieldElement, ZpRational, binom_mod_p,
-                    splitting_level)
+from .arith import ExtFieldElement, FieldElement, binom_mod_p, splitting_level
 from .mpoly import MPoly, format_poly, parse_poly
 from .fedder import NuSequence, fpt_bounds, in_bracket_ideal, is_fpure_pair, nu
 from .elliptic import (LegendreCurve, SupersingularReport, classify_curve_kgfr,
@@ -28,7 +27,7 @@ from .kappa import (H0Interval, KappaResult, check_superadditivity, h0_curve,
 
 __all__ = [
     "__version__",
-    "FieldElement", "ExtFieldElement", "ZpRational", "binom_mod_p", "splitting_level",
+    "FieldElement", "ExtFieldElement", "binom_mod_p", "splitting_level",
     "MPoly", "parse_poly", "format_poly",
     "NuSequence", "in_bracket_ideal", "nu", "fpt_bounds", "is_fpure_pair",
     "LegendreCurve", "SupersingularReport", "hasse_closed", "hasse_coeff",

@@ -157,20 +157,16 @@ def quadratic_nonresidue(p: int) -> int:
 
 
 class ExtFieldElement:
-    """An element a + b*t of F_{p^2} = F_p[t]/(t^2 - n), n a fixed nonresidue."""
+    """An element a + b*t of F_{p^2} = F_p[t]/(t^2 - n), n = quadratic_nonresidue(p).
 
-    __slots__ = ("a", "b", "modulus", "nonresidue")
+    One model for every element: `upoly` reads the pair (a, b) in it too.
+    """
 
-    def __init__(self, a: int, b: int, modulus: int, nonresidue: int | None = None):
+    __slots__ = ("a", "b", "modulus")
+
+    def __init__(self, a: int, b: int, modulus: int):
         _check_modulus(modulus)
-        if nonresidue is None:
-            nonresidue = quadratic_nonresidue(modulus)
-        elif nonresidue % modulus != quadratic_nonresidue(modulus):
-            # custom nonresidues are allowed but must really be nonsquares
-            if legendre_symbol(nonresidue, modulus) != -1:
-                raise ValueError(f"{nonresidue} is a square mod {modulus}")
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "nonresidue", nonresidue % modulus)
         object.__setattr__(self, "a", a % modulus)
         object.__setattr__(self, "b", b % modulus)
 
@@ -179,22 +175,22 @@ class ExtFieldElement:
 
     def _coerce(self, other) -> "ExtFieldElement":
         if isinstance(other, ExtFieldElement):
-            if other.modulus != self.modulus or other.nonresidue != self.nonresidue:
+            if other.modulus != self.modulus:
                 raise ValueError("extension field mismatch")
             return other
         if isinstance(other, FieldElement):
             if other.modulus != self.modulus:
                 raise ValueError("modulus mismatch")
-            return ExtFieldElement(other.value, 0, self.modulus, self.nonresidue)
+            return ExtFieldElement(other.value, 0, self.modulus)
         if isinstance(other, int):
-            return ExtFieldElement(other, 0, self.modulus, self.nonresidue)
+            return ExtFieldElement(other, 0, self.modulus)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtFieldElement(self.a + o.a, self.b + o.b, self.modulus, self.nonresidue)
+        return ExtFieldElement(self.a + o.a, self.b + o.b, self.modulus)
 
     __radd__ = __add__
 
@@ -202,7 +198,7 @@ class ExtFieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtFieldElement(self.a - o.a, self.b - o.b, self.modulus, self.nonresidue)
+        return ExtFieldElement(self.a - o.a, self.b - o.b, self.modulus)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -214,20 +210,20 @@ class ExtFieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p, n = self.modulus, self.nonresidue
-        a = (self.a * o.a + self.b * o.b % p * n) % p
+        p = self.modulus
+        a = (self.a * o.a + self.b * o.b % p * quadratic_nonresidue(p)) % p
         b = (self.a * o.b + self.b * o.a) % p
-        return ExtFieldElement(a, b, p, n)
+        return ExtFieldElement(a, b, p)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ExtFieldElement(-self.a, -self.b, self.modulus, self.nonresidue)
+        return ExtFieldElement(-self.a, -self.b, self.modulus)
 
     def norm(self) -> FieldElement:
         """a^2 - n*b^2, the norm down to F_p."""
         p = self.modulus
-        return FieldElement(self.a * self.a - self.nonresidue * self.b * self.b, p)
+        return FieldElement(self.a * self.a - quadratic_nonresidue(p) * self.b * self.b, p)
 
     def inverse(self) -> "ExtFieldElement":
         nv = self.norm()
@@ -235,7 +231,7 @@ class ExtFieldElement:
             raise ZeroDivisionError("inverse of zero in F_{p^2}")
         ninv = nv.inverse().value
         p = self.modulus
-        return ExtFieldElement(self.a * ninv, -self.b * ninv, p, self.nonresidue)
+        return ExtFieldElement(self.a * ninv, -self.b * ninv, p)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -252,7 +248,7 @@ class ExtFieldElement:
     def __pow__(self, exp: int):
         if exp < 0:
             return self.inverse() ** (-exp)
-        result = ExtFieldElement(1, 0, self.modulus, self.nonresidue)
+        result = ExtFieldElement(1, 0, self.modulus)
         base = self
         while exp:
             if exp & 1:
@@ -263,7 +259,7 @@ class ExtFieldElement:
 
     def frobenius(self) -> "ExtFieldElement":
         """x -> x^p; on F_{p^2} this is conjugation a + bt -> a - bt."""
-        return ExtFieldElement(self.a, -self.b, self.modulus, self.nonresidue)
+        return ExtFieldElement(self.a, -self.b, self.modulus)
 
     def is_base(self) -> bool:
         return self.b == 0
@@ -275,8 +271,7 @@ class ExtFieldElement:
 
     def __eq__(self, other):
         if isinstance(other, ExtFieldElement):
-            return (self.a, self.b, self.modulus, self.nonresidue) == (
-                other.a, other.b, other.modulus, other.nonresidue)
+            return (self.a, self.b, self.modulus) == (other.a, other.b, other.modulus)
         if isinstance(other, (FieldElement, int)):
             o = self._coerce(other)
             return self == o
@@ -285,7 +280,7 @@ class ExtFieldElement:
     def __hash__(self):
         if self.b == 0:
             return hash((self.a, self.modulus))  # agrees with FieldElement when b = 0
-        return hash((self.a, self.b, self.modulus, self.nonresidue))
+        return hash((self.a, self.b, self.modulus))
 
     def __bool__(self):
         return not (self.a == 0 and self.b == 0)
@@ -301,7 +296,7 @@ AnyFieldElement = Union[FieldElement, ExtFieldElement]
 
 
 def lift_to_ext(x: AnyFieldElement | int, p: int) -> ExtFieldElement:
-    """Embed an F_p value into F_{p^2} with the standard nonresidue."""
+    """Embed an F_p value into F_{p^2}."""
     if isinstance(x, ExtFieldElement):
         if x.modulus != p:
             raise ValueError("modulus mismatch")
@@ -318,26 +313,6 @@ def normalize_element(x: AnyFieldElement) -> AnyFieldElement:
     if isinstance(x, ExtFieldElement) and x.is_base():
         return x.to_base()
     return x
-
-
-class ZpRational(Fraction):
-    """Reduced rational; denominators must stay prime to the working prime.
-
-    Fraction already maintains gcd(num, den) = 1 and den > 0; the extra
-    contract here is the p-free denominator, checked on demand because the
-    same coefficient may be used against several primes.
-    """
-
-    __slots__ = ()
-
-    def is_p_integral(self, p: int) -> bool:
-        return self.denominator % p != 0
-
-    def require_p_integral(self, p: int) -> "ZpRational":
-        if not self.is_p_integral(p):
-            raise ZpViolationError(
-                f"denominator of {self} is divisible by the working prime {p}")
-        return self
 
 
 def require_p_free(q: Fraction, p: int) -> Fraction:

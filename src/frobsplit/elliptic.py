@@ -18,7 +18,8 @@ from typing import IO, Union
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, binom_mod_p, legendre_symbol)
-from .mpoly import MPoly, univ_roots, univ_squarefree
+from .mpoly import MPoly, univ_to_dense
+from .upoly import univ_roots, univ_squarefree
 
 LambdaLike = Union[int, FieldElement, ExtFieldElement]
 
@@ -172,11 +173,12 @@ def supersingular_report(p: int) -> SupersingularReport:
         raise RuntimeError(
             f"Hasse polynomial mismatch at p = {p}: the two computation "
             "routes disagree")
+    dense = univ_to_dense(hp)
     return SupersingularReport(
         prime=p,
         poly=hp,
-        roots=tuple(univ_roots(hp, level=2)),
-        squarefree=univ_squarefree(hp),
+        roots=tuple(univ_roots(dense, p, level=2)),
+        squarefree=univ_squarefree(dense, p),
     )
 
 

@@ -166,27 +166,6 @@ def s0_product(ordinary_E: bool, ordinary_Y: bool) -> tuple[int, int]:
     return total, fiber
 
 
-def q0_equals_s0_check(B: P1Divisor, e_max: int = DEFAULT_EMAX,
-                       m_max: int = 3) -> bool:
-    """Degree-2 boundary couples on P^1: the perturbation-stable section
-    space equals the plain stable one.
-
-    With K + B of degree zero every linear system |-m(K+B)| contains only
-    the zero divisor, so the perturbation enumeration degenerates and both
-    dimensions are computed through their defining routes and compared.
-    """
-    if B.degree != 2:
-        raise ValueError("the check applies to degree-2 boundaries only")
-    s0_dim = 1 if gfs_p1(B, e_max=e_max).is_yes else 0
-    q0_dim = None
-    for _m in range(1, m_max + 1):
-        # members of |-m(K+B)| on P^1 with deg(K+B) = 0: the zero divisor only
-        for pert in (P1Divisor.zero(B.prime),):
-            dim = 1 if gfs_p1(B + pert, e_max=e_max).is_yes else 0
-            q0_dim = dim if q0_dim is None else min(q0_dim, dim)
-    return s0_dim == q0_dim
-
-
 @dataclass(frozen=True)
 class KgfrVerdict:
     prime: int

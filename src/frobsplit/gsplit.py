@@ -16,18 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
-                    _check_modulus, normalize_element, quadratic_nonresidue,
-                    require_p_free, splitting_level)
+                    _check_modulus, normalize_element, require_p_free,
+                    splitting_level)
 from .fedder import _diagonal_coefficient, _pruned_power_survives
-from .mpoly import MPoly, univ_squarefree, univ_to_dense
+from .mpoly import MPoly, univ_to_dense
+from .upoly import (UPoly, _boundary_poly, _from_dense, _udiv, _umul,
+                    _upow_frobenius, univ_squarefree)
 
 DEFAULT_EMAX = 2
 DEFAULT_POINT_BUDGET = 20000
-_ALL = "all"  # every finite perturbation centre fails (_finite_centres_failing)
+_ALL = "all"  # every finite perturbation centre fails (_perturbed_level)
 
 
 # -- points and divisors on P^1 ----------------------------------------------
@@ -115,7 +116,7 @@ def parse_point(text: str, p: int) -> P1Point:
         b_str = b_str.rstrip("*")
         if b_str in ("", "-"):
             b_str += "1"
-        return P1Point(ExtFieldElement(int(a_str), int(b_str), p))
+        return P1Point(ExtFieldElement(int(a_str or "0"), int(b_str), p))
     return P1Point(FieldElement(int(text), p))
 
 
@@ -252,113 +253,6 @@ class GfsVerdict:
         return out
 
 
-# -- sparse univariate arithmetic over F_p / F_{p^2} --------------------------
-#
-# A UPoly maps degree -> nonzero coefficient.  Over F_p (ext False) a
-# coefficient is an int in [0, p); over F_{p^2} (ext True) it is a pair
-# (a, b) of such ints meaning a + b*t with t^2 = quadratic_nonresidue(p), the
-# t of ExtFieldElement.  Field objects appear only at the API boundary.
-
-UPoly = dict
-
-
-def _uone(ext: bool):
-    return (1, 0) if ext else 1
-
-
-def _umul(f: UPoly, g: UPoly, p: int, ext: bool) -> UPoly:
-    """f*g: unreduced products are summed per degree and reduced once.
-
-    Over F_{p^2}, a + bt is packed as the int a + b*2^K, so one int product
-    holds a1a2, a1b2 + b1a2 and b1b2 in K-bit slots.  A degree sums at most
-    one product per term of the shorter factor, and K is wide enough for
-    that many; t^2 = n then folds the third slot into the first.
-    """
-    small, big = (f, g) if len(f) <= len(g) else (g, f)
-    if ext:
-        K = (2 * len(small) * (p - 1) ** 2).bit_length()
-        small = {d: a | b << K for d, (a, b) in small.items()}
-        big = {d: a | b << K for d, (a, b) in big.items()}
-    big = list(big.items())
-    acc: dict = {}
-    get = acc.get
-    for d1, c1 in small.items():
-        for d2, c2 in big:
-            d = d1 + d2
-            acc[d] = get(d, 0) + c1 * c2
-    # reduced in place: a second map would double the peak memory
-    if ext:
-        n, mask, zero = quadratic_nonresidue(p), (1 << K) - 1, (0, 0)
-        for d, v in acc.items():
-            acc[d] = ((v & mask) + n * (v >> 2 * K)) % p, (v >> K & mask) % p
-    else:
-        zero = 0
-        for d, v in acc.items():
-            acc[d] = v % p
-    for d in [d for d, c in acc.items() if c == zero]:
-        del acc[d]
-    return acc
-
-
-def _upow_small(f: UPoly, k: int, p: int, ext: bool) -> UPoly:
-    result: UPoly = {0: _uone(ext)}
-    base = f
-    while k:
-        if k & 1:
-            result = _umul(result, base, p, ext)
-        k >>= 1
-        if k:
-            base = _umul(base, base, p, ext)
-    return result
-
-
-def _ufrob(f: UPoly, j: int, p: int, ext: bool) -> UPoly:
-    """f -> f^(p^j): exponents scale by p^j, coefficients get Frobenius^j,
-    which on F_{p^2} is a + bt -> a - bt for odd j."""
-    s = p ** j
-    if ext and j % 2 == 1:
-        return {d * s: (a, -b % p) for d, (a, b) in f.items()}
-    return {d * s: c for d, c in f.items()}
-
-
-def _upow_frobenius(f: UPoly, n: int, p: int, ext: bool) -> UPoly:
-    """f^n via base-p digits: prod_j Frob^j(f^(d_j)), exact over F_p / F_{p^2}."""
-    if n == 0:
-        return {0: _uone(ext)}
-    pieces = []
-    j = 0
-    while n:
-        d = n % p
-        if d:
-            pieces.append(_ufrob(_upow_small(f, d, p, ext), j, p, ext))
-        n //= p
-        j += 1
-    return reduce(lambda a, b: _umul(a, b, p, ext), pieces)
-
-
-def _boundary_poly(finite_parts: Sequence[tuple[AnyFieldElement, int]], p: int,
-                   ext: bool | None = None) -> UPoly:
-    """prod (x - lambda_i)^(n_i), grouped by exponent for Frobenius powering.
-
-    Over F_{p^2} when ext is set, or by default when some lambda_i is there.
-    """
-    if ext is None:
-        ext = any(isinstance(elt, ExtFieldElement) for elt, _ in finite_parts)
-    by_n: dict[int, UPoly] = {}
-    for elt, n in finite_parts:
-        if n == 0:
-            continue
-        a, b = (elt.a, elt.b) if isinstance(elt, ExtFieldElement) else (elt.value, 0)
-        u = {1: _uone(ext)}
-        if a or b:
-            u[0] = (-a % p, -b % p) if ext else -a % p
-        by_n[n] = _umul(by_n[n], u, p, ext) if n in by_n else u
-    prod: UPoly = {0: _uone(ext)}
-    for n, u in sorted(by_n.items()):
-        prod = _umul(prod, _upow_frobenius(u, n, p, ext), p, ext)
-    return prod
-
-
 def _level_data(B: P1Divisor, e: int):
     """Validate and convert: returns (q, finite_parts, n_inf)."""
     if e < 1:
@@ -438,34 +332,37 @@ def _centre_at(i: int, p: int) -> P1Point:
     return P1Point(ExtFieldElement(a, b, p) if i else None)
 
 
-def _finite_centres_failing(B: P1Divisor, e: int):
-    """Finite centres s whose perturbation B + (s)/(q-1) fails at level e:
-    none (None), all (_ALL), or one, returned as its index in _centre_at."""
-    q, finite_parts, n_inf = _level_data(B, e)
-    S = sum(n for _, n in finite_parts) + 1
-    D = 2 * (q - 1) - n_inf - S
+def _perturbed_level(q: int, finite_parts, n_inf: int, p: int):
+    """Single-point perturbations B + (s)/(q-1) at one level, on _level_data's
+    output: (the finite centres s that fail, whether s = inf splits).
+
+    The failing finite centres are none (None), all (_ALL), or one, returned
+    as its index in _centre_at.  Both perturbations raise the degree by one,
+    so they share the window; inf leaves g as it is, so it splits iff g has
+    a term in the window.
+    """
+    S = sum(n for _, n in finite_parts)
+    D = 2 * (q - 1) - n_inf - S - 1
     if D < 0:
-        return _ALL
-    if S <= q - 1:
-        return None
-    p = B.prime
+        return _ALL, False
+    if S + 1 <= q - 1:
+        return None, True
     g = _boundary_poly(finite_parts, p)
-    n = quadratic_nonresidue(p)
+    window = range(max(0, q - 1 - D), q)
+    inf_ok = any(k in g for k in window)
     roots = set()
-    for k in range(max(0, q - 1 - D), q):
+    for k in window:
         lead, low = g.get(k), g.get(k - 1)
         if lead is None:
             if low is not None:
-                return None  # c_k is a nonzero constant
+                return None, inf_ok  # c_k is a nonzero constant
             continue
-        # the root s = a + bt of c_k = low - s*lead is low*conj(lead)/N(lead),
-        # taken as centre 1 + p*b + a; an F_p value c is the pair (c, 0)
-        (a1, b1), (a2, b2) = (c if isinstance(c, tuple) else (c or 0, 0) for c in (low, lead))
-        inv = pow(a2 * a2 - n * b2 * b2, -1, p)
-        roots.add(1 + p * ((b1 * a2 - a1 * b2) * inv % p) + (a1 * a2 - n * b1 * b2) * inv % p)
+        # c_k = low - s*lead vanishes at s = low/lead = a + bt, centre 1 + p*b + a
+        a, b = _udiv(low or 0, lead, p)
+        roots.add(1 + p * b + a)
     if not roots:
-        return _ALL
-    return roots.pop() if len(roots) == 1 else None
+        return _ALL, inf_ok
+    return (roots.pop() if len(roots) == 1 else None), inf_ok
 
 
 def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
@@ -527,13 +424,13 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
     # A centre fails when it fails at every level; a support point s, like
     # any finite centre, turns g into g*(x - s), so only inf is tested alone.
     tested = min(perturbation_budget, p * p + 1)
-    outcomes = {_finite_centres_failing(B, e) for e in levels} - {_ALL}
+    perturbed = [_perturbed_level(q, finite_parts, n_inf, p)
+                 for _, (q, finite_parts, n_inf) in data]
+    outcomes = {finite for finite, _ in perturbed} - {_ALL}
     if not outcomes:  # inf perturbs the same zero window
         failing = range(tested)
     else:
-        failing = [0] if tested and not any(
-            _window_split(q, finite_parts, n_inf + 1, p)[0]
-            for _, (q, finite_parts, n_inf) in data) else []
+        failing = [0] if tested and not any(inf_ok for _, inf_ok in perturbed) else []
         if len(outcomes) == 1 and None not in outcomes:
             failing += [r for r in outcomes if r < tested]
     generic_ok = bool(outcomes)
@@ -633,12 +530,14 @@ class DoubleCover:
     """
     branch_poly: MPoly  # univariate f over F_p, squarefree
     name: str = "double-cover"
+    branch_dense: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.branch_poly
         if f.nvars != 1 or f.is_zero():
             raise ValueError("branch polynomial must be a nonzero univariate")
-        if not univ_squarefree(f):
+        object.__setattr__(self, "branch_dense", univ_to_dense(f))
+        if not univ_squarefree(self.branch_dense, f.p):
             raise ValueError("branch polynomial must be squarefree (separable cover)")
 
     @property
@@ -668,9 +567,7 @@ class DoubleCover:
     def is_branch_value(self, point: P1Point) -> bool:
         if point.is_infinity:
             return self.branched_at_infinity
-        val = self.branch_poly.eval_univariate(
-            point.value if isinstance(point.value, FieldElement) else point.value)
-        return val.is_zero()
+        return self.branch_poly.eval_univariate(point.value).is_zero()
 
 
 @dataclass(frozen=True)
@@ -701,10 +598,6 @@ def _routes_agree(lhs_core: UPoly, g_y: UPoly, q: int, degree_range: int) -> tup
                if lhs_by_r.get(r) != rhs_by_r.get(r)}
     first_bad = next((i for i in range(degree_range) if (q - 1 - i) % q in differs), None)
     return (True, degree_range) if first_bad is None else (False, first_bad + 1)
-
-
-def _upoly_from_mpoly(f: MPoly, ext: bool) -> UPoly:
-    return {i: (c, 0) if ext else c for i, c in enumerate(univ_to_dense(f)) if c}
 
 
 def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
@@ -760,7 +653,7 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
 
     g_y = _boundary_poly(gy_parts, p, ext)
     g_z = _boundary_poly(gz_parts, p, ext)
-    f_half = _upow_frobenius(_upoly_from_mpoly(cover.branch_poly, ext), half, p, ext)
+    f_half = _upow_frobenius(_from_dense(cover.branch_dense, ext), half, p, ext)
     lhs_core = _umul(g_z, f_half, p, ext)
 
     if degree_range is None:

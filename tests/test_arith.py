@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobsplit.arith import (ExtFieldElement, FieldElement, ZpRational,
+from frobsplit.arith import (ExtFieldElement, FieldElement,
                              ZpViolationError, binom_mod_p, is_prime,
                              legendre_symbol, quadratic_nonresidue,
                              splitting_level)
@@ -61,8 +61,9 @@ def test_ext_field_basics():
     assert ExtFieldElement(4, 0, 5).to_base() == FieldElement(4, 5)
     with pytest.raises(ValueError):
         ExtFieldElement(1, 1, 5).to_base()
-    with pytest.raises(ValueError):
-        ExtFieldElement(0, 1, 5, nonresidue=4)  # 4 = 2^2 is a square
+    # one model of F_{p^2}, t^2 = quadratic_nonresidue(p): no other nonresidue
+    with pytest.raises(TypeError):
+        ExtFieldElement(0, 1, 7, 5)
 
 
 def test_ext_field_norm_and_square_structure():
@@ -169,12 +170,3 @@ def test_splitting_level_minimality():
 def test_zp_violation():
     with pytest.raises(ZpViolationError):
         splitting_level([Fraction(1, 5)], 5)
-    with pytest.raises(ZpViolationError):
-        ZpRational(1, 10).require_p_integral(5)
-    assert ZpRational(3, 4).require_p_integral(5) == Fraction(3, 4)
-
-
-def test_zp_rational_reduction():
-    q = ZpRational(6, 4)
-    assert (q.numerator, q.denominator) == (3, 2)
-    assert ZpRational(-1, -2).denominator == 2

@@ -269,3 +269,34 @@ def test_run_returns_report():
     code, rep = run(["supersingular", "--p", "7", "--json"])
     assert code == 0
     assert rep["results"]["root_count"] == 3
+
+
+_TRACED_QUERIES = """
+import contextlib, io, sys
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/bench"]
+import frobsplit.cli as cli
+from spans import Tracer
+from workloads import WORKLOADS, queries
+Tracer().install()
+first = {}
+for name in WORKLOADS:
+    for q in queries(name, 1):
+        first.setdefault(q["kind"], q["argv"])
+for argv in first.values():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, _ = cli.run(argv + ["--json"])
+    assert code == 0, argv
+print(sorted(first))
+"""
+
+
+def test_benchmark_tracer_installs_and_runs():
+    # bench/spans.py looks up frobsplit's modules and MPoly methods by name
+    # (MPOLY_METHODS), so renaming or deleting one breaks `--trace 1`; one
+    # query of each workload kind runs with the spans installed
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _TRACED_QUERIES, str(root)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "'supersingular'" in proc.stdout and "'kgfr'" in proc.stdout, proc.stdout

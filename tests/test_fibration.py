@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from frobsplit.arith import is_prime
 from frobsplit.elliptic import supersingular_report
 from frobsplit.fedder import _pruned_power_survives
@@ -9,8 +7,7 @@ from frobsplit.fibration import (BOUNDARY_INFINITY, NODAL, SMOOTH_ORDINARY,
                                  SMOOTH_SUPERSINGULAR, cbf_iii_check,
                                  classify_fibers, f_discriminant_legendre,
                                  is_kgfr_legendre, legendre_bigraded_poly,
-                                 prime_scan, q0_equals_s0_check,
-                                 s0_fiber_dim_from_hasse, s0_fiber_legendre,
+                                 prime_scan, s0_fiber_dim_from_hasse, s0_fiber_legendre,
                                  s0_product, total_space_gfs)
 from frobsplit.gsplit import P1Point, gfs_p1, parse_divisor
 from frobsplit.mpoly import MPoly
@@ -131,17 +128,6 @@ def test_s0_product_table():
     assert s0_product(True, True) == (1, 1)
     assert s0_product(False, True) == (0, 0)
     assert s0_product(False, False) == (0, 0)
-
-
-def test_q0_equals_s0():
-    # ordinary configuration: both dimensions 1
-    assert q0_equals_s0_check(parse_divisor("1/2@0,1/2@1,1/2@2,1/2@inf", 5))
-    # supersingular configuration: both dimensions 0
-    assert q0_equals_s0_check(parse_divisor("1/2@0,1/2@1,1/2@2,1/2@inf", 3))
-    # toric boundary
-    assert q0_equals_s0_check(parse_divisor("1@0,1@inf", 5))
-    with pytest.raises(ValueError):
-        q0_equals_s0_check(parse_divisor("1/2@0", 5))
 
 
 def test_kgfr_examples():

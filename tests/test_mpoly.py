@@ -9,9 +9,9 @@ from frobsplit.arith import (ExtFieldElement, FieldElement, is_prime, legendre_s
                              quadratic_nonresidue)
 from frobsplit.cli import run
 from frobsplit.elliptic import supersingular_report
-from frobsplit.mpoly import (MAX_POWER_TERMS, MPoly, PolyParseError, _norm_character,
-                             _Residues, format_poly, parse_poly, univ_derivative,
-                             univ_roots, univ_squarefree, univ_to_dense)
+from frobsplit.mpoly import (MAX_POWER_TERMS, MPoly, PolyParseError, format_poly,
+                             parse_poly, univ_to_dense)
+from frobsplit.upoly import _norm_character, _Residues, univ_roots, univ_squarefree
 
 
 def _random_sparse(rng, nvars, p, max_exp=4, max_terms=4):
@@ -87,23 +87,26 @@ def test_frobenius_twist_is_pth_power():
 
 
 def test_univ_squarefree_examples():
-    assert univ_squarefree(parse_poly("x^2 - 1", ["x"], 5))
-    assert not univ_squarefree(parse_poly("(x-1)^2", ["x"], 5))
+    assert univ_squarefree(univ_to_dense(parse_poly("x^2 - 1", ["x"], 5)), 5)
+    assert not univ_squarefree(univ_to_dense(parse_poly("(x-1)^2", ["x"], 5)), 5)
     # derivative of x^p - x is -1
     for p in (3, 5, 7):
-        f = MPoly(1, p, {(p,): 1, (1,): p - 1})
-        assert univ_squarefree(f)
+        assert univ_squarefree([0, p - 1] + [0] * (p - 2) + [1], p)
     with pytest.raises(ValueError):
-        univ_squarefree(MPoly.zero(1, 5))
+        univ_squarefree([], 5)
+
+
+def _roots(f, level):
+    return univ_roots(univ_to_dense(f), f.p, level)
 
 
 def test_univ_roots_examples():
     f = parse_poly("x^2 - 1", ["x"], 5)
-    assert univ_roots(f, 1) == [(FieldElement(1, 5), 1), (FieldElement(4, 5), 1)]
+    assert _roots(f, 1) == [(FieldElement(1, 5), 1), (FieldElement(4, 5), 1)]
     g = parse_poly("x^2 + 4*x + 1", ["x"], 5)
     # discriminant 12 = 2 is a nonsquare mod 5: no rational roots
-    assert univ_roots(g, 1) == []
-    ext_roots = univ_roots(g, 2)
+    assert _roots(g, 1) == []
+    ext_roots = _roots(g, 2)
     assert len(ext_roots) == 2
     r1, r2 = ext_roots[0][0], ext_roots[1][0]
     assert r1.frobenius() == r2  # conjugate pair
@@ -130,7 +133,7 @@ def test_univ_roots_against_full_scan():
     for p in (3, 5):
         for _ in range(15):
             f = _random_sparse(rng, 1, p, max_exp=6, max_terms=4)
-            got = univ_roots(f, 2)
+            got = _roots(f, 2)
             want = _roots_by_full_scan(f, 2)
             got_points = {ExtFieldElement(r.value, 0, p) if isinstance(r, FieldElement) else r
                           for r, _ in got}
@@ -142,7 +145,7 @@ def test_univ_roots_against_full_scan():
 def test_multiplicity_sum_vs_degree():
     # x^2(x-1)^3 has total multiplicity 5 = its degree
     f = parse_poly("x^2 * (x-1)^3", ["x"], 7)
-    roots = univ_roots(f, 2)
+    roots = _roots(f, 2)
     assert sorted((str(r), m) for r, m in roots) == [("F7(0)", 2), ("F7(1)", 3)]
     assert sum(m for _, m in roots) == f.degree()
 
@@ -150,7 +153,7 @@ def test_multiplicity_sum_vs_degree():
 def test_multiplicity_sum_equals_degree_iff_split():
     # splits into linears and quadratics over F_{p^2}: equality
     f = parse_poly("(x-1) * (x^2 + 4*x + 1)", ["x"], 5)
-    assert sum(m for _, m in univ_roots(f, 2)) == 3
+    assert sum(m for _, m in _roots(f, 2)) == 3
     # x^3 + x + 1 takes the values 1, 3, 1, 1, 4 at x = 0..4, so it has no
     # root over F_5; a cubic without a root is irreducible, so its roots live
     # in F_{5^3}, which meets F_{25} only in F_5, and the F_{25} count falls
@@ -159,8 +162,8 @@ def test_multiplicity_sum_equals_degree_iff_split():
     g = parse_poly("x^3 + x + 1", ["x"], 5)
     assert [v for v in range(5) if (v ** 3 + v + 1) % 5 == 0] == []
     assert _roots_by_full_scan(g, 2) == []
-    assert univ_roots(g, 1) == []
-    assert sum(m for _, m in univ_roots(g, 2)) == 0 < g.degree()
+    assert _roots(g, 1) == []
+    assert sum(m for _, m in _roots(g, 2)) == 0 < g.degree()
 
 
 def _long_division(a, b, p):
@@ -174,12 +177,11 @@ def _long_division(a, b, p):
     return quot, a[:len(b) - 1]
 
 
-def _scan_roots(f, level):
+def _scan_roots(dense, p, level):
     """The F_{p^2} scan univ_roots ran before its gcd route, as an oracle:
     every r in F_p, then every a + b*t with 1 <= b <= (p-1)/2 and a in F_p,
     each root's multiplicity by dividing it out of the deflating polynomial."""
-    p = f.p
-    cur = univ_to_dense(f)
+    cur = list(dense)
     roots = []
 
     def deflate(divisor):
@@ -228,7 +230,7 @@ def _times(a, b, p):
 
 @st.composite
 def _univariates(draw):
-    """Degree <= 12 over F_p, p <= 13: either free coefficients (constants
+    """(dense, p) of degree <= 12 over F_p, p <= 13: either free coefficients (constants
     included) or a product of monic factors of degree <= 3 taken up to three
     times, so repeated and irreducible factors are common."""
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))
@@ -243,14 +245,15 @@ def _univariates(draw):
                 if len(dense) + len(factor) > 14:
                     break
                 dense = _times(dense, factor, p)
-    return MPoly(1, p, {(i,): c for i, c in enumerate(dense)})
+    return dense, p
 
 
 def test_univ_roots_equals_scan_drawn():
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(_univariates(), st.sampled_from([1, 2]))
-    def check(f, level):
-        assert _listing(univ_roots(f, level)) == _listing(_scan_roots(f, level))
+    def check(drawn, level):
+        dense, p = drawn
+        assert _listing(univ_roots(dense, p, level)) == _listing(_scan_roots(dense, p, level))
 
     check()
 
@@ -306,13 +309,13 @@ def test_univ_roots_against_sympy_factorisation():
                 elif len(coeffs) == 3:
                     quadratic[tuple(coeffs[1:])] = mult
                 kinds.add((len(coeffs) - 1, mult > 1))
-            got = univ_roots(f, 2)
+            got = _roots(f, 2)
             fp_roots = {r.value: m for r, m in got if isinstance(r, FieldElement)}
             pairs = {((-2 * r.a) % p, r.norm().value): m
                      for r, m in got if isinstance(r, ExtFieldElement)}
             assert fp_roots == linear and pairs == quadratic, (p, f)
             assert len(got) == len(linear) + 2 * len(quadratic)
-            assert univ_roots(f, 1) == got[:len(linear)]
+            assert _roots(f, 1) == got[:len(linear)]
     assert {(1, True), (2, True), (3, False), (4, False)} <= kinds
 
 
@@ -460,6 +463,4 @@ def test_format_zero_and_constants():
 
 
 def test_derivative():
-    f = parse_poly("x^3 + 2*x + 4", ["x"], 5)
-    assert univ_derivative(f) == parse_poly("3*x^2 + 2", ["x"], 5)
     assert univ_to_dense(parse_poly("x^2 + 4", ["x"], 5)) == [4, 0, 1]
