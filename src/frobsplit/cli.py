@@ -27,7 +27,8 @@ from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, DoubleCover,
                      P1Divisor, gfr_p1_bounded, gfs_bigraded_hypersurface,
                      gfs_cy_hypersurface, gfs_p1, parse_divisor, parse_point,
                      pushforward_splitting_check)
-from .kappa import CurveSectionGrowth, check_superadditivity, kappa_estimate
+from .kappa import (CATALOG, CurveSectionGrowth, case_params, check_superadditivity,
+                    kappa_estimate)
 from .mpoly import PolyParseError, format_poly, parse_poly
 
 SCHEMA_VERSION = "1"
@@ -229,7 +230,7 @@ def _cmd_kgfr(args) -> dict:
     p = _require_prime(args.p)
     verdict = is_kgfr_legendre(p, e_max=_opt(args.emax, DEFAULT_EMAX),
                                perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
-    return {"prime": p, **_fdisc_payload(p), "kgfr": verdict.to_dict(), "timings_ms": None}
+    return {"prime": p, **_fdisc_payload(p), "kgfr": verdict.to_dict()}
 
 
 def _cmd_scan(args) -> dict:
@@ -264,14 +265,16 @@ def _cmd_cbf(args) -> dict:
 
 
 def _cmd_kappa(args) -> dict:
+    m_max = _opt(args.mmax, 20)
     if args.case:
+        if any(v is not None for v in (args.genus, args.degree, args.degree_zero)):
+            raise CliError("--case does not take --genus, --degree or --degree-zero")
         case_id, params = _parse_case(args.case)
-        rep = check_superadditivity(case_id, **params)
-        return rep.to_dict()
+        return check_superadditivity(case_id, m_max, **params).to_dict()
     if args.genus is None or args.degree is None:
         raise CliError("kappa needs --case or both --genus and --degree")
     src = CurveSectionGrowth(args.genus, args.degree, args.degree_zero)
-    res = kappa_estimate(src, _opt(args.mmax, 20))
+    res = kappa_estimate(src, m_max)
     return {
         "genus": args.genus,
         "degree": args.degree,
@@ -283,48 +286,20 @@ def _cmd_kappa(args) -> dict:
     }
 
 
-def _parse_params(text: str) -> dict:
-    """Comma-separated k=v case parameters; v is true, false or an integer."""
+def _parse_case(text: str) -> tuple[str, dict]:
+    """`case:k=v,...` into the case and its k=v pairs; v is true, false or an integer."""
+    case_id, _, params_str = text.partition(":")
     params: dict = {}
-    if text:
-        for chunk in text.split(","):
+    if params_str:
+        for chunk in params_str.split(","):
             key, _, val = chunk.partition("=")
+            key, val = key.strip(), val.strip()
             if not val:
                 raise CliError(f"bad case parameter {chunk!r}")
-            key = key.strip()
-            val = val.strip()
-            if val in ("true", "false"):
-                params[key] = val == "true"
-            else:
-                params[key] = int(val)
-    return params
-
-
-def _parse_case(text: str) -> tuple[str, dict]:
-    case_id, _, params_str = text.partition(":")
-    return case_id.strip(), _parse_params(params_str)
-
-
-def load_catalog() -> list[dict]:
-    import importlib.resources as resources
-    rows = []
-    text = resources.files("frobsplit").joinpath("catalog.txt").read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cols = [c.strip() for c in line.split("|")]
-        if len(cols) != 4:
-            raise CliError(f"bad catalog row: {line}")
-        case_id, params_str, expected_str, basis = cols
-        params = _parse_params(params_str)
-        expected = {}
-        for chunk in expected_str.split(";"):
-            k, _, v = chunk.partition("=")
-            expected[k.strip()] = v.strip()
-        rows.append({"case_id": case_id, "params": params,
-                     "expected": expected, "basis": basis})
-    return rows
+            if key in params:
+                raise CliError(f"repeated case parameter {key!r}")
+            params[key] = (val == "true") if val in ("true", "false") else int(val)
+    return case_id.strip(), params
 
 
 def _match_expectation(report, expected: dict) -> tuple[bool, list[str]]:
@@ -349,23 +324,23 @@ def _match_expectation(report, expected: dict) -> tuple[bool, list[str]]:
 
 
 def _cmd_catalog(args) -> dict:
-    entries = load_catalog()
+    rows = CATALOG
     if args.case:
         case_id, params = _parse_case(args.case)
-        entries = [e for e in entries
-                   if e["case_id"] == case_id
-                   and all(e["params"].get(k) == v for k, v in params.items())]
-        if not entries:
-            entries = [{"case_id": case_id, "params": params,
-                        "expected": {}, "basis": "ad-hoc"}]
+        case_params(case_id, params)  # refuse bad keys first: 1 would match True
+        rows = [row for row in CATALOG
+                if row[0] == case_id
+                and all(row[1].get(k) == v for k, v in params.items())]
+        if not rows:
+            rows = [(case_id, params, {}, "ad-hoc")]
     results = []
-    for entry in entries:
-        rep = check_superadditivity(entry["case_id"], **entry["params"])
-        ok, problems = _match_expectation(rep, entry["expected"])
+    for case_id, params, expected, basis in rows:
+        rep = check_superadditivity(case_id, **params)
+        ok, problems = _match_expectation(rep, expected)
         results.append({
-            "case": entry["case_id"],
-            "params": {k: str(v) for k, v in sorted(entry["params"].items())},
-            "basis": entry["basis"],
+            "case": case_id,
+            "params": {k: str(v) for k, v in sorted(params.items())},
+            "basis": basis,
             "report": rep.to_dict(),
             "matches_expected": ok,
             "problems": problems,

@@ -100,46 +100,6 @@ class CurveSectionGrowth:
 
 
 @dataclass(frozen=True)
-class TrivialBundleSections:
-    """h^0 identically 1; the anticanonical bundle of an elliptic fiber."""
-
-    def h0(self, m: int) -> H0Interval:
-        return H0Interval(m, 1, 1)
-
-    def kappa_certificate(self):
-        return (0, 0, True, "constant nonzero section count")
-
-
-@dataclass(frozen=True)
-class LegendreAnticanonical:
-    """Anticanonical multiples of the Legendre surface.
-
-    The canonical bundle is the pullback of a degree -1 bundle from the base
-    line, so anticanonical sections are exactly the pulled-back binary forms
-    of degree m: dimension m + 1 on the nose.
-    """
-    p: int
-
-    def h0(self, m: int) -> H0Interval:
-        return H0Interval(m, m + 1, m + 1)
-
-    def kappa_certificate(self):
-        return (1, 1, True, "pullback of a degree-1 bundle on the base line")
-
-
-@dataclass(frozen=True)
-class ProductAnticanonical:
-    """Anticanonical multiples of (elliptic curve) x P^1: pulled back from P^1."""
-    ordinary: bool = True
-
-    def h0(self, m: int) -> H0Interval:
-        return H0Interval(m, 2 * m + 1, 2 * m + 1)
-
-    def kappa_certificate(self):
-        return (1, 1, True, "pullback of the degree-2 anticanonical bundle of P^1")
-
-
-@dataclass(frozen=True)
 class RuledAnticanonical:
     """Anticanonical multiples of P(O + O(-K-D)) over a genus-g curve.
 
@@ -167,13 +127,10 @@ class RuledAnticanonical:
     def twist(self) -> int:
         return 2 * self.g - 2 + self.d_D
 
-    def summand_degree(self, m: int, k: int) -> int:
-        return m * self.d_D - k * self.twist
-
     def h0(self, m: int) -> H0Interval:
         lo = hi = 0
         for k in range(2 * m + 1):
-            iv = h0_curve(self.g, self.summand_degree(m, k), None, m)
+            iv = h0_curve(self.g, m * self.d_D - k * self.twist, None, m)
             lo += iv.lower
             hi += iv.upper
         return H0Interval(m, lo, hi)
@@ -201,48 +158,18 @@ def h0_ruled_anticanonical(g: int, d_D: int, m: int) -> H0Interval:
 def kappa_estimate(source, m_max: int) -> KappaResult:
     """Certified growth order when the source's regime formulas allow it.
 
-    Sources carrying a kappa_certificate have structurally pinned growth;
-    the computed table is still cross-checked against the claim and any
-    inconsistency downgrades the result to an uncertified interval.  Plain
-    callables produce data-driven uncertified intervals only.
+    A source has `h0(m)` and `kappa_certificate()`.  Its certificate pins the
+    growth order structurally; the computed table is still cross-checked
+    against the claim, and an inconsistency downgrades the result to an
+    uncertified interval.
     """
     if m_max < 1:
         raise ValueError("empty multiple range")
-    if callable(source) and not hasattr(source, "h0"):
-        evidence = tuple(source(m) for m in range(1, m_max + 1))
-        certificate = None
-    else:
-        evidence = tuple(source.h0(m) for m in range(1, m_max + 1))
-        certificate = getattr(source, "kappa_certificate", None)
-
-    if certificate is not None:
-        low, high, certified, note = certificate()
-        if certified:
-            ok = _consistent_with_order(evidence, low)
-            if not ok:
-                return KappaResult(low=low, high=high, certified=False,
-                                   evidence=evidence,
-                                   note="certificate inconsistent with computed table")
-            return KappaResult(low=low, high=high, certified=True,
-                               evidence=evidence, note=note)
-        return KappaResult(low=low, high=high, certified=False,
-                           evidence=evidence, note=note)
-
-    # data-driven fallback: bound the order from the computed table
-    if all(iv.upper == 0 for iv in evidence):
-        return KappaResult(NEG_INF, NEG_INF, False, evidence,
-                           "no sections in the computed range")
-    top = evidence[-1]
-    d_hi = _order_fit(top.upper, m_max)
-    d_lo = NEG_INF if top.lower == 0 else 0
-    return KappaResult(d_lo, d_hi, False, evidence, "finite-sample estimate")
-
-
-def _order_fit(value: int, m: int) -> int:
-    d = 0
-    while m ** (d + 1) <= value and d < 3:
-        d += 1
-    return d
+    evidence = tuple(source.h0(m) for m in range(1, m_max + 1))
+    low, high, certified, note = source.kappa_certificate()
+    if certified and not _consistent_with_order(evidence, low):
+        certified, note = False, "certificate inconsistent with computed table"
+    return KappaResult(low, high, certified, evidence, note)
 
 
 def _consistent_with_order(evidence: tuple[H0Interval, ...], order: float) -> bool:
@@ -257,7 +184,7 @@ def _consistent_with_order(evidence: tuple[H0Interval, ...], order: float) -> bo
     # two-sided polynomial sandwich with generous constants
     if last.lower * 8 < m ** int(order) and m >= 4:
         return False
-    if last.upper > 8 * (m ** int(order)) * max(iv.upper for iv in evidence[:1] or [last]):
+    if last.upper > 8 * (m ** int(order)) * evidence[0].upper:
         return False
     return True
 
@@ -303,61 +230,98 @@ def _judge(total: KappaResult, fiber: KappaResult, base: KappaResult):
     return True, holds, equal
 
 
-def check_superadditivity(case_id: str, m_max: int = 20, **params) -> SuperadditivityReport:
+# The keys each catalog case reads, with their defaults.
+_CASE_DEFAULTS = {
+    "legendre": {"p": 5},
+    "ruled": {"g": 2, "d": 3},
+    "product": {"ordinary": True, "p": 5},
+}
+
+# The registered cases: (case, params, expected, basis).  `expected` holds
+# the verdicts: inequality holds | holds-with-equality | fails, kgfr yes | no
+# (when the case carries a KGFR check), fixed-part fires (the ruled flag).
+# `basis` is where the expectation comes from: trivial | derived | literature.
+CATALOG = (
+    ("legendre", {"p": 5},
+     {"inequality": "holds-with-equality", "kgfr": "yes"}, "derived"),
+    ("ruled", {"g": 2, "d": 3},
+     {"inequality": "fails", "fixed-part": "fires"}, "literature"),
+    ("product", {"ordinary": True, "p": 5},
+     {"inequality": "holds-with-equality", "kgfr": "yes"}, "derived"),
+    ("product", {"ordinary": False, "p": 5},
+     {"inequality": "holds-with-equality", "kgfr": "no"}, "derived"),
+)
+
+
+def case_params(case_id: str, params: dict) -> dict:
+    """A catalog case's parameters with its defaults filled in.
+
+    Raises ValueError on an unknown case or key, and on a value of the wrong
+    kind: `ordinary` is true or false, every other key an integer.
+    """
+    if case_id not in _CASE_DEFAULTS:
+        raise ValueError(f"unknown catalog case {case_id!r}")
+    defaults = _CASE_DEFAULTS[case_id]
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValueError(f"unknown parameter {key!r} for case {case_id!r}")
+        if type(value) is not type(defaults[key]):
+            kind = "true or false" if type(defaults[key]) is bool else "an integer"
+            raise ValueError(f"parameter {key!r} of case {case_id!r} must be {kind}")
+    return {**defaults, **params}
+
+
+def check_superadditivity(case_id: str, m_max: int = 20, /, **params) -> SuperadditivityReport:
     """Evaluate the anticanonical superadditivity inequality on a catalog case.
 
     kappa(total space) <= kappa(general fiber) + kappa(base), all for the
     anticanonical bundles.  Uncertified dimensions make the report
-    inconclusive rather than silently passing.
+    inconclusive rather than silently passing.  `params` are the case's keys
+    (see `case_params`); `m_max`, the largest multiple computed, is
+    positional so that a case key of that name is refused, not read.
     """
+    params = case_params(case_id, params)
+    if m_max < 1:  # before the flags: fixed_part_bound divides by m_max
+        raise ValueError("empty multiple range")
     notes: list[str] = []
     flags: dict = {}
+    elliptic = CurveSectionGrowth(1, 0, "trivial")  # -K of an elliptic curve is trivial
+    line = CurveSectionGrowth(0, 2)                 # -K of P^1 is O(2)
     if case_id == "legendre":
-        p = int(params.get("p", 5))
         from .fibration import is_kgfr_legendre
-        total = kappa_estimate(LegendreAnticanonical(p), max(m_max, 50))
-        fiber = kappa_estimate(TrivialBundleSections(), m_max)
-        base = kappa_estimate(CurveSectionGrowth(0, 2), m_max)
-        verdict = is_kgfr_legendre(p)
+        # -K_X = f^*O(1) and f_*O_X = O_Y, so h0(-mK_X) = h0(P^1, O(m))
+        sources = (CurveSectionGrowth(0, 1), elliptic, line)
+        verdict = is_kgfr_legendre(params["p"])
         flags["kgfr"] = verdict.overall
         flags["fiber_gfs"] = verdict.fiber_gfs
         notes.append("anticanonical system is pulled back from the base line")
-        report_params = {"p": p}
     elif case_id == "ruled":
-        g = int(params.get("g", 2))
-        d = int(params.get("d", params.get("d_D", 3)))
-        src = RuledAnticanonical(g, d)
-        total = kappa_estimate(src, m_max)
-        fiber = kappa_estimate(CurveSectionGrowth(0, 2), m_max)
-        base = kappa_estimate(CurveSectionGrowth(g, 2 - 2 * g), m_max)
-        bound_table = {m: src.fixed_part_bound(m) for m in (1, 5, 10, m_max)}
-        limit = src.fixed_part_limit()
+        g = params["g"]
+        ruled = RuledAnticanonical(g, params["d"])
+        sources = (ruled, line, CurveSectionGrowth(g, 2 - 2 * g))
+        bound_table = {m: ruled.fixed_part_bound(m) for m in (1, 5, 10, m_max)}
+        limit = ruled.fixed_part_limit()
         flags["fixed_part_bounds"] = {str(m): str(v) for m, v in sorted(bound_table.items())}
         flags["fixed_part_limit"] = limit
         flags["fixed_part_flag"] = limit >= 1
         if limit >= 1:
             notes.append("anticanonical fixed part with coefficient >= 1 dominates the base;"
                          " the positivity hypotheses of the inequality fail here")
-        report_params = {"g": g, "d": d}
-    elif case_id in ("product", "product-ordinary", "product-supersingular"):
-        ordinary = bool(params.get("ordinary", case_id != "product-supersingular"))
+    else:  # product: (elliptic curve) x P^1
         from .gsplit import P1Divisor, gfr_p1_bounded
-        total = kappa_estimate(ProductAnticanonical(ordinary), m_max)
-        fiber = kappa_estimate(TrivialBundleSections(), m_max)
-        base = kappa_estimate(CurveSectionGrowth(0, 2), m_max)
-        p = int(params.get("p", 5))
-        base_gfr = gfr_p1_bounded(P1Divisor.zero(p))
+        ordinary = params["ordinary"]
+        # -K = pr^*O(2) and pr_*O = O_{P^1}, so h0(-mK) = h0(P^1, O(2m))
+        sources = (line, elliptic, line)
+        base_gfr = gfr_p1_bounded(P1Divisor.zero(params["p"]))
         flags["fiber_gfs"] = ordinary
         flags["base_gfr"] = base_gfr.status
         flags["kgfr"] = "KGFR" if (ordinary and base_gfr.is_yes) else "not-KGFR"
-        report_params = {"ordinary": ordinary, "p": p}
-    else:
-        raise ValueError(f"unknown catalog case {case_id!r}")
 
+    total, fiber, base = (kappa_estimate(src, m_max) for src in sources)
     conclusive, holds, equal = _judge(total, fiber, base)
     return SuperadditivityReport(
         case_id=case_id,
-        params=report_params,
+        params=params,
         kappa_total=total,
         kappa_fiber=fiber,
         kappa_base=base,

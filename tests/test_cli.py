@@ -112,6 +112,16 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,y z"],
         # a branch point of the cover outside the divisor's support
         ["cover-check", "--p", "11", "--cover", "squaring", "--divisor", "1/2@inf,1/2@1"],
+        # case parameters a case does not read, of the wrong kind, or repeated
+        ["kappa", "--case", "legendre:q=7"],
+        ["catalog", "--case", "legendre:prime=7"],
+        ["kappa", "--case", "product:ordinary=2"],
+        ["catalog", "--case", "product:ordinary=1"],
+        ["kappa", "--case", "legendre:m_max=3"],
+        ["kappa", "--case", "legendre:p=5,p=7"],
+        # curve flags alongside --case
+        ["kappa", "--case", "legendre:p=5", "--genus", "1"],
+        ["kappa", "--case", "product:p=5", "--degree-zero", "trivial"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
@@ -225,6 +235,11 @@ def test_kappa_subcommand(capsys):
     code, rep = _json_report(["kappa", "--case", "legendre:p=5"], capsys)
     assert code == 0
     assert rep["results"]["kappa_total"] == "1"
+    # --mmax reaches the case: the fixed-part bounds are tabled at m_max
+    code, rep = _json_report(["kappa", "--case", "ruled:g=2,d=3", "--mmax", "3"], capsys)
+    assert code == 0
+    assert rep["results"]["hypothesis_flags"]["fixed_part_bounds"] == {
+        "1": "2", "3": "5/3", "5": "7/5", "10": "7/5"}
 
 
 def test_byte_identical_output(capsys):
@@ -256,6 +271,10 @@ def test_timings_flag(capsys):
     code, rep = _json_report(["fdisc", "--p", "3", "--timings"], capsys)
     assert code == 0
     assert isinstance(rep["timings_ms"], int)
+    # timings live in the envelope only, never in a results payload
+    code, rep = _json_report(["kgfr", "--p", "3", "--timings"], capsys)
+    assert code == 0 and isinstance(rep["timings_ms"], int)
+    assert "timings_ms" not in rep["results"]
 
 
 def test_text_mode_renders(capsys):
@@ -278,16 +297,21 @@ sys.path[:0] = [root + "/src", root + "/bench"]
 import frobsplit.cli as cli
 from spans import Tracer
 from workloads import WORKLOADS, queries
-Tracer().install()
+tracer = Tracer()
+tracer.install()
 first = {}
 for name in WORKLOADS:
     for q in queries(name, 1):
         first.setdefault(q["kind"], q["argv"])
+# the kappa module's spans, which no workload reaches
+first["catalog"] = ["catalog", "--case", "product:ordinary=false"]
+first["kappa"] = ["kappa", "--case", "ruled:g=2,d=3"]
 for argv in first.values():
     with contextlib.redirect_stdout(io.StringIO()):
         code, _ = cli.run(argv + ["--json"])
     assert code == 0, argv
 print(sorted(first))
+print(sorted(name for name in tracer.summary()["calls"] if name.startswith("kappa.")))
 """
 
 
@@ -300,3 +324,5 @@ def test_benchmark_tracer_installs_and_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "'supersingular'" in proc.stdout and "'kgfr'" in proc.stdout, proc.stdout
+    assert "'catalog'" in proc.stdout and "'kappa'" in proc.stdout, proc.stdout
+    assert "'kappa.check_superadditivity'" in proc.stdout, proc.stdout

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from frobsplit.kappa import (NEG_INF, CurveSectionGrowth, H0Interval,
-                             LegendreAnticanonical, RuledAnticanonical,
-                             TrivialBundleSections, check_superadditivity,
+from frobsplit.kappa import (CATALOG, NEG_INF, CurveSectionGrowth, H0Interval,
+                             RuledAnticanonical, check_superadditivity,
                              h0_curve, h0_ruled_anticanonical, kappa_estimate)
 
 
@@ -92,7 +91,7 @@ def test_ruled_parameter_validation():
 # -- kappa estimation --------------------------------------------------------------
 
 def test_kappa_trivial_examples():
-    res = kappa_estimate(TrivialBundleSections(), 10)
+    res = kappa_estimate(CurveSectionGrowth(1, 0, "trivial"), 10)
     assert res.value == 0 and res.certified
     res = kappa_estimate(CurveSectionGrowth(0, 2), 10)     # 2m + 1 sections
     assert res.value == 1 and res.certified
@@ -114,21 +113,26 @@ def test_kappa_ruled_certified_two():
     assert res.value == 2 and res.certified
 
 
-def test_kappa_data_driven_fallback():
-    res = kappa_estimate(lambda m: H0Interval(m, m * m, m * m), 10)
-    assert not res.certified
-    assert res.high == 2
-    res = kappa_estimate(lambda m: H0Interval(m, 0, 0), 10)
-    assert not res.certified and res.high == NEG_INF
+def test_kappa_empty_range_rejected():
     with pytest.raises(ValueError):
-        kappa_estimate(TrivialBundleSections(), 0)
+        kappa_estimate(CurveSectionGrowth(1, 0, "trivial"), 0)
+    with pytest.raises(ValueError):
+        check_superadditivity("ruled", 0)
 
 
 def test_legendre_h0_is_m_plus_1():
-    src = LegendreAnticanonical(5)
+    # -K_X = f^*O(1) on the Legendre surface
+    src = CurveSectionGrowth(0, 1)
     for m in range(1, 51):
         iv = src.h0(m)
         assert iv.lower == iv.upper == m + 1
+
+
+def test_product_and_elliptic_fiber_counts():
+    # -K = pr^*O(2) on (elliptic curve) x P^1; -K of an elliptic curve is trivial
+    for m in range(1, 51):
+        assert CurveSectionGrowth(0, 2).h0(m) == H0Interval(m, 2 * m + 1, 2 * m + 1)
+        assert CurveSectionGrowth(1, 0, "trivial").h0(m) == H0Interval(m, 1, 1)
 
 
 # -- the superadditivity catalog ----------------------------------------------------
@@ -165,13 +169,47 @@ def test_product_cases():
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         check_superadditivity("mystery")
+    # unknown keys, values of the wrong kind, and the retired aliases
+    for case_id, params, word in (("legendre", {"q": 7}, "'q'"),
+                                  ("legendre", {"m_max": 3}, "'m_max'"),
+                                  ("legendre", {"p": True}, "integer"),
+                                  ("ruled", {"d_D": 3}, "'d_D'"),
+                                  ("product", {"ordinary": 2}, "true or false"),
+                                  ("product-ordinary", {}, "product-ordinary")):
+        with pytest.raises(ValueError, match=word):
+            check_superadditivity(case_id, **params)
 
 
 def test_catalog_file_runs_clean():
-    from frobsplit.cli import load_catalog, _match_expectation
-    entries = load_catalog()
-    assert {e["case_id"] for e in entries} == {"legendre", "ruled", "product"}
-    for entry in entries:
-        rep = check_superadditivity(entry["case_id"], **entry["params"])
-        ok, problems = _match_expectation(rep, entry["expected"])
-        assert ok, (entry, problems)
+    from frobsplit.cli import _match_expectation
+    assert {row[0] for row in CATALOG} == {"legendre", "ruled", "product"}
+    for case_id, params, expected, basis in CATALOG:
+        rep = check_superadditivity(case_id, **params)
+        ok, problems = _match_expectation(rep, expected)
+        assert ok, (case_id, params, problems)
+
+
+# The reports of the CATALOG rows, in order: kappa of total space, fiber and
+# base; conclusive, inequality_holds, equality_observed; the flags.
+_PINNED = (
+    (("1", "0", "1"), (True, True, True), {"fiber_gfs": True, "kgfr": "KGFR"}),
+    (("2", "1", "-inf"), (True, False, False),
+     {"fixed_part_bounds": {"1": "2", "5": "7/5", "10": "7/5", "20": "7/5"},
+      "fixed_part_flag": True, "fixed_part_limit": Fraction(7, 5)}),
+    (("1", "0", "1"), (True, True, True),
+     {"base_gfr": "yes", "fiber_gfs": True, "kgfr": "KGFR"}),
+    (("1", "0", "1"), (True, True, True),
+     {"base_gfr": "yes", "fiber_gfs": False, "kgfr": "not-KGFR"}),
+)
+
+
+@pytest.mark.parametrize("row, pinned", zip(CATALOG, _PINNED, strict=True),
+                         ids=[row[0] + ":" + ",".join(f"{k}={v}" for k, v in row[1].items())
+                              for row in CATALOG])
+def test_catalog_row_reports(row, pinned):
+    kappas, verdict, flags = pinned
+    rep = check_superadditivity(row[0], **row[1])
+    assert (rep.kappa_total.describe(), rep.kappa_fiber.describe(),
+            rep.kappa_base.describe()) == kappas
+    assert (rep.conclusive, rep.inequality_holds, rep.equality_observed) == verdict
+    assert rep.hypothesis_flags == flags
