@@ -159,7 +159,8 @@ def quadratic_nonresidue(p: int) -> int:
 class ExtFieldElement:
     """An element a + b*t of F_{p^2} = F_p[t]/(t^2 - n), n = quadratic_nonresidue(p).
 
-    One model for every element: `upoly` reads the pair (a, b) in it too.
+    Outside field arithmetic the library holds a + b*t as the int pair
+    (a, b): `upoly`'s coefficients, roots and `gsplit.P1Point` values.
     """
 
     __slots__ = ("a", "b", "modulus")
@@ -295,26 +296,6 @@ class ExtFieldElement:
 AnyFieldElement = Union[FieldElement, ExtFieldElement]
 
 
-def lift_to_ext(x: AnyFieldElement | int, p: int) -> ExtFieldElement:
-    """Embed an F_p value into F_{p^2}."""
-    if isinstance(x, ExtFieldElement):
-        if x.modulus != p:
-            raise ValueError("modulus mismatch")
-        return x
-    if isinstance(x, FieldElement):
-        if x.modulus != p:
-            raise ValueError("modulus mismatch")
-        return ExtFieldElement(x.value, 0, p)
-    return ExtFieldElement(x, 0, p)
-
-
-def normalize_element(x: AnyFieldElement) -> AnyFieldElement:
-    """Drop an F_{p^2} element back to F_p when it actually lies there."""
-    if isinstance(x, ExtFieldElement) and x.is_base():
-        return x.to_base()
-    return x
-
-
 def require_p_free(q: Fraction, p: int) -> Fraction:
     """Raise ZpViolationError unless the denominator of q is prime to p."""
     q = Fraction(q)
@@ -329,22 +310,22 @@ def _small_binom(n: int, k: int, p: int) -> int:
     return math.comb(n, k) % p
 
 
-def binom_mod_p(n: int, k: int, p: int) -> FieldElement:
-    """C(n, k) mod p by base-p (Lucas) decomposition; 0 when k > n."""
+def binom_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p in [0, p) by base-p (Lucas) decomposition; 0 when k > n."""
     _check_modulus(p)
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be nonnegative")
     if k > n:
-        return FieldElement(0, p)
+        return 0
     r = 1
     while n or k:
         ni, ki = n % p, k % p
         if ki > ni:
-            return FieldElement(0, p)
+            return 0
         r = r * _small_binom(ni, ki, p) % p
         n //= p
         k //= p
-    return FieldElement(r, p)
+    return r
 
 
 def splitting_level(coeffs: Iterable[Fraction], p: int) -> int:

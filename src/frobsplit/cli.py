@@ -17,14 +17,14 @@ import sys
 import time
 
 from . import __version__
-from .arith import ZpViolationError, is_prime
+from .arith import FieldElement, ZpViolationError, is_prime
 from .elliptic import (hasse_closed, hasse_coeff, supersingular_report,
                        write_hasse_table)
 from .fedder import fpt_bounds, nu
 from .fibration import (DEFAULT_BIGRADED_PMAX, f_discriminant_legendre,
                         is_kgfr_legendre, prime_scan, total_space_gfs)
 from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, DoubleCover,
-                     P1Divisor, gfr_p1_bounded, gfs_bigraded_hypersurface,
+                     P1Divisor, P1Point, gfr_p1_bounded, gfs_bigraded_hypersurface,
                      gfs_cy_hypersurface, gfs_p1, parse_divisor, parse_point,
                      pushforward_splitting_check)
 from .kappa import (CATALOG, CurveSectionGrowth, case_params, check_superadditivity,
@@ -57,10 +57,12 @@ def _require_prime(p: int) -> int:
 
 
 def _parse_lambda(text: str, p: int):
+    """hasse's lambda as a field element: the one input the CLI does field
+    arithmetic on."""
     pt = parse_point(text, p)
     if pt.is_infinity:
         raise CliError("lambda must be finite")
-    return pt.value
+    return pt.element(p)
 
 
 def _divisor_payload(B: P1Divisor) -> list[dict]:
@@ -71,8 +73,8 @@ def _divisor_payload(B: P1Divisor) -> list[dict]:
 # -- subcommand handlers -------------------------------------------------------
 
 def _elt_str(x) -> str:
-    from .gsplit import P1Point
-    return str(P1Point(x))
+    """A field element in parse_point's notation."""
+    return str(P1Point((x.value, 0) if isinstance(x, FieldElement) else (x.a, x.b)))
 
 
 def _cmd_hasse(args) -> dict:
@@ -97,7 +99,6 @@ def _cmd_hasse(args) -> dict:
 
 
 def _cmd_supersingular(args) -> dict:
-    from .gsplit import P1Point
     p = _require_prime(args.p)
     rep = supersingular_report(p)
     payload = {
@@ -210,7 +211,10 @@ def _cmd_cover_check(args) -> dict:
     elif args.cover == "legendre":
         if args.lam is None:
             raise CliError("--lambda is required for the legendre cover")
-        cover = DoubleCover.legendre(int(args.lam), p)
+        lam = parse_point(args.lam, p).value
+        if lam is None or lam[1]:
+            raise CliError(f"lambda must lie in F_{p} for the legendre cover, got {args.lam!r}")
+        cover = DoubleCover.legendre(lam[0], p)
     else:
         raise CliError("--cover must be 'squaring' or 'legendre'")
     B = _divisor_from_args(args)
@@ -257,6 +261,8 @@ def _cmd_cbf(args) -> dict:
     # the same comparison as cbf_iii_check, from values already at hand
     p = _require_prime(args.p)
     e_max = _opt(args.emax, DEFAULT_EMAX)
+    if e_max < 1:
+        raise CliError("e_max must be >= 1")
     total = total_space_gfs(p, e_max=e_max,
                             pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
     base = gfs_p1(f_discriminant_legendre(p).divisor, e_max=e_max).is_yes

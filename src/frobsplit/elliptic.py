@@ -39,7 +39,7 @@ def _closed_form_coeffs(p: int) -> tuple[int, ...]:
     """Coefficients of the closed form: sign * C(m, i)^2 for i = 0..m."""
     m = (p - 1) // 2
     sign = 1 if m % 2 == 0 else p - 1
-    return tuple(sign * binom_mod_p(m, i, p).value ** 2 % p for i in range(m + 1))
+    return tuple(sign * binom_mod_p(m, i, p) ** 2 % p for i in range(m + 1))
 
 
 def hasse_closed(lam: LambdaLike, p: int) -> AnyFieldElement:
@@ -152,7 +152,7 @@ class LegendreCurve:
 class SupersingularReport:
     prime: int
     poly: MPoly                      # H_p, degree (p-1)/2 in lambda
-    roots: tuple[tuple[AnyFieldElement, int], ...]  # Lambda_p over F_{p^2}
+    roots: tuple[tuple[tuple[int, int], int], ...]  # Lambda_p over F_{p^2}, as in univ_roots
     squarefree: bool
 
     @property

@@ -42,7 +42,7 @@ def in_bracket_ideal(g: MPoly, q: int) -> bool:
 def _require_local_input(f: MPoly, e: int) -> None:
     if f.is_zero() or all(not any(exps) for exps in f.terms):
         raise ValueError("f must be nonconstant")
-    if not f.constant_term().is_zero():
+    if f.constant_term():
         raise ValueError("f must vanish at the origin (f(0) = 0)")
     if e < 1:
         raise ValueError("e must be >= 1")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import FieldElement
 from .elliptic import supersingular_report
 from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, GfsVerdict,
                      P1Divisor, P1Point, gfr_p1_bounded, gfs_p1,
@@ -62,7 +61,7 @@ def f_discriminant_legendre(p: int) -> FDiscriminantReport:
     table: list[tuple[P1Point, str]] = []
     root_points = {P1Point(r) for r, _ in rep.roots}
     for v in range(p):
-        pt = P1Point(FieldElement(v, p))
+        pt = P1Point((v, 0))
         if v in (0, 1):
             if pt in root_points:
                 raise RuntimeError("nodal parameter appeared in the supersingular locus")
@@ -129,8 +128,11 @@ def cbf_iii_check(p: int, e_max: int = DEFAULT_EMAX,
 
     Compares two independently implemented criteria; a False here flags a
     genuine discrepancy to investigate, never an auto-resolved condition.
-    None propagates an Unknown bigraded verdict.
+    None propagates an Unknown bigraded verdict.  With e_max < 1 neither
+    side tests a level, so that is refused rather than called a match.
     """
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
     total = total_space_gfs(p, e_max=e_max, pmax=pmax)
     if total is None:
         return None

@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
-                    _check_modulus, normalize_element, require_p_free,
-                    splitting_level)
+                    _check_modulus, require_p_free, splitting_level)
 from .fedder import _diagonal_coefficient, _pruned_power_survives
 from .mpoly import MPoly, univ_to_dense
 from .upoly import (UPoly, _boundary_poly, _from_dense, _udiv, _umul,
@@ -33,34 +32,18 @@ _ALL = "all"  # every finite perturbation centre fails (_perturbed_level)
 
 # -- points and divisors on P^1 ----------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class P1Point:
-    """A closed point of P^1: a finite value in F_p or F_{p^2}, or infinity.
-
-    Extension values with zero t-part normalize down to the prime field, so
-    the same geometric point always compares and hashes equal.
+    """A closed point of P^1: infinity (value None) or a finite value, the
+    pair (a, b) in [0, p)^2 for a + b*t in F_{p^2} (b = 0 on F_p; t as in
+    `arith.ExtFieldElement`).
     """
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: AnyFieldElement | None):
-        if value is not None:
-            value = normalize_element(value)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("P1Point is immutable")
+    value: tuple[int, int] | None
 
     @classmethod
     def infinity(cls) -> "P1Point":
         return cls(None)
-
-    @classmethod
-    def finite(cls, value: AnyFieldElement | int, p: int | None = None) -> "P1Point":
-        if isinstance(value, int):
-            if p is None:
-                raise ValueError("an integer point needs the prime")
-            value = FieldElement(value, p)
-        return cls(value)
 
     @property
     def is_infinity(self) -> bool:
@@ -68,24 +51,19 @@ class P1Point:
 
     @property
     def field_level(self) -> int:
-        if self.value is None or isinstance(self.value, FieldElement):
-            return 1
-        return 2
+        return 2 if self.value and self.value[1] else 1
 
     def sort_key(self):
+        """inf last, after F_p by value and then a+bt by (a, b)."""
         if self.value is None:
             return (2, 0, 0)
-        if isinstance(self.value, FieldElement):
-            return (0, self.value.value, 0)
-        return (1, self.value.a, self.value.b)
+        a, b = self.value
+        return (1 if b else 0, a, b)
 
-    def __eq__(self, other):
-        if not isinstance(other, P1Point):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(("P1Point", self.value))
+    def element(self, p: int) -> AnyFieldElement:
+        """The finite value as a field element, for field arithmetic."""
+        a, b = self.value
+        return ExtFieldElement(a, b, p) if b else FieldElement(a, p)
 
     def __repr__(self):
         return f"P1Point({self})"
@@ -93,9 +71,8 @@ class P1Point:
     def __str__(self):
         if self.value is None:
             return "inf"
-        if isinstance(self.value, FieldElement):
-            return str(self.value.value)
-        return f"{self.value.a}+{self.value.b}t"
+        a, b = self.value
+        return f"{a}+{b}t" if b else str(a)
 
 
 def parse_point(text: str, p: int) -> P1Point:
@@ -116,8 +93,8 @@ def parse_point(text: str, p: int) -> P1Point:
         b_str = b_str.rstrip("*")
         if b_str in ("", "-"):
             b_str += "1"
-        return P1Point(ExtFieldElement(int(a_str or "0"), int(b_str), p))
-    return P1Point(FieldElement(int(text), p))
+        return P1Point((int(a_str or "0") % p, int(b_str) % p))
+    return P1Point((int(text) % p, 0))
 
 
 class P1Divisor:
@@ -136,8 +113,8 @@ class P1Divisor:
         for point, c in entries:
             if not isinstance(point, P1Point):
                 raise TypeError("divisor entries need P1Point keys")
-            if point.value is not None and point.value.modulus != prime:
-                raise ValueError("point modulus mismatch")
+            if point.value is not None and not all(0 <= x < prime for x in point.value):
+                raise ValueError(f"point coordinates {point.value} outside [0, {prime})")
             c = require_p_free(Fraction(c), prime)
             c = acc.get(point, Fraction(0)) + c
             if c:
@@ -329,7 +306,7 @@ def _centre_at(i: int, p: int) -> P1Point:
     """The i-th centre of P^1(F_{p^2}) in the family order: inf, F_p by value,
     a+bt by (b, a); a + b*t is centre 1 + p*b + a."""
     b, a = divmod(i - 1, p)
-    return P1Point(ExtFieldElement(a, b, p) if i else None)
+    return P1Point((a, b) if i else None)
 
 
 def _perturbed_level(q: int, finite_parts, n_inf: int, p: int):
@@ -553,21 +530,17 @@ class DoubleCover:
         return cls(MPoly.variable(0, 1, p), name="x -> x^2")
 
     @classmethod
-    def legendre(cls, lam: int | AnyFieldElement, p: int) -> "DoubleCover":
-        if isinstance(lam, int):
-            lam = FieldElement(lam, p)
-        if lam == 0 or lam == 1:
-            raise ValueError("lambda in {0, 1} does not give a smooth double cover")
-        if isinstance(lam, ExtFieldElement):
-            raise ValueError("the branch polynomial must have F_p coefficients")
-        lv = lam.value
+    def legendre(cls, lam: int, p: int) -> "DoubleCover":
         x = MPoly.variable(0, 1, p)
+        lv = lam % p
+        if lv in (0, 1):
+            raise ValueError("lambda in {0, 1} does not give a smooth double cover")
         return cls(x * (x - 1) * (x - lv), name=f"legendre lambda={lv}")
 
     def is_branch_value(self, point: P1Point) -> bool:
         if point.is_infinity:
             return self.branched_at_infinity
-        return self.branch_poly.eval_univariate(point.value).is_zero()
+        return self.branch_poly.eval_univariate(point.element(self.prime)).is_zero()
 
 
 @dataclass(frozen=True)
@@ -627,15 +600,16 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
                   (cover.branched_at_infinity and 2 * b_inf == 1)
     gz_parts = []
     gy_parts = []
-    ext = any(isinstance(elt, ExtFieldElement) for elt, _ in finite_parts)
+    ext = any(b for (_, b), _ in finite_parts)
     branch_in_support = 0
     for elt, n in finite_parts:
         gy_parts.append((elt, n))
-        if cover.is_branch_value(P1Point(elt)):
+        point = P1Point(elt)
+        if cover.is_branch_value(point):
             branch_in_support += 1
             m = 2 * n - (q - 1)  # multiplicity of the ramification point, doubled
             if m < 0:
-                raise ValueError(f"source boundary not effective over {elt!r}")
+                raise ValueError(f"source boundary not effective over {point.element(p)!r}")
             if m % 2 == 1:
                 raise ValueError("odd ramification multiplicity; not representable")
             if m:

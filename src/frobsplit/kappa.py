@@ -128,11 +128,15 @@ class RuledAnticanonical:
         return 2 * self.g - 2 + self.d_D
 
     def h0(self, m: int) -> H0Interval:
-        lo = hi = 0
-        for k in range(2 * m + 1):
-            iv = h0_curve(self.g, m * self.d_D - k * self.twist, None, m)
-            lo += iv.lower
-            hi += iv.upper
+        """The ladder in O(1): rung k has degree m*deg(D) - k*t, and t > 2g-2,
+        so at most one rung lies in the band 0..2g-2.  The n rungs above it
+        count degree + 1 - g each, an arithmetic series; those below it, 0."""
+        g, t, top = self.g, self.twist, m * self.d_D
+        n = max(0, (top - (2 * g - 2) - 1) // t + 1)
+        lo = hi = n * (top + 1 - g) - t * n * (n - 1) // 2
+        if top - n * t >= 0:
+            iv = h0_curve(g, top - n * t, None, m)
+            lo, hi = lo + iv.lower, hi + iv.upper
         return H0Interval(m, lo, hi)
 
     def k_max(self, m: int) -> int:

@@ -166,11 +166,11 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exps: Sequence[int]) -> FieldElement:
+    def coeff(self, exps: Sequence[int]) -> int:
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError(f"exponent vector {exps} has wrong arity")
-        return FieldElement(self.terms.get(exps, 0), self.p)
+        return self.terms.get(exps, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -183,8 +183,8 @@ class MPoly:
             return -1
         return max(sum(e[i] for i in var_indices) for e in self.terms)
 
-    def constant_term(self) -> FieldElement:
-        return FieldElement(self.terms.get((0,) * self.nvars, 0), self.p)
+    def constant_term(self) -> int:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def is_homogeneous_on(self, var_indices: Sequence[int]) -> bool:
         degs = {sum(e[i] for i in var_indices) for e in self.terms}

@@ -9,9 +9,9 @@ Two representations, neither holding field objects:
   (a, b) of such ints meaning a + b*t with t^2 = quadratic_nonresidue(p),
   the t of ExtFieldElement.  Products and Frobenius-powered products.
 
-Outside `arith.ExtFieldElement`, this module is the one place that reads
-(a, b) as a + b*t.  Field objects are built only for the roots `univ_roots`
-returns.
+Roots and boundary points are such pairs too, with b = 0 on F_p.  Outside
+`arith.ExtFieldElement`, this module is the one place that multiplies
+(a, b) as a + b*t.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
 
-from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
-                    quadratic_nonresidue)
+from .arith import quadratic_nonresidue
 
 
 # -- dense F_p[x] ------------------------------------------------------------
@@ -205,12 +204,12 @@ def _split_quadratics(g: list[int], big_x: list[int], p: int) -> list[tuple[int,
     return done
 
 
-def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[AnyFieldElement, int]]:
-    """Roots of f = sum dense[i] x^i with multiplicities, over F_p (level 1)
-    or F_{p^2} (level 2).
+def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[tuple[int, int], int]]:
+    """Roots ((a, b), multiplicity) of f = sum dense[i] x^i, over F_p
+    (level 1) or F_{p^2} (level 2); (a, b) is a + b*t with a, b in [0, p).
 
-    F_p roots come first, ascending; then conjugate pairs, sorted by (b, a)
-    with 1 <= b <= (p-1)/2, each given as a + b*t and then a - b*t.
+    F_p roots (b = 0) come first, ascending; then conjugate pairs, sorted by
+    (b, a) with 1 <= b <= (p-1)/2, each given as (a, b) and then (a, p - b).
 
     With X = x^p mod f (`_Residues`), g1 = gcd(f, X - x) is the product of
     the distinct linear factors; its roots are found by evaluating it at
@@ -247,7 +246,7 @@ def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[AnyFieldE
     g12 = g1 if level == 1 else _dense_gcd(monic, _dense_sub(ring.pow(big_x, p), x, p), p)
     rest = _dense_divmod(monic, g12, p)[0]
 
-    roots: list[tuple[AnyFieldElement, int]] = []
+    roots: list[tuple[tuple[int, int], int]] = []
     lin = g1
     for r in range(p):
         if len(lin) <= 1:
@@ -255,7 +254,7 @@ def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[AnyFieldE
         if reduce(lambda acc, c: (acc * r + c) % p, reversed(lin), 0) == 0:
             lin = _dense_divmod(lin, [-r % p, 1], p)[0]
             mult, rest = _multiplicity(rest, [-r % p, 1], p)
-            roots.append((FieldElement(r, p), mult + 1))
+            roots.append(((r, 0), mult + 1))
     if len(g12) == len(g1):
         return roots
 
@@ -268,8 +267,7 @@ def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[AnyFieldE
         mult, rest = _multiplicity(rest, [c, s, 1], p)
         pairs.append((root_of[(a * a - c) * inv_n % p], a, mult + 1))
     for b, a, mult in sorted(pairs):
-        roots.append((ExtFieldElement(a, b, p), mult))
-        roots.append((ExtFieldElement(a, -b, p), mult))
+        roots += [((a, b), mult), ((a, p - b), mult)]
     return roots
 
 
@@ -365,19 +363,19 @@ def _upow_frobenius(f: UPoly, n: int, p: int, ext: bool) -> UPoly:
     return reduce(lambda a, b: _umul(a, b, p, ext), pieces)
 
 
-def _boundary_poly(finite_parts: Sequence[tuple[AnyFieldElement, int]], p: int,
+def _boundary_poly(finite_parts: Sequence[tuple[tuple[int, int], int]], p: int,
                    ext: bool | None = None) -> UPoly:
-    """prod (x - lambda_i)^(n_i), grouped by exponent for Frobenius powering.
+    """prod (x - lambda_i)^(n_i) for parts ((a_i, b_i), n_i), lambda_i = a_i + b_i*t,
+    grouped by exponent for Frobenius powering.
 
-    Over F_{p^2} when ext is set, or by default when some lambda_i is there.
+    Over F_{p^2} when ext is set, or by default when some b_i is nonzero.
     """
     if ext is None:
-        ext = any(isinstance(elt, ExtFieldElement) for elt, _ in finite_parts)
+        ext = any(b for (_, b), _ in finite_parts)
     by_n: dict[int, UPoly] = {}
-    for elt, n in finite_parts:
+    for (a, b), n in finite_parts:
         if n == 0:
             continue
-        a, b = (elt.a, elt.b) if isinstance(elt, ExtFieldElement) else (elt.value, 0)
         u = {1: _uone(ext)}
         if a or b:
             u[0] = (-a % p, -b % p) if ext else -a % p

@@ -6,6 +6,9 @@ import sys
 from pathlib import Path
 
 from frobsplit.cli import build_parser, main, run
+from frobsplit.elliptic import (_closed_form_coeffs, hasse_closed_symbolic,
+                                hasse_coeff_symbolic, supersingular_report)
+from frobsplit.fibration import f_discriminant_legendre
 from frobsplit.mpoly import parse_poly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -112,6 +115,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,y z"],
         # a branch point of the cover outside the divisor's support
         ["cover-check", "--p", "11", "--cover", "squaring", "--divisor", "1/2@inf,1/2@1"],
+        # no level to test: neither side of the comparison would test one
+        ["cbf", "--p", "7", "--emax", "0"],
+        ["cbf", "--p", "7", "--emax", "-1"],
         # case parameters a case does not read, of the wrong kind, or repeated
         ["kappa", "--case", "legendre:q=7"],
         ["catalog", "--case", "legendre:prime=7"],
@@ -126,6 +132,12 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the Legendre cover's lambda is a point of F_p
+    for lam in ("2+t", "3+4t", "inf"):
+        assert main(["cover-check", "--p", "7", "--cover", "legendre", "--lambda", lam,
+                     "--divisor", "1/2@0,1/2@1,1/2@inf"]) == 1, lam
+        err = capsys.readouterr().err
+        assert err == f"error: lambda must lie in F_7 for the legendre cover, got {lam!r}\n"
 
 
 def test_closed_stdout_pipe_exits_without_traceback():
@@ -226,6 +238,31 @@ def test_cbf_subcommand(capsys):
     code, rep = _json_report(["cbf", "--p", "5"], capsys)
     assert code == 0
     assert rep["results"]["match"] is True
+
+
+def test_decision_commands_build_no_field_elements(field_elements_built, capsys):
+    # points, roots, binomials and coefficients are ints and int pairs: field
+    # objects are built only where field arithmetic happens (hasse, the
+    # cover's branch test, point counts), never on these paths
+    for cached in (supersingular_report, f_discriminant_legendre, hasse_closed_symbolic,
+                   hasse_coeff_symbolic, _closed_form_coeffs):
+        cached.cache_clear()
+    for argv in (
+        ["kgfr", "--p", "13"],
+        ["fdisc", "--p", "29"],
+        ["supersingular", "--p", "61"],
+        ["gfs-p1", "--p", "7", "--divisor", "1/2@1+3t,1/4@6,1/2@inf,1/2@4+3t,1/4@3+4t"],
+        ["gfr-p1", "--p", "5", "--divisor", "1/3@2+4t,1/3@3,1/3@inf,1/6@3+4t"],
+        ["gfs-cy", "--p", "7", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z"],
+        ["gfs-bigraded", "--p", "5", "--poly", "x*y*u + y*z*v", "--vars", "x,y,z,u,v",
+         "--groups", "3,2"],
+        ["cbf", "--p", "11"],
+        ["fpt", "--p", "5", "--poly", "y^2 - x^3", "--vars", "x,y"],
+        ["fedder-nu", "--p", "7", "--poly", "x^2 + y^3", "--vars", "x,y", "--e", "2"],
+    ):
+        assert run(argv + ["--json"])[0] == 0, argv
+        assert field_elements_built == [], argv
+    capsys.readouterr()
 
 
 def test_kappa_subcommand(capsys):

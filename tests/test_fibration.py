@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from frobsplit.arith import is_prime
 from frobsplit.elliptic import supersingular_report
 from frobsplit.fedder import _pruned_power_survives
@@ -106,6 +108,10 @@ def test_cbf_equivalence():
     for p in (3, 5, 7, 13):
         assert cbf_iii_check(p) is True, p
     assert cbf_iii_check(17, pmax=13) is None
+    # with no level to test neither side decides anything: no "match"
+    for e_max in (0, -1):
+        with pytest.raises(ValueError, match="e_max must be >= 1"):
+            cbf_iii_check(7, e_max)
 
 
 def test_total_space_matches_base_couple():

@@ -53,12 +53,13 @@ def test_ruled_m1_positivity():
 
 
 def test_ruled_ladder_matches_oracle():
-    for m in (1, 2, 3, 5, 10, 20):
-        iv = h0_ruled_anticanonical(2, 3, m)
-        assert (iv.lower, iv.upper) == _ladder_oracle(2, 3, m)
-    for m in (1, 4, 9):
-        iv = h0_ruled_anticanonical(3, 5, m)
-        assert (iv.lower, iv.upper) == _ladder_oracle(3, 5, m)
+    # the closed form against the rung-by-rung sum, over the smallest valid
+    # deg D = 2g - 1 and a few above it, where the band rung varies with m
+    for g in range(2, 7):
+        for d_D in range(2 * g - 1, 2 * g + 5):
+            for m in range(1, 101):
+                iv = h0_ruled_anticanonical(g, d_D, m)
+                assert (iv.lower, iv.upper) == _ladder_oracle(g, d_D, m), (g, d_D, m)
 
 
 def test_ruled_quadratic_growth():
