@@ -1,5 +1,6 @@
 """Exact arithmetic over F_p and F_{p^2}, p-integral rationals, binomials mod p.
 
+F_p is the b = 0 part of F_{p^2}, so every field operation is written once.
 Characteristic 2 is excluded throughout: every construction here assumes an
 odd prime modulus p >= 3.
 """
@@ -38,104 +39,6 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
 
 
-class FieldElement:
-    """An element of the prime field F_p, stored reduced to [0, p)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _check_modulus(modulus)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "value", value % modulus)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        return FieldElement(pow(self.value, exp, self.modulus), self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"F{self.modulus}({self.value})"
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def frobenius(self) -> "FieldElement":
-        return self  # x^p = x on F_p
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """Quadratic character of a mod p, with chi(0) = 0."""
     _check_modulus(p)
@@ -156,111 +59,174 @@ def quadratic_nonresidue(p: int) -> int:
     return n
 
 
-class ExtFieldElement:
-    """An element a + b*t of F_{p^2} = F_p[t]/(t^2 - n), n = quadratic_nonresidue(p).
+def _times(a1: int, b1: int, a2: int, b2: int, p: int) -> tuple[int, int]:
+    """(a1 + b1*t)(a2 + b2*t), unreduced; t^2 = quadratic_nonresidue(p)."""
+    return a1 * a2 + quadratic_nonresidue(p) * b1 * b2, a1 * b2 + b1 * a2
 
-    Outside field arithmetic the library holds a + b*t as the int pair
-    (a, b): `upoly`'s coefficients, roots and `gsplit.P1Point` values.
+
+def _inverse(a: int, b: int, p: int) -> tuple[int, int]:
+    """(a + b*t)^-1 = (a - b*t) / (a^2 - n*b^2), for a + b*t != 0."""
+    norm = (a * a - quadratic_nonresidue(p) * b * b) % p
+    if norm == 0:
+        raise ZeroDivisionError("inverse of zero")
+    inv = pow(norm, -1, p)
+    return a * inv, -b * inv
+
+
+class _Element:
+    """a + b*t in F_{p^2} = F_p[t]/(t^2 - n), n = quadratic_nonresidue(p), with
+    a, b in [0, p); F_p is the part b = 0, held by `FieldElement`.
+
+    Every operator is written once, here, and builds one element for its
+    result: a `FieldElement` from two FieldElements or from one and an int,
+    an `ExtFieldElement` otherwise.  Elsewhere the library holds a + b*t as
+    the int pair (a, b): upoly coefficients, roots, `gsplit.P1Point` values.
     """
 
     __slots__ = ("a", "b", "modulus")
 
-    def __init__(self, a: int, b: int, modulus: int):
-        _check_modulus(modulus)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "a", a % modulus)
-        object.__setattr__(self, "b", b % modulus)
-
     def __setattr__(self, name, val):
-        raise AttributeError("ExtFieldElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _coerce(self, other) -> "ExtFieldElement":
-        if isinstance(other, ExtFieldElement):
+    def _operand(self, other):
+        """(a, b, result class) for an int or element operand, None for any other."""
+        if isinstance(other, _Element):
             if other.modulus != self.modulus:
-                raise ValueError("extension field mismatch")
-            return other
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return ExtFieldElement(other.value, 0, self.modulus)
-        if isinstance(other, int):
-            return ExtFieldElement(other, 0, self.modulus)
-        return NotImplemented
+                raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
+            return other.a, other.b, type(self) if type(other) is type(self) else ExtFieldElement
+        return (other, 0, type(self)) if isinstance(other, int) else None
+
+    def _new(self, cls, a: int, b: int):
+        """The result; +, - and * build it inline, one call fewer on their hot path."""
+        p = self.modulus
+        return FieldElement(a, p) if cls is FieldElement else ExtFieldElement(a, b, p)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return ExtFieldElement(self.a + o.a, self.b + o.b, self.modulus)
+        a, b, cls = o
+        a, b, p = self.a + a, self.b + b, self.modulus
+        return FieldElement(a, p) if cls is FieldElement else ExtFieldElement(a, b, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return ExtFieldElement(self.a - o.a, self.b - o.b, self.modulus)
+        a, b, cls = o
+        a, b, p = self.a - a, self.b - b, self.modulus
+        return FieldElement(a, p) if cls is FieldElement else ExtFieldElement(a, b, p)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return o - self
+        a, b, cls = o
+        return self._new(cls, a - self.a, b - self.b)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        p = self.modulus
-        a = (self.a * o.a + self.b * o.b % p * quadratic_nonresidue(p)) % p
-        b = (self.a * o.b + self.b * o.a) % p
-        return ExtFieldElement(a, b, p)
+        a, b, cls = o
+        p, sa, sb = self.modulus, self.a, self.b
+        a, b = sa * a + quadratic_nonresidue(p) * sb * b, sa * b + sb * a
+        return FieldElement(a, p) if cls is FieldElement else ExtFieldElement(a, b, p)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ExtFieldElement(-self.a, -self.b, self.modulus)
-
-    def norm(self) -> FieldElement:
-        """a^2 - n*b^2, the norm down to F_p."""
-        p = self.modulus
-        return FieldElement(self.a * self.a - quadratic_nonresidue(p) * self.b * self.b, p)
-
-    def inverse(self) -> "ExtFieldElement":
-        nv = self.norm()
-        if nv.is_zero():
-            raise ZeroDivisionError("inverse of zero in F_{p^2}")
-        ninv = nv.inverse().value
-        p = self.modulus
-        return ExtFieldElement(self.a * ninv, -self.b * ninv, p)
-
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return self * o.inverse()
+        a, b, cls = o
+        p = self.modulus
+        return self._new(cls, *_times(self.a, self.b, *_inverse(a, b, p), p))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return o * self.inverse()
+        a, b, cls = o
+        p = self.modulus
+        return self._new(cls, *_times(a, b, *_inverse(self.a, self.b, p), p))
+
+    def __neg__(self):
+        return self._new(type(self), -self.a, -self.b)
 
     def __pow__(self, exp: int):
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        result = ExtFieldElement(1, 0, self.modulus)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
+        p = self.modulus
+        a, b = _inverse(self.a, self.b, p) if exp < 0 else (self.a, self.b)
+        r = 1, 0
+        for bit in bin(abs(exp))[2:]:
+            r = [c % p for c in _times(*r, *r, p)]
+            if bit == "1":
+                r = _times(*r, a, b, p)
+        return self._new(type(self), *r)
 
-    def frobenius(self) -> "ExtFieldElement":
-        """x -> x^p; on F_{p^2} this is conjugation a + bt -> a - bt."""
-        return ExtFieldElement(self.a, -self.b, self.modulus)
+    def inverse(self):
+        return self._new(type(self), *_inverse(self.a, self.b, self.modulus))
+
+    def frobenius(self):
+        """x -> x^p: conjugation a + bt -> a - bt, the identity on F_p."""
+        return self._new(type(self), self.a, -self.b)
+
+    def norm(self) -> "FieldElement":
+        """x * frobenius(x) = a^2 - n*b^2, in F_p."""
+        return FieldElement(_times(self.a, self.b, self.a, -self.b, self.modulus)[0], self.modulus)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.b == 0 and self.a == other % self.modulus
+        if isinstance(other, _Element):
+            return (self.a, self.b, self.modulus) == (other.a, other.b, other.modulus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.modulus))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def is_zero(self) -> bool:
+        return not (self.a or self.b)
+
+
+# the slots' own setters, past the __setattr__ that keeps elements immutable
+_set_a, _set_b, _set_modulus = _Element.a.__set__, _Element.b.__set__, _Element.modulus.__set__
+
+
+class FieldElement(_Element):
+    """An element of the prime field F_p: the b = 0 part of `_Element`."""
+
+    __slots__ = ()
+
+    def __init__(self, value: int, modulus: int):
+        _check_modulus(modulus)
+        _set_modulus(self, modulus)
+        _set_a(self, value % modulus)
+        _set_b(self, 0)
+
+    @property
+    def value(self) -> int:
+        return self.a
+
+    def __repr__(self):
+        return f"F{self.modulus}({self.a})"
+
+
+class ExtFieldElement(_Element):
+    """An element a + b*t of F_{p^2} = F_p[t]/(t^2 - n), n = quadratic_nonresidue(p)."""
+
+    __slots__ = ()
+
+    def __init__(self, a: int, b: int, modulus: int):
+        _check_modulus(modulus)
+        _set_modulus(self, modulus)
+        _set_a(self, a % modulus)
+        _set_b(self, b % modulus)
 
     def is_base(self) -> bool:
         return self.b == 0
@@ -269,25 +235,6 @@ class ExtFieldElement:
         if self.b != 0:
             raise ValueError(f"{self!r} does not lie in the prime field")
         return FieldElement(self.a, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, ExtFieldElement):
-            return (self.a, self.b, self.modulus) == (other.a, other.b, other.modulus)
-        if isinstance(other, (FieldElement, int)):
-            o = self._coerce(other)
-            return self == o
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash((self.a, self.modulus))  # agrees with FieldElement when b = 0
-        return hash((self.a, self.b, self.modulus))
-
-    def __bool__(self):
-        return not (self.a == 0 and self.b == 0)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __repr__(self):
         return f"F{self.modulus}^2({self.a}+{self.b}t)"

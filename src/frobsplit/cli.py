@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .arith import FieldElement, ZpViolationError, is_prime
+from .arith import ZpViolationError, is_prime
 from .elliptic import (hasse_closed, hasse_coeff, supersingular_report,
                        write_hasse_table)
 from .fedder import fpt_bounds, nu
@@ -74,7 +74,7 @@ def _divisor_payload(B: P1Divisor) -> list[dict]:
 
 def _elt_str(x) -> str:
     """A field element in parse_point's notation."""
-    return str(P1Point((x.value, 0) if isinstance(x, FieldElement) else (x.a, x.b)))
+    return str(P1Point((x.a, x.b)))
 
 
 def _cmd_hasse(args) -> dict:
@@ -135,7 +135,7 @@ def _poly_from_args(args):
     p = _require_prime(args.p)
     if not args.poly or not args.vars:
         raise CliError("--poly and --vars are required")
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
+    names = [v.strip() for v in args.vars.split(",")]
     try:
         return parse_poly(args.poly, names, p), names
     except PolyParseError as exc:
@@ -194,13 +194,14 @@ def _cmd_gfs_bigraded(args) -> dict:
     f, names = _poly_from_args(args)
     if not args.groups:
         raise CliError("--groups is required, e.g. --groups 3,2")
-    groups = tuple(int(x) for x in args.groups.split(","))
-    if len(groups) != 2:
-        raise CliError("--groups needs exactly two sizes")
+    try:
+        g1, g2 = (int(x) for x in args.groups.split(","))
+    except ValueError:
+        raise CliError(f"--groups needs two integer sizes, got {args.groups!r}") from None
     return {
         "poly": format_poly(f, names),
-        "groups": list(groups),
-        "split": gfs_bigraded_hypersurface(f, groups, _opt(args.e, 1)),
+        "groups": [g1, g2],
+        "split": gfs_bigraded_hypersurface(f, (g1, g2), _opt(args.e, 1)),
     }
 
 

@@ -22,8 +22,8 @@ from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, require_p_free, splitting_level)
 from .fedder import _diagonal_coefficient, _pruned_power_survives
 from .mpoly import MPoly, univ_to_dense
-from .upoly import (UPoly, _boundary_poly, _from_dense, _udiv, _umul,
-                    _upow_frobenius, univ_squarefree)
+from .upoly import (UPoly, _boundary_poly, _udiv, _umul, _upow_frobenius,
+                    univ_squarefree)
 
 DEFAULT_EMAX = 2
 DEFAULT_POINT_BUDGET = 20000
@@ -335,7 +335,7 @@ def _perturbed_level(q: int, finite_parts, n_inf: int, p: int):
                 return None, inf_ok  # c_k is a nonzero constant
             continue
         # c_k = low - s*lead vanishes at s = low/lead = a + bt, centre 1 + p*b + a
-        a, b = _udiv(low or 0, lead, p)
+        a, b = _udiv(low or (0, 0), lead, p)
         roots.add(1 + p * b + a)
     if not roots:
         return _ALL, inf_ok
@@ -483,6 +483,8 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
     so it splits).
     """
     g1, g2 = groups
+    if g1 < 1 or g2 < 1:
+        raise ValueError(f"each variable group needs at least one variable, got {g1}, {g2}")
     if g1 + g2 != F.nvars:
         raise ValueError("variable groups do not partition the variables")
     idx1, idx2 = range(g1), range(g1, g1 + g2)
@@ -573,15 +575,15 @@ def _routes_agree(lhs_core: UPoly, g_y: UPoly, q: int, degree_range: int) -> tup
     return (True, degree_range) if first_bad is None else (False, first_bad + 1)
 
 
-def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
-                                degree_range: int | None = None) -> CoverCheckReport:
+def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor,
+                                e: int) -> CoverCheckReport:
     """Verify trace compatibility through a separable double cover.
 
     The source boundary is pullback(B_target) - ramification, which must be
     effective.  On the chart the source trace of a section a(x) + b(x)y is
     pick(a * f^((q-1)/2)) + y*pick(b) with pick the level-e coefficient
     selector, and the cover trace is a + by -> 2a.  The check compares, on
-    every basis monomial in the tested degree range, the source-trace-then-
+    every basis monomial x^i, i < 2q, the source-trace-then-
     cover-trace composite against cover-trace-then-target-trace, and also
     reports the induced (source couple, target couple) splitting verdicts,
     which the pushforward correspondence says must agree.
@@ -600,7 +602,6 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
                   (cover.branched_at_infinity and 2 * b_inf == 1)
     gz_parts = []
     gy_parts = []
-    ext = any(b for (_, b), _ in finite_parts)
     branch_in_support = 0
     for elt, n in finite_parts:
         gy_parts.append((elt, n))
@@ -625,18 +626,17 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor, e: int,
         raise ValueError("source boundary not effective over a branch point "
                          "outside the divisor's support")
 
-    g_y = _boundary_poly(gy_parts, p, ext)
-    g_z = _boundary_poly(gz_parts, p, ext)
-    f_half = _upow_frobenius(_from_dense(cover.branch_dense, ext), half, p, ext)
-    lhs_core = _umul(g_z, f_half, p, ext)
+    g_y = _boundary_poly(gy_parts, p)
+    g_z = _boundary_poly(gz_parts, p)
+    branch = {i: (c, 0) for i, c in enumerate(cover.branch_dense) if c}
+    f_half = _upow_frobenius(branch, half, p)
+    lhs_core = _umul(g_z, f_half, p)
 
-    if degree_range is None:
-        degree_range = 2 * q
     # On x^i * y monomials both composites vanish identically: the source
     # boundary equation has even y-parity, so the source trace output keeps
     # the factor y and the cover trace kills it, while the cover trace kills
     # x^i * y outright on the other route.  Only the x^i line needs comparing.
-    agree, tested = _routes_agree(lhs_core, g_y, q, degree_range)
+    agree, tested = _routes_agree(lhs_core, g_y, q, 2 * q)
 
     target_gfs, _ = gfs_p1_level(B_target, e)
     source_gfs: Optional[bool] = None

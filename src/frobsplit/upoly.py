@@ -4,14 +4,13 @@ Two representations, neither holding field objects:
 
 * dense F_p[x]: a list c[0..deg] of ints in [0, p) with a nonzero last
   entry; [] is zero.  Gcds, products mod a polynomial and root finding.
-* sparse UPoly: a map degree -> nonzero coefficient.  Over F_p (ext False) a
-  coefficient is an int in [0, p); over F_{p^2} (ext True) it is a pair
-  (a, b) of such ints meaning a + b*t with t^2 = quadratic_nonresidue(p),
-  the t of ExtFieldElement.  Products and Frobenius-powered products.
+* sparse UPoly: a map degree -> nonzero coefficient, the pair (a, b) of
+  ints in [0, p) meaning a + b*t with t^2 = quadratic_nonresidue(p), the t
+  of ExtFieldElement; F_p is the case b = 0.  Products and
+  Frobenius-powered products.
 
-Roots and boundary points are such pairs too, with b = 0 on F_p.  Outside
-`arith.ExtFieldElement`, this module is the one place that multiplies
-(a, b) as a + b*t.
+Roots and boundary points are such pairs too.  Outside `arith`'s field
+elements, this module is the one place that multiplies (a, b) as a + b*t.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
 
-from .arith import quadratic_nonresidue
+from .arith import _inverse, _times, quadratic_nonresidue
 
 
 # -- dense F_p[x] ------------------------------------------------------------
@@ -271,42 +270,30 @@ def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[tuple[int
     return roots
 
 
-# -- sparse maps over F_p / F_{p^2} ------------------------------------------
+# -- sparse maps over F_{p^2} ------------------------------------------------
 
 UPoly = dict
 
 
-def _uone(ext: bool):
-    return (1, 0) if ext else 1
+def _udiv(u: tuple[int, int], v: tuple[int, int], p: int) -> tuple[int, int]:
+    """u/v for coefficients u and v != 0."""
+    a, b = _times(*u, *_inverse(*v, p), p)
+    return a % p, b % p
 
 
-def _from_dense(dense: list[int], ext: bool) -> UPoly:
-    """A dense F_p list as a UPoly, over F_{p^2} when ext is set."""
-    return {i: (c, 0) if ext else c for i, c in enumerate(dense) if c}
-
-
-def _udiv(u, v, p: int) -> tuple[int, int]:
-    """u/v as a pair (a, b), for coefficients u and v != 0 of either kind."""
-    (a1, b1), (a2, b2) = (c if isinstance(c, tuple) else (c, 0) for c in (u, v))
-    n = quadratic_nonresidue(p)
-    inv = pow(a2 * a2 - n * b2 * b2, -1, p)
-    return (a1 * a2 - n * b1 * b2) * inv % p, (b1 * a2 - a1 * b2) * inv % p
-
-
-def _umul(f: UPoly, g: UPoly, p: int, ext: bool) -> UPoly:
+def _umul(f: UPoly, g: UPoly, p: int) -> UPoly:
     """f*g: unreduced products are summed per degree and reduced once.
 
-    Over F_{p^2}, a + bt is packed as the int a + b*2^K, so one int product
-    holds a1a2, a1b2 + b1a2 and b1b2 in K-bit slots.  A degree sums at most
-    one product per term of the shorter factor, and K is wide enough for
-    that many; t^2 = n then folds the third slot into the first.
+    A coefficient a + bt is packed as the int a + b*2^K, so one int product
+    holds a1a2, a1b2 + b1a2 and b1b2 in K-bit slots (over F_p, where every
+    b is 0, it is the int product a1a2).  A degree sums at most one product
+    per term of the shorter factor, and K is wide enough for that many;
+    t^2 = n then folds the third slot into the first.
     """
     small, big = (f, g) if len(f) <= len(g) else (g, f)
-    if ext:
-        K = (2 * len(small) * (p - 1) ** 2).bit_length()
-        small = {d: a | b << K for d, (a, b) in small.items()}
-        big = {d: a | b << K for d, (a, b) in big.items()}
-    big = list(big.items())
+    K = (2 * len(small) * (p - 1) ** 2).bit_length()
+    small = {d: a | b << K for d, (a, b) in small.items()}
+    big = [(d, a | b << K) for d, (a, b) in big.items()]
     acc: dict = {}
     get = acc.get
     for d1, c1 in small.items():
@@ -314,73 +301,60 @@ def _umul(f: UPoly, g: UPoly, p: int, ext: bool) -> UPoly:
             d = d1 + d2
             acc[d] = get(d, 0) + c1 * c2
     # reduced in place: a second map would double the peak memory
-    if ext:
-        n, mask, zero = quadratic_nonresidue(p), (1 << K) - 1, (0, 0)
-        for d, v in acc.items():
-            acc[d] = ((v & mask) + n * (v >> 2 * K)) % p, (v >> K & mask) % p
-    else:
-        zero = 0
-        for d, v in acc.items():
-            acc[d] = v % p
-    for d in [d for d, c in acc.items() if c == zero]:
+    n, mask = quadratic_nonresidue(p), (1 << K) - 1
+    for d, v in acc.items():
+        acc[d] = ((v & mask) + n * (v >> 2 * K)) % p, (v >> K & mask) % p
+    for d in [d for d, c in acc.items() if c == (0, 0)]:
         del acc[d]
     return acc
 
 
-def _upow_small(f: UPoly, k: int, p: int, ext: bool) -> UPoly:
-    result: UPoly = {0: _uone(ext)}
+def _upow_small(f: UPoly, k: int, p: int) -> UPoly:
+    result: UPoly = {0: (1, 0)}
     base = f
     while k:
         if k & 1:
-            result = _umul(result, base, p, ext)
+            result = _umul(result, base, p)
         k >>= 1
         if k:
-            base = _umul(base, base, p, ext)
+            base = _umul(base, base, p)
     return result
 
 
-def _ufrob(f: UPoly, j: int, p: int, ext: bool) -> UPoly:
+def _ufrob(f: UPoly, j: int, p: int) -> UPoly:
     """f -> f^(p^j): exponents scale by p^j, coefficients get Frobenius^j,
-    which on F_{p^2} is a + bt -> a - bt for odd j."""
-    s = p ** j
-    if ext and j % 2 == 1:
-        return {d * s: (a, -b % p) for d, (a, b) in f.items()}
-    return {d * s: c for d, c in f.items()}
+    which is a + bt -> a - bt for odd j."""
+    s, sign = p ** j, (-1) ** j
+    return {d * s: (a, sign * b % p) for d, (a, b) in f.items()}
 
 
-def _upow_frobenius(f: UPoly, n: int, p: int, ext: bool) -> UPoly:
-    """f^n via base-p digits: prod_j Frob^j(f^(d_j)), exact over F_p / F_{p^2}."""
+def _upow_frobenius(f: UPoly, n: int, p: int) -> UPoly:
+    """f^n via base-p digits: prod_j Frob^j(f^(d_j))."""
     if n == 0:
-        return {0: _uone(ext)}
+        return {0: (1, 0)}
     pieces = []
     j = 0
     while n:
         d = n % p
         if d:
-            pieces.append(_ufrob(_upow_small(f, d, p, ext), j, p, ext))
+            pieces.append(_ufrob(_upow_small(f, d, p), j, p))
         n //= p
         j += 1
-    return reduce(lambda a, b: _umul(a, b, p, ext), pieces)
+    return reduce(lambda a, b: _umul(a, b, p), pieces)
 
 
-def _boundary_poly(finite_parts: Sequence[tuple[tuple[int, int], int]], p: int,
-                   ext: bool | None = None) -> UPoly:
+def _boundary_poly(finite_parts: Sequence[tuple[tuple[int, int], int]], p: int) -> UPoly:
     """prod (x - lambda_i)^(n_i) for parts ((a_i, b_i), n_i), lambda_i = a_i + b_i*t,
-    grouped by exponent for Frobenius powering.
-
-    Over F_{p^2} when ext is set, or by default when some b_i is nonzero.
-    """
-    if ext is None:
-        ext = any(b for (_, b), _ in finite_parts)
+    grouped by exponent for Frobenius powering."""
     by_n: dict[int, UPoly] = {}
     for (a, b), n in finite_parts:
         if n == 0:
             continue
-        u = {1: _uone(ext)}
+        u = {1: (1, 0)}
         if a or b:
-            u[0] = (-a % p, -b % p) if ext else -a % p
-        by_n[n] = _umul(by_n[n], u, p, ext) if n in by_n else u
-    prod: UPoly = {0: _uone(ext)}
+            u[0] = (-a % p, -b % p)
+        by_n[n] = _umul(by_n[n], u, p) if n in by_n else u
+    prod: UPoly = {0: (1, 0)}
     for n, u in sorted(by_n.items()):
-        prod = _umul(prod, _upow_frobenius(u, n, p, ext), p, ext)
+        prod = _umul(prod, _upow_frobenius(u, n, p), p)
     return prod

@@ -77,6 +77,102 @@ def test_ext_field_norm_and_square_structure():
             assert (x * y).norm() == x.norm() * y.norm()
 
 
+# one arithmetic for F_p and F_{p^2}, against int formulas ----------------------
+
+def _model_field(p):
+    """(n, mul, inv) on pairs (a, b) = a + b*t, t^2 = n: n by a scan for a
+    non-square and the inverse by search, sharing nothing with arith."""
+    squares = {y * y % p for y in range(p)}
+    n = min(x for x in range(2, p) if x not in squares)
+
+    def mul(x, y):
+        return (x[0] * y[0] + n * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    inv = {x: next(y for y in pairs if mul(x, y) == (1, 0)) for x in pairs if x != (0, 0)}
+    return n, mul, inv
+
+
+def _model_pow(x, k, mul, inv):
+    base, r = (inv[x] if k < 0 else x), (1, 0)
+    for _ in range(abs(k)):
+        r = mul(r, base)
+    return r
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_field_arithmetic_against_int_formulas(p):
+    n, mul, inv = _model_field(p)
+    # (operand, its pair, its kind): every element of both classes, and ints
+    operands = ([(FieldElement(a, p), (a, 0), "F") for a in range(p)]
+                + [(ExtFieldElement(a, b, p), (a, b), "E") for a in range(p) for b in range(p)]
+                + [(k, (k % p, 0), "int") for k in (-p - 1, -1, 0, 1, 2, p, 3 * p + 2)])
+
+    def check(got, pair, kind):
+        assert (type(got), got.a, got.b, got.modulus) == (
+            FieldElement if kind == "F" else ExtFieldElement, *pair, p)
+        assert repr(got) == (f"F{p}({pair[0]})" if kind == "F"
+                             else f"F{p}^2({pair[0]}+{pair[1]}t)")
+
+    for x, (a1, b1), k1 in operands:
+        for y, (a2, b2), k2 in operands:
+            if k1 == k2 == "int":
+                continue
+            # F_p with F_p or an int stays in F_p; anything else is F_{p^2}
+            kind = "F" if {k1, k2} <= {"F", "int"} else "E"
+            check(x + y, ((a1 + a2) % p, (b1 + b2) % p), kind)
+            check(x - y, ((a1 - a2) % p, (b1 - b2) % p), kind)
+            check(x * y, mul((a1, b1), (a2, b2)), kind)
+            if (a2, b2) != (0, 0):
+                check(x / y, mul((a1, b1), inv[a2, b2]), kind)
+            assert (x == y) == ((a1, b1) == (a2, b2)) == (y == x) == (not x != y)
+            if (x == y) and k1 != "int" and k2 != "int":
+                assert hash(x) == hash(y)
+        if k1 == "int":
+            continue
+        check(-x, (-a1 % p, -b1 % p), k1)
+        check(x.frobenius(), _model_pow((a1, b1), p, mul, inv), k1)
+        norm = mul((a1, b1), (a1, -b1 % p))
+        assert norm[1] == 0
+        check(x.norm(), norm, "F")
+        assert bool(x) == (not x.is_zero()) == ((a1, b1) != (0, 0))
+        for k in range(-p - 2, 2 * p + 3):
+            if (a1, b1) == (0, 0) and k < 0:
+                with pytest.raises(ZeroDivisionError):
+                    x ** k
+            else:
+                check(x ** k, _model_pow((a1, b1), k, mul, inv), k1)
+        if (a1, b1) == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            with pytest.raises(ZeroDivisionError):
+                1 / x
+        else:
+            check(x.inverse(), inv[a1, b1], k1)
+            check(3 / x, mul((3 % p, 0), inv[a1, b1]), k1)
+    # elements of different fields compare unequal, whichever class
+    for x in (FieldElement(1, 3), ExtFieldElement(1, 0, 3)):
+        for y in (FieldElement(1, 5), ExtFieldElement(1, 0, 5)):
+            assert x != y and not x == y and y != x
+
+
+def test_one_arithmetic_result_builds_one_element(field_elements_built):
+    x, y = FieldElement(2, 7), FieldElement(3, 7)
+    z = ExtFieldElement(2, 5, 7)
+    cases = [(lambda: x + y, FieldElement), (lambda: x * 3, FieldElement),
+             (lambda: 3 - x, FieldElement), (lambda: x / y, FieldElement),
+             (lambda: 1 / x, FieldElement), (lambda: -x, FieldElement),
+             (lambda: x ** -5, FieldElement), (lambda: x.inverse(), FieldElement),
+             (lambda: x.frobenius(), FieldElement), (lambda: z.norm(), FieldElement),
+             (lambda: x + z, ExtFieldElement), (lambda: z * x, ExtFieldElement),
+             (lambda: 4 / z, ExtFieldElement), (lambda: x / z, ExtFieldElement),
+             (lambda: z ** 9, ExtFieldElement), (lambda: z.frobenius(), ExtFieldElement)]
+    for op, cls in cases:
+        field_elements_built.clear()
+        assert type(op()) is cls
+        assert field_elements_built == [cls]
+
+
 # binomials ------------------------------------------------------------------
 
 def test_binom_examples():

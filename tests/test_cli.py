@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -106,6 +107,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["gfs-cy", "--p", "5", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z", "--e", "0"],
         ["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
          "--groups", "2,2", "--e", "0"],
+        # an empty variable group, and group sizes that are not two integers
+        *(["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
+           f"--groups={groups}"] for groups in ("0,4", "-1,5", "2,2,", "a,b")),
         # a power whose expansion would never finish
         ["fedder-nu", "--p", "5", "--poly", "(x+y+1)^1000000000 - 1", "--vars", "x,y"],
         ["fedder-nu", "--p", "101", "--poly", "(x+y+z+1)^20*(x+y+z+1)^20", "--vars", "x,y,z"],
@@ -113,6 +117,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,x"],
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,1"],
         ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,y z"],
+        # an empty name between or after the commas
+        ["fedder-nu", "--p", "5", "--poly", "x*y", "--vars", "x,,y"],
+        ["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x,"],
         # a branch point of the cover outside the divisor's support
         ["cover-check", "--p", "11", "--cover", "squaring", "--divisor", "1/2@inf,1/2@1"],
         # no level to test: neither side of the comparison would test one
@@ -363,3 +370,21 @@ def test_benchmark_tracer_installs_and_runs():
     assert "'supersingular'" in proc.stdout and "'kgfr'" in proc.stdout, proc.stdout
     assert "'catalog'" in proc.stdout and "'kappa'" in proc.stdout, proc.stdout
     assert "'kappa.check_superadditivity'" in proc.stdout, proc.stdout
+
+
+def test_library_imports_only_the_standard_library():
+    # pyproject.toml declares dependencies = []: every import in the package
+    # is __future__, relative, or a standard-library module
+    src = Path(__file__).resolve().parent.parent / "src" / "frobsplit"
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 9
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top == "__future__" or top in sys.stdlib_module_names, (path.name, top)

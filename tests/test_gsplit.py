@@ -480,6 +480,11 @@ def test_bigraded_examples():
     assert not gfs_bigraded_hypersurface(G, (2, 2))
     with pytest.raises(ValueError):
         gfs_bigraded_hypersurface(parse_poly("x*u + y", ["x", "y", "u", "v"], 3), (2, 2))
+    # a group of no variables is no projective space, even when the sizes
+    # add up: -1 + 5 would read the last variable through range(-1, 4)
+    for groups in ((0, 4), (4, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="at least one variable"):
+            gfs_bigraded_hypersurface(F, groups)
 
 
 def test_bigraded_legendre_total_space():
@@ -703,16 +708,20 @@ def test_cover_rejects_non_squarefree_branch():
 
 # -- the integer kernel against field-object arithmetic ----------------------------
 #
-# upoly's sparse kernel works on plain ints: an F_p coefficient is an int,
-# an F_{p^2} one the pair (a, b) for a + b*t.  The helpers below are the same
-# kernel on FieldElement / ExtFieldElement coefficients, kept as an oracle.
-# They take the kernel's signatures, so they can stand in for it in gsplit.
+# upoly's sparse kernel works on plain ints: a coefficient a + b*t is the pair
+# (a, b), with b = 0 on F_p.  The helpers below are the same kernel on
+# FieldElement / ExtFieldElement coefficients, kept as an oracle: a point of
+# F_p becomes a FieldElement, any other an ExtFieldElement, and the field
+# arithmetic keeps FieldElement exactly while no F_{p^2} coefficient meets
+# it.  They take the kernel's signatures, so they can stand in for it in
+# gsplit.
 
-def _obj_uone(p, ext):
-    return ExtFieldElement(1, 0, p) if ext else FieldElement(1, p)
+def _obj_coeff(pair, p):
+    a, b = pair
+    return ExtFieldElement(a, b, p) if b else FieldElement(a, p)
 
 
-def _obj_umul(f, g, p=None, ext=None):
+def _obj_umul(f, g, p=None):
     out = {}
     small, big = (f, g) if len(f) <= len(g) else (g, f)
     for d1, c1 in small.items():
@@ -727,8 +736,8 @@ def _obj_umul(f, g, p=None, ext=None):
     return out
 
 
-def _obj_upow_small(f, k, p, ext):
-    result = {0: _obj_uone(p, ext)}
+def _obj_upow_small(f, k, p):
+    result = {0: FieldElement(1, p)}
     base = f
     while k:
         if k & 1:
@@ -741,41 +750,36 @@ def _obj_upow_small(f, k, p, ext):
 
 def _obj_ufrob(f, j, p):
     s = p ** j
-    conj = j % 2 == 1
-    return {d * s: c.frobenius() if conj and isinstance(c, ExtFieldElement) else c
-            for d, c in f.items()}
+    return {d * s: c.frobenius() if j % 2 == 1 else c for d, c in f.items()}
 
 
-def _obj_upow_frobenius(f, n, p, ext):
-    # the branch polynomial arrives from upoly._from_dense with int coefficients
-    f = {d: c if isinstance(c, (FieldElement, ExtFieldElement))
-         else ExtFieldElement(*c, p) if ext else FieldElement(c, p) for d, c in f.items()}
+def _obj_upow_frobenius(f, n, p):
+    # the branch polynomial arrives from gsplit as int pairs
+    f = {d: _obj_coeff(c, p) if isinstance(c, tuple) else c for d, c in f.items()}
     if n == 0:
-        return {0: _obj_uone(p, ext)}
+        return {0: FieldElement(1, p)}
     pieces = []
     j = 0
     while n:
         d = n % p
         if d:
-            pieces.append(_obj_ufrob(_obj_upow_small(f, d, p, ext), j, p))
+            pieces.append(_obj_ufrob(_obj_upow_small(f, d, p), j, p))
         n //= p
         j += 1
     return functools.reduce(_obj_umul, pieces)
 
 
-def _obj_boundary_poly(finite_parts, p, ext=None):
-    if ext is None:
-        ext = any(b for (_, b), _ in finite_parts)
-    one = _obj_uone(p, ext)
+def _obj_boundary_poly(finite_parts, p):
+    one = FieldElement(1, p)
     by_n = {}
-    for (a, b), n in finite_parts:
+    for pt, n in finite_parts:
         if n == 0:
             continue
-        u = {1: one, 0: -(ExtFieldElement(a, b, p) if ext else FieldElement(a, p))}
+        u = {1: one, 0: -_obj_coeff(pt, p)}
         by_n[n] = _obj_umul(by_n[n], u) if n in by_n else u
     prod = {0: one}
     for n, u in sorted(by_n.items()):
-        prod = _obj_umul(prod, _obj_upow_frobenius(u, n, p, ext))
+        prod = _obj_umul(prod, _obj_upow_frobenius(u, n, p))
     return prod
 
 
@@ -784,7 +788,7 @@ def _obj_cartier_pick(poly, q, p, e):
     odd = e % 2 == 1
     for m, c in poly.items():
         if m % q == q - 1:
-            if odd and isinstance(c, ExtFieldElement):
+            if odd:
                 c = c.frobenius()
             out[(m - (q - 1)) // q] = c
     return out
@@ -797,7 +801,7 @@ def _cartier_pick(poly, q, p, e):
     odd = e % 2 == 1
     for m, c in poly.items():
         if m % q == q - 1:
-            if odd and isinstance(c, tuple):
+            if odd:
                 c = (c[0], -c[1] % p)  # c^(1/p) = c^p = conj(c) on F_{p^2}
             out[(m - (q - 1)) // q] = c
     return out
@@ -830,8 +834,7 @@ def _object_kernel():
 
 
 def _as_ints(poly):
-    return {d: (c.a, c.b) if isinstance(c, ExtFieldElement) else c.value
-            for d, c in poly.items() if not c.is_zero()}
+    return {d: (c.a, c.b) for d, c in poly.items() if not c.is_zero()}
 
 
 # (p, level) with p^level small enough for the object kernel
@@ -866,8 +869,11 @@ def test_boundary_poly_equals_object_oracle_drawn():
         ext = any(b for (_, b), _ in parts)
         got, want = upoly._boundary_poly(parts, p), _obj_boundary_poly(parts, p)
         assert got == _as_ints(want), (p, parts)
-        assert all(c != (0, 0) if ext else isinstance(c, int) and 0 < c < p
-                   for c in got.values())
+        assert all(0 <= a < p and 0 <= b < p and (a or b) for a, b in got.values())
+        # an all-F_p divisor's polynomial lies in F_p[x], on both sides
+        if not ext:
+            assert all(b == 0 for _, b in got.values()), (p, parts)
+            assert all(type(c) is FieldElement for c in want.values()), (p, parts)
         for e in (1, 2):  # the Cartier selector, whose q-th root is Frobenius^e
             assert _cartier_pick(got, p ** e, p, e) == \
                 _as_ints(_obj_cartier_pick(want, p ** e, p, e)), (p, parts, e)
@@ -1009,7 +1015,7 @@ def _route_products(draw):
     p, e = draw(st.sampled_from(_SMALL_LEVELS))
     q = p ** e
     coeff = (st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any)
-             if draw(st.booleans()) else st.integers(1, p - 1))
+             if draw(st.booleans()) else st.integers(1, p - 1).map(lambda a: (a, 0)))
     lhs = draw(st.dictionaries(st.integers(0, 3 * q), coeff, max_size=12))
     rhs = dict(lhs)
     for d in draw(st.lists(st.integers(0, 3 * q), max_size=2)):
@@ -1044,7 +1050,7 @@ def test_umul_slot_width_on_the_largest_sums():
         for L in (1, 2, 3, 8, 33):
             f = {i: (p - 1, p - 1) for i in range(L)}
             obj = {i: ExtFieldElement(p - 1, p - 1, p) for i in range(L)}
-            assert upoly._umul(f, f, p, True) == _as_ints(_obj_umul(obj, obj)), (p, L)
+            assert upoly._umul(f, f, p) == _as_ints(_obj_umul(obj, obj)), (p, L)
 
 
 def test_high_level_couples_fail_at_every_level():
