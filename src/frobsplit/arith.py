@@ -187,6 +187,10 @@ class _Element:
     def __hash__(self):
         return hash((self.a, self.b, self.modulus))
 
+    def __reduce__(self):  # pickle and copy call the constructor, not __setattr__
+        args = (self.a,) if type(self) is FieldElement else (self.a, self.b)
+        return type(self), args + (self.modulus,)
+
     def __bool__(self):
         return bool(self.a or self.b)
 
@@ -252,11 +256,6 @@ def require_p_free(q: Fraction, p: int) -> Fraction:
     return q
 
 
-def _small_binom(n: int, k: int, p: int) -> int:
-    # n, k < p, so the binomial is a unit-denominator quotient of small factorials
-    return math.comb(n, k) % p
-
-
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p in [0, p) by base-p (Lucas) decomposition; 0 when k > n."""
     _check_modulus(p)
@@ -269,7 +268,7 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         ni, ki = n % p, k % p
         if ki > ni:
             return 0
-        r = r * _small_binom(ni, ki, p) % p
+        r = r * math.comb(ni, ki) % p
         n //= p
         k //= p
     return r

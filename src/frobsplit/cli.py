@@ -29,7 +29,7 @@ from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, DoubleCover,
                      pushforward_splitting_check)
 from .kappa import (CATALOG, CurveSectionGrowth, case_params, check_superadditivity,
                     kappa_estimate)
-from .mpoly import PolyParseError, format_poly, parse_poly
+from .mpoly import MPoly, PolyParseError, format_poly, parse_poly
 
 SCHEMA_VERSION = "1"
 
@@ -102,8 +102,8 @@ def _cmd_supersingular(args) -> dict:
     p = _require_prime(args.p)
     rep = supersingular_report(p)
     payload = {
-        "poly": format_poly(rep.poly, ["lam"]),
-        "degree": rep.poly.degree(),
+        "poly": format_poly(MPoly(1, p, {(i,): c for i, c in enumerate(rep.poly)}), ["lam"]),
+        "degree": len(rep.poly) - 1,
         "squarefree": rep.squarefree,
         "roots": [{"root": str(P1Point(r)), "multiplicity": m} for r, m in rep.roots],
         "root_count": rep.root_count,

@@ -5,7 +5,11 @@ coefficient extraction from the expanded power), quadratic-character point
 counts, the supersingular polynomial H_p with its root locus, and the
 curve-level KGFR classifier.
 
-The two Hasse routes share no code path; their agreement is asserted by the
+H_p is a dense coefficient tuple c[0..m] over F_p, m = (p-1)/2, as in
+`upoly`.  The two Hasse routes share no code path: the closed form takes its
+coefficients from binomials and evaluates them by Horner's rule on field
+elements, the extraction builds them by Pascal's rule and evaluates them on
+int pairs with `upoly.univ_eval`.  Their agreement is asserted by the
 callers that need it and doubles as an arithmetic regression test.
 """
 
@@ -18,8 +22,7 @@ from typing import IO, Union
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, binom_mod_p, legendre_symbol)
-from .mpoly import MPoly, univ_to_dense
-from .upoly import univ_roots, univ_squarefree
+from .upoly import univ_eval, univ_roots, univ_squarefree
 
 LambdaLike = Union[int, FieldElement, ExtFieldElement]
 
@@ -34,20 +37,12 @@ def _as_lambda(lam: LambdaLike, p: int) -> AnyFieldElement:
     return lam
 
 
-@lru_cache(maxsize=None)
-def _closed_form_coeffs(p: int) -> tuple[int, ...]:
-    """Coefficients of the closed form: sign * C(m, i)^2 for i = 0..m."""
-    m = (p - 1) // 2
-    sign = 1 if m % 2 == 0 else p - 1
-    return tuple(sign * binom_mod_p(m, i, p) ** 2 % p for i in range(m + 1))
-
-
 def hasse_closed(lam: LambdaLike, p: int) -> AnyFieldElement:
     """(-1)^((p-1)/2) * sum_i C((p-1)/2, i)^2 * lambda^i."""
     _check_modulus(p)
     lam = _as_lambda(lam, p)
     acc = lam - lam  # zero of the right field
-    for c in reversed(_closed_form_coeffs(p)):
+    for c in reversed(hasse_closed_symbolic(p)):
         acc = acc * lam + c
     return acc
 
@@ -55,37 +50,29 @@ def hasse_closed(lam: LambdaLike, p: int) -> AnyFieldElement:
 def hasse_coeff(lam: LambdaLike, p: int) -> AnyFieldElement:
     """Coefficient of x^(p-1) in (x(x-1)(x-lambda))^((p-1)/2).
 
-    Computed as the x^m coefficient of ((x-1)(x-lambda))^m, m = (p-1)/2, by
-    iterated multiplication with the linear factors: no binomial identities
-    anywhere, so this is an independent oracle for hasse_closed.
+    `hasse_coeff_symbolic`'s coefficient extraction, evaluated at lambda on
+    int pairs: no binomial identities anywhere, so this is an independent
+    oracle for hasse_closed.  The value is the one element built, of
+    lambda's class.
     """
     _check_modulus(p)
     lam = _as_lambda(lam, p)
-    one = lam ** 0
-    dense: list[AnyFieldElement] = [one]
+    a, b = univ_eval(hasse_coeff_symbolic(p), (lam.a, lam.b), p)
+    return FieldElement(a, p) if isinstance(lam, FieldElement) else ExtFieldElement(a, b, p)
+
+
+@lru_cache(maxsize=None)
+def hasse_closed_symbolic(p: int) -> tuple[int, ...]:
+    """The closed form in lambda: c_i = (-1)^m * C(m, i)^2 mod p, i = 0..m,
+    m = (p-1)/2."""
+    _check_modulus(p)
     m = (p - 1) // 2
-    for root in (one, lam):
-        for _ in range(m):
-            nxt = [-(root * dense[0])]
-            for i in range(1, len(dense) + 1):
-                prev = dense[i] if i < len(dense) else None
-                val = dense[i - 1]
-                if prev is not None:
-                    val = val - root * prev
-                nxt.append(val)
-            dense = nxt
-    return dense[m]
+    sign = 1 if m % 2 == 0 else p - 1
+    return tuple(sign * binom_mod_p(m, i, p) ** 2 % p for i in range(m + 1))
 
 
 @lru_cache(maxsize=None)
-def hasse_closed_symbolic(p: int) -> MPoly:
-    """The closed form as a polynomial in lambda."""
-    coeffs = _closed_form_coeffs(p)
-    return MPoly(1, p, {(i,): c for i, c in enumerate(coeffs) if c})
-
-
-@lru_cache(maxsize=None)
-def hasse_coeff_symbolic(p: int) -> MPoly:
+def hasse_coeff_symbolic(p: int) -> tuple[int, ...]:
     """Coefficient extraction with lambda symbolic, in O(p^2).
 
     The x^m coefficient of ((x-1)(x-lambda))^m, m = (p-1)/2.  With
@@ -99,7 +86,7 @@ def hasse_coeff_symbolic(p: int) -> MPoly:
     a = [1]
     for _ in range(m):
         a = [(lo - hi) % p for lo, hi in zip([0] + a, a + [0])]
-    return MPoly(1, p, {(i,): a[i] * a[m - i] for i in range(m + 1)})
+    return tuple(a[i] * a[m - i] % p for i in range(m + 1))
 
 
 def count_points(lam: LambdaLike, p: int) -> int:
@@ -151,7 +138,7 @@ class LegendreCurve:
 @dataclass(frozen=True)
 class SupersingularReport:
     prime: int
-    poly: MPoly                      # H_p, degree (p-1)/2 in lambda
+    poly: tuple[int, ...]            # H_p, degree (p-1)/2 in lambda, as c[0..m]
     roots: tuple[tuple[tuple[int, int], int], ...]  # Lambda_p over F_{p^2}, as in univ_roots
     squarefree: bool
 
@@ -173,12 +160,11 @@ def supersingular_report(p: int) -> SupersingularReport:
         raise RuntimeError(
             f"Hasse polynomial mismatch at p = {p}: the two computation "
             "routes disagree")
-    dense = univ_to_dense(hp)
     return SupersingularReport(
         prime=p,
         poly=hp,
-        roots=tuple(univ_roots(dense, p, level=2)),
-        squarefree=univ_squarefree(dense, p),
+        roots=tuple(univ_roots(hp, p, level=2)),
+        squarefree=univ_squarefree(hp, p),
     )
 
 

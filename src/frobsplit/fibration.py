@@ -14,9 +14,11 @@ finite coefficients must complete.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .elliptic import supersingular_report
 from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, GfsVerdict,
@@ -140,14 +142,14 @@ def cbf_iii_check(p: int, e_max: int = DEFAULT_EMAX,
     return total == base
 
 
-def s0_fiber_dim_from_hasse(h: MPoly) -> int:
+def s0_fiber_dim_from_hasse(h: Sequence[int]) -> int:
     """Dimension of the fiber-restricted stable section space at boundary 0.
 
     The relative trace is generically surjective exactly when the Hasse
     polynomial is not identically zero, giving dimension 1; degenerate input
     (the zero polynomial) gives 0.
     """
-    return 0 if h.is_zero() else 1
+    return 1 if any(h) else 0
 
 
 def s0_fiber_legendre(p: int) -> int:
@@ -238,18 +240,19 @@ def prime_scan(start: int, stop: int, e_max: int = DEFAULT_EMAX,
                workers: int = 1) -> ScanReport:
     """KGFR density over the odd primes in [start, stop].
 
-    Workers > 1 fans the per-prime computations out to a process pool; the
-    report rows are assembled in input order either way, so output is
-    deterministic regardless of completion order.
+    Workers > 1 fans the per-prime computations out to a process pool, at
+    most one process per prime and per CPU; rows are assembled in input
+    order either way, so output does not depend on completion order.
     """
     from .arith import is_prime
     if start > stop or workers < 1:
         raise ValueError(f"need start <= stop and workers >= 1, got {start}..{stop}, {workers}")
     primes = [p for p in range(max(3, start), stop + 1) if p % 2 and is_prime(p)]
     jobs = [(p, e_max, perturbation_budget) for p in primes]
-    if workers > 1 and len(jobs) > 1:
+    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             rows = tuple(pool.map(_scan_one, jobs))
     else:
         rows = tuple(map(_scan_one, jobs))

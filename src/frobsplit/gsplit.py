@@ -21,9 +21,9 @@ from typing import Iterable, Optional
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, require_p_free, splitting_level)
 from .fedder import _diagonal_coefficient, _pruned_power_survives
-from .mpoly import MPoly, univ_to_dense
-from .upoly import (UPoly, _boundary_poly, _udiv, _umul, _upow_frobenius,
-                    univ_squarefree)
+from .mpoly import MPoly
+from .upoly import (UPoly, _boundary_poly, _dense_trim, _udiv, _umul,
+                    _upow_frobenius, univ_eval, univ_squarefree)
 
 DEFAULT_EMAX = 2
 DEFAULT_POINT_BUDGET = 20000
@@ -351,8 +351,9 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
 
     * the aggregate certificate: one level e <= e_max splitting
       B + E0/(p^e - 1), where E0 is the sum of the boundary support points
-      plus one auxiliary point, so that the complement of E0 is affine and
-      regular -- the standard sufficient criterion for F-regularity;
+      (the point inf when the support is empty), so that the complement of
+      E0 is affine and regular -- the standard sufficient criterion for
+      F-regularity;
     * every single-point perturbation B + (P)/(p^e - 1) over the first
       perturbation_budget centres P of P^1(F_{p^2}) (inf, F_p by value,
       a+bt by (b, a)) splitting at some tested level;
@@ -507,42 +508,42 @@ class DoubleCover:
     deg f = 1 gives the squaring cover of P^1 by P^1; deg f = 3 the genus-1
     double cover branched at the roots of f and at infinity.
     """
-    branch_poly: MPoly  # univariate f over F_p, squarefree
+    branch: tuple[int, ...]  # f over F_p as c[0..deg f], squarefree; kept reduced, trimmed
+    prime: int
     name: str = "double-cover"
-    branch_dense: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f = self.branch_poly
-        if f.nvars != 1 or f.is_zero():
+        _check_modulus(self.prime)
+        f = tuple(_dense_trim([c % self.prime for c in self.branch]))
+        if not f:
             raise ValueError("branch polynomial must be a nonzero univariate")
-        object.__setattr__(self, "branch_dense", univ_to_dense(f))
-        if not univ_squarefree(self.branch_dense, f.p):
+        object.__setattr__(self, "branch", f)
+        if not univ_squarefree(f, self.prime):
             raise ValueError("branch polynomial must be squarefree (separable cover)")
 
     @property
-    def prime(self) -> int:
-        return self.branch_poly.p
+    def degree(self) -> int:
+        return len(self.branch) - 1
 
     @property
     def branched_at_infinity(self) -> bool:
-        return self.branch_poly.degree() % 2 == 1
+        return self.degree % 2 == 1
 
     @classmethod
     def squaring_map(cls, p: int) -> "DoubleCover":
-        return cls(MPoly.variable(0, 1, p), name="x -> x^2")
+        return cls((0, 1), p, name="x -> x^2")
 
     @classmethod
     def legendre(cls, lam: int, p: int) -> "DoubleCover":
-        x = MPoly.variable(0, 1, p)
         lv = lam % p
         if lv in (0, 1):
             raise ValueError("lambda in {0, 1} does not give a smooth double cover")
-        return cls(x * (x - 1) * (x - lv), name=f"legendre lambda={lv}")
+        return cls((0, lv, (-1 - lv) % p, 1), p, name=f"legendre lambda={lv}")
 
     def is_branch_value(self, point: P1Point) -> bool:
         if point.is_infinity:
             return self.branched_at_infinity
-        return self.branch_poly.eval_univariate(point.element(self.prime)).is_zero()
+        return univ_eval(self.branch, point.value, self.prime) == (0, 0)
 
 
 @dataclass(frozen=True)
@@ -562,7 +563,8 @@ def _routes_agree(lhs_core: UPoly, g_y: UPoly, q: int, degree_range: int) -> tup
     x^((d + i - (q-1))/q) with Frobenius^(-e) on the coefficients, both
     injective: the routes agree on x^i iff lhs_core and g_y agree on the
     residue class q-1-i mod q, so every i is decided from one grouping.
-    The scan stops at the first disagreement, which counts as tested.
+    The first disagreement, the smallest i in a differing class, counts as
+    tested.
     """
     lhs_by_r: dict[int, UPoly] = {}
     rhs_by_r: dict[int, UPoly] = {}
@@ -571,8 +573,9 @@ def _routes_agree(lhs_core: UPoly, g_y: UPoly, q: int, degree_range: int) -> tup
             groups.setdefault(d % q, {})[d] = c
     differs = {r for r in lhs_by_r.keys() | rhs_by_r.keys()
                if lhs_by_r.get(r) != rhs_by_r.get(r)}
-    first_bad = next((i for i in range(degree_range) if (q - 1 - i) % q in differs), None)
-    return (True, degree_range) if first_bad is None else (False, first_bad + 1)
+    # the smallest i in residue class r is (q - 1 - r) % q
+    first_bad = min(((q - 1 - r) % q for r in differs), default=degree_range)
+    return (True, degree_range) if first_bad >= degree_range else (False, first_bad + 1)
 
 
 def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor,
@@ -601,10 +604,8 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor,
     source_zero = (not cover.branched_at_infinity and n_inf == 0) or \
                   (cover.branched_at_infinity and 2 * b_inf == 1)
     gz_parts = []
-    gy_parts = []
     branch_in_support = 0
     for elt, n in finite_parts:
-        gy_parts.append((elt, n))
         point = P1Point(elt)
         if cover.is_branch_value(point):
             branch_in_support += 1
@@ -613,22 +614,19 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor,
                 raise ValueError(f"source boundary not effective over {point.element(p)!r}")
             if m % 2 == 1:
                 raise ValueError("odd ramification multiplicity; not representable")
-            if m:
-                gz_parts.append((elt, m // 2))
-                source_zero = False
-        else:
-            if n:
-                gz_parts.append((elt, n))
-                source_zero = False
+            n = m // 2
+        if n:
+            gz_parts.append((elt, n))
+            source_zero = False
     # f is squarefree, so a finite branch point off the support (coefficient
     # 0, pulled back to -1) leaves fewer branch values in it than deg f
-    if branch_in_support < cover.branch_poly.degree():
+    if branch_in_support < cover.degree:
         raise ValueError("source boundary not effective over a branch point "
                          "outside the divisor's support")
 
-    g_y = _boundary_poly(gy_parts, p)
+    g_y = _boundary_poly(finite_parts, p)
     g_z = _boundary_poly(gz_parts, p)
-    branch = {i: (c, 0) for i, c in enumerate(cover.branch_dense) if c}
+    branch = {i: (c, 0) for i, c in enumerate(cover.branch) if c}
     f_half = _upow_frobenius(branch, half, p)
     lhs_core = _umul(g_z, f_half, p)
 
@@ -641,10 +639,9 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor,
     target_gfs, _ = gfs_p1_level(B_target, e)
     source_gfs: Optional[bool] = None
     if source_zero:
-        degf = cover.branch_poly.degree()
-        if degf == 1:
+        if cover.degree == 1:
             source_gfs, _ = gfs_p1_level(P1Divisor.zero(p), e)
-        elif degf == 3:
+        elif cover.degree == 3:
             source_gfs = q - 1 in f_half
     verdicts_agree = None if source_gfs is None else source_gfs == target_gfs
     return CoverCheckReport(

@@ -3,8 +3,9 @@
 Terms are stored as a map from exponent vectors (tuples of nonnegative ints)
 to nonzero coefficients in [1, p).  Exponents can get huge (Frobenius-factored
 powering multiplies them by p^i) while term counts stay moderate, so all
-arithmetic is term-by-term with no dense intermediate.  `univ_to_dense` is
-the one bridge to the dense univariate lists of `upoly`.
+arithmetic is term-by-term with no dense intermediate.  A univariate
+polynomial is an MPoly only on its way through the parser or printer;
+everywhere else it is one of `upoly`'s dense int lists.
 """
 
 from __future__ import annotations
@@ -219,24 +220,7 @@ class MPoly:
             raise ValueError("eval_univariate needs a univariate polynomial")
         if isinstance(x, int):
             x = FieldElement(x, self.p)
-        dense = univ_to_dense(self)
-        acc = x - x  # zero in the right field
-        for c in reversed(dense):
-            acc = acc * x + c
-        return acc
-
-
-def univ_to_dense(f: MPoly) -> list[int]:
-    """Coefficient list c[0..deg] for a univariate polynomial."""
-    if f.nvars != 1:
-        raise ValueError("not univariate")
-    if not f.terms:
-        return []
-    deg = max(e[0] for e in f.terms)
-    dense = [0] * (deg + 1)
-    for (e,), c in f.terms.items():
-        dense[e] = c
-    return dense
+        return sum((c * x ** e for (e,), c in self.terms.items()), x - x)
 
 
 # -- parsing / printing ------------------------------------------------------

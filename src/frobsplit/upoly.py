@@ -2,8 +2,9 @@
 
 Two representations, neither holding field objects:
 
-* dense F_p[x]: a list c[0..deg] of ints in [0, p) with a nonzero last
-  entry; [] is zero.  Gcds, products mod a polynomial and root finding.
+* dense F_p[x]: a list (or tuple) c[0..deg] of ints in [0, p) with a nonzero last
+  entry; [] is zero.  Gcds, products mod a polynomial, values at a + b*t
+  and root finding.
 * sparse UPoly: a map degree -> nonzero coefficient, the pair (a, b) of
   ints in [0, p) meaning a + b*t with t^2 = quadratic_nonresidue(p), the t
   of ExtFieldElement; F_p is the case b = 0.  Products and
@@ -136,7 +137,16 @@ def _dense_sub(a: list[int], b: list[int], p: int) -> list[int]:
     return _dense_trim([(u - v) % p for u, v in zip_longest(a, b, fillvalue=0)])
 
 
-def univ_squarefree(dense: list[int], p: int) -> bool:
+def univ_eval(dense: Sequence[int], x: tuple[int, int], p: int) -> tuple[int, int]:
+    """f(a + b*t) as a reduced pair, for f = sum dense[i] x^i over F_p and x = (a, b)."""
+    u = v = 0
+    for c in reversed(dense):
+        u, v = _times(u, v, *x, p)
+        u, v = (u + c) % p, v % p
+    return u, v
+
+
+def univ_squarefree(dense: Sequence[int], p: int) -> bool:
     """True iff gcd(f, f') is constant, for f = sum dense[i] x^i over F_p."""
     if not dense:
         raise ValueError("zero polynomial")
@@ -203,7 +213,7 @@ def _split_quadratics(g: list[int], big_x: list[int], p: int) -> list[tuple[int,
     return done
 
 
-def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[tuple[int, int], int]]:
+def univ_roots(dense: Sequence[int], p: int, level: int = 1) -> list[tuple[tuple[int, int], int]]:
     """Roots ((a, b), multiplicity) of f = sum dense[i] x^i, over F_p
     (level 1) or F_{p^2} (level 2); (a, b) is a + b*t with a, b in [0, p).
 
@@ -250,7 +260,7 @@ def univ_roots(dense: list[int], p: int, level: int = 1) -> list[tuple[tuple[int
     for r in range(p):
         if len(lin) <= 1:
             break
-        if reduce(lambda acc, c: (acc * r + c) % p, reversed(lin), 0) == 0:
+        if univ_eval(lin, (r, 0), p) == (0, 0):
             lin = _dense_divmod(lin, [-r % p, 1], p)[0]
             mult, rest = _multiplicity(rest, [-r % p, 1], p)
             roots.append(((r, 0), mult + 1))

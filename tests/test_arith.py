@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -171,6 +173,15 @@ def test_one_arithmetic_result_builds_one_element(field_elements_built):
         field_elements_built.clear()
         assert type(op()) is cls
         assert field_elements_built == [cls]
+
+
+def test_elements_pickle_and_copy():
+    # the constructor rebuilds them: the slots cannot be set past __setattr__
+    for x in (FieldElement(1, 5), FieldElement(2, 7), ExtFieldElement(1, 2, 5),
+              ExtFieldElement(3, 0, 7)):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and type(y) is type(x) and hash(y) == hash(x), (x, y)
+            assert (y.a, y.b, y.modulus) == (x.a, x.b, x.modulus)
 
 
 # binomials ------------------------------------------------------------------

@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 from frobsplit.cli import build_parser, main, run
-from frobsplit.elliptic import (_closed_form_coeffs, hasse_closed_symbolic,
-                                hasse_coeff_symbolic, supersingular_report)
+from frobsplit.elliptic import (hasse_closed_symbolic, hasse_coeff_symbolic,
+                                supersingular_report)
 from frobsplit.fibration import f_discriminant_legendre
 from frobsplit.mpoly import parse_poly
 
@@ -248,11 +248,11 @@ def test_cbf_subcommand(capsys):
 
 
 def test_decision_commands_build_no_field_elements(field_elements_built, capsys):
-    # points, roots, binomials and coefficients are ints and int pairs: field
-    # objects are built only where field arithmetic happens (hasse, the
-    # cover's branch test, point counts), never on these paths
+    # points, roots, binomials, coefficients and values at points are ints
+    # and int pairs: field objects are built only for the values hasse
+    # returns and for point counts, never on these paths
     for cached in (supersingular_report, f_discriminant_legendre, hasse_closed_symbolic,
-                   hasse_coeff_symbolic, _closed_form_coeffs):
+                   hasse_coeff_symbolic):
         cached.cache_clear()
     for argv in (
         ["kgfr", "--p", "13"],
@@ -266,6 +266,10 @@ def test_decision_commands_build_no_field_elements(field_elements_built, capsys)
         ["cbf", "--p", "11"],
         ["fpt", "--p", "5", "--poly", "y^2 - x^3", "--vars", "x,y"],
         ["fedder-nu", "--p", "7", "--poly", "x^2 + y^3", "--vars", "x,y", "--e", "2"],
+        ["cover-check", "--p", "7", "--cover", "squaring", "--divisor", "1/2@0,1/2@inf",
+         "--e", "2"],
+        ["cover-check", "--p", "5", "--cover", "legendre", "--lambda", "2",
+         "--divisor", "1/2@0,1/2@1,1/2@2,1/2@inf,1/4@3"],
     ):
         assert run(argv + ["--json"])[0] == 0, argv
         assert field_elements_built == [], argv
@@ -374,17 +378,25 @@ def test_benchmark_tracer_installs_and_runs():
 
 def test_library_imports_only_the_standard_library():
     # pyproject.toml declares dependencies = []: every import in the package
-    # is __future__, relative, or a standard-library module
+    # is __future__, relative, or a standard-library module.  Within the
+    # package, upoly sits on arith alone and elliptic keeps off mpoly: a
+    # univariate polynomial is an int list there, never an MPoly
     src = Path(__file__).resolve().parent.parent / "src" / "frobsplit"
     files = sorted(src.glob("*.py"))
     assert len(files) >= 9
+    internal = {}
     for path in files:
+        internal[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 tops = [alias.name.split(".")[0] for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 tops = [node.module.split(".")[0]]
             else:
+                if isinstance(node, ast.ImportFrom):
+                    internal[path.stem].add(node.module or "")
                 continue
             for top in tops:
                 assert top == "__future__" or top in sys.stdlib_module_names, (path.name, top)
+    assert internal["upoly"] == {"arith"}, internal["upoly"]
+    assert "mpoly" not in internal["elliptic"], internal["elliptic"]

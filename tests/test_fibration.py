@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,6 @@ from frobsplit.fibration import (BOUNDARY_INFINITY, NODAL, SMOOTH_ORDINARY,
                                  prime_scan, s0_fiber_dim_from_hasse, s0_fiber_legendre,
                                  s0_product, total_space_gfs)
 from frobsplit.gsplit import P1Point, gfs_p1, parse_divisor
-from frobsplit.mpoly import MPoly
 
 
 def test_f_discriminant_p3():
@@ -126,7 +127,7 @@ def test_s0_fiber():
         if is_prime(p):
             assert s0_fiber_legendre(p) == 1
     # degenerate branch with synthetic zero input
-    assert s0_fiber_dim_from_hasse(MPoly.zero(1, 5)) == 0
+    assert s0_fiber_dim_from_hasse(()) == 0
 
 
 def test_s0_product_table():
@@ -172,3 +173,30 @@ def test_prime_scan_parallel_matches_serial():
     serial = prime_scan(3, 13)
     parallel = prime_scan(3, 13, workers=2)
     assert serial.rows == parallel.rows
+
+
+def test_prime_scan_pool_is_capped_by_primes_and_cpus(monkeypatch):
+    # a stub pool records its size and maps in process: no worker is started
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    serial = prime_scan(3, 7)
+    # three primes: at most three workers, at most one per CPU, none for one CPU
+    for cpus, expected in ((64, [3]), (2, [2]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert prime_scan(3, 7, workers=100000).rows == serial.rows, cpus
+        assert sizes == expected, cpus

@@ -695,15 +695,35 @@ def test_cover_rejects_branch_point_outside_support():
     for cover, text in (
             (DoubleCover.squaring_map(11), "1/2@inf,1/2@1"),
             (DoubleCover.legendre(2, 5), "1/2@0,1/2@1,1/2@inf,1/4@3"),
-            (DoubleCover(parse_poly(f"x^2 - {quadratic_nonresidue(7)}", ["x"], 7)),
-             "1/2@0+1t")):
+            (DoubleCover((-quadratic_nonresidue(7), 0, 1), 7), "1/2@0+1t")):
         with pytest.raises(ValueError, match="outside the divisor's support"):
             pushforward_splitting_check(cover, parse_divisor(text, cover.prime), 1)
 
 
 def test_cover_rejects_non_squarefree_branch():
-    with pytest.raises(ValueError):
-        DoubleCover(parse_poly("x^2", ["x"], 5))
+    with pytest.raises(ValueError, match="squarefree"):
+        DoubleCover((0, 0, 1), 5)  # x^2
+    with pytest.raises(ValueError, match="nonzero"):
+        DoubleCover((5, 0), 5)  # zero mod 5
+
+
+def test_branch_values_equal_the_polynomial_route():
+    # is_branch_value on int pairs against f evaluated on field elements by
+    # MPoly.eval_univariate, at every point of P^1(F_49)
+    p = 7
+    points = [P1Point.infinity()] + [P1Point((a, b)) for a in range(p) for b in range(p)]
+    for cover in [DoubleCover.squaring_map(p)] + [DoubleCover.legendre(lv, p)
+                                                  for lv in range(2, p)]:
+        f = MPoly(1, p, {(i,): c for i, c in enumerate(cover.branch)})
+        branch = set()
+        for pt in points:
+            want = (f.degree() % 2 == 1 if pt.is_infinity
+                    else f.eval_univariate(pt.element(p)).is_zero())
+            assert cover.is_branch_value(pt) == want, (cover.name, pt)
+            if want:
+                branch.add(str(pt))
+        lv = cover.branch[1]  # legendre: x^3 - (1 + lambda)*x^2 + lambda*x
+        assert branch == ({"0", "inf"} if cover.degree == 1 else {"0", "1", str(lv), "inf"})
 
 
 # -- the integer kernel against field-object arithmetic ----------------------------
@@ -964,7 +984,7 @@ def _cover_cases(draw):
         lv = draw(st.integers(2, p - 1))
         cover, branch = DoubleCover.legendre(lv, p), ["0", "1", str(lv), "inf"]
     else:  # branched at the roots +-t of x^2 - t^2, off the prime field
-        cover = DoubleCover(parse_poly(f"x^2 - {quadratic_nonresidue(p)}", ["x"], p))
+        cover = DoubleCover((-quadratic_nonresidue(p), 0, 1), p)
         branch = ["0+1t", f"0+{p - 1}t"]
     entries = [f"{draw(st.integers(den // 2, den))}/{den}@{pt}" for pt in branch]
     others = draw(_finite_points(p, 2))
@@ -1024,6 +1044,17 @@ def _route_products(draw):
         else:
             rhs[d] = draw(coeff)
     return lhs, rhs, q, p, e, draw(st.integers(0, 3 * q))
+
+
+def test_routes_agree_at_a_large_level():
+    # decided from the residue classes mod q, not by scanning 2q monomials
+    q = 3 ** 30
+    same = {0: (1, 0), q + 4: (2, 1)}
+    assert gsplit._routes_agree(same, dict(same), q, 2 * q) == (True, 2 * q)
+    # classes 4 and 5 differ; the first bad monomial is x^i, i = q - 1 - 5
+    other = {0: (1, 0), q + 4: (2, 2), 5: (1, 0)}
+    assert gsplit._routes_agree(same, other, q, 2 * q) == (False, q - 5)
+    assert gsplit._routes_agree(same, other, q, q - 6) == (True, q - 6)
 
 
 def test_routes_agree_equals_scan_drawn():

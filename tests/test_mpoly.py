@@ -9,9 +9,9 @@ from frobsplit.arith import (ExtFieldElement, FieldElement, is_prime, legendre_s
                              quadratic_nonresidue)
 from frobsplit.cli import run
 from frobsplit.elliptic import supersingular_report
-from frobsplit.mpoly import (MAX_POWER_TERMS, MPoly, PolyParseError, format_poly,
-                             parse_poly, univ_to_dense)
-from frobsplit.upoly import _norm_character, _Residues, univ_roots, univ_squarefree
+from frobsplit.mpoly import MAX_POWER_TERMS, MPoly, PolyParseError, format_poly, parse_poly
+from frobsplit.upoly import (_norm_character, _Residues, univ_eval, univ_roots,
+                             univ_squarefree)
 
 
 def _random_sparse(rng, nvars, p, max_exp=4, max_terms=4):
@@ -87,8 +87,8 @@ def test_frobenius_twist_is_pth_power():
 
 
 def test_univ_squarefree_examples():
-    assert univ_squarefree(univ_to_dense(parse_poly("x^2 - 1", ["x"], 5)), 5)
-    assert not univ_squarefree(univ_to_dense(parse_poly("(x-1)^2", ["x"], 5)), 5)
+    assert univ_squarefree(_dense(parse_poly("x^2 - 1", ["x"], 5)), 5)
+    assert not univ_squarefree(_dense(parse_poly("(x-1)^2", ["x"], 5)), 5)
     # derivative of x^p - x is -1
     for p in (3, 5, 7):
         assert univ_squarefree([0, p - 1] + [0] * (p - 2) + [1], p)
@@ -96,8 +96,16 @@ def test_univ_squarefree_examples():
         univ_squarefree([], 5)
 
 
+def _dense(f):
+    """The coefficient list c[0..deg] of a univariate MPoly."""
+    dense = [0] * (f.degree() + 1)
+    for (e,), c in f.terms.items():
+        dense[e] = c
+    return dense
+
+
 def _roots(f, level):
-    return univ_roots(univ_to_dense(f), f.p, level)
+    return univ_roots(_dense(f), f.p, level)
 
 
 def test_univ_roots_examples():
@@ -252,6 +260,22 @@ def test_univ_roots_equals_scan_drawn():
     check()
 
 
+def test_univ_eval_equals_element_horner_drawn():
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from([3, 5, 7]).flatmap(lambda p: st.tuples(
+        st.just(p), st.lists(st.integers(0, p - 1), max_size=10),
+        st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)))))
+    def check(case):
+        p, dense, x = case
+        elt = ExtFieldElement(*x, p)
+        acc = elt - elt
+        for c in reversed(dense):
+            acc = acc * elt + c
+        assert univ_eval(dense, x, p) == (acc.a, acc.b), case
+
+    check()
+
+
 def test_supersingular_output_equals_scan(monkeypatch, capsys):
     # H_p at every prime < 100 and at the benchmark's primes 101..199: the
     # supersingular report prints the same bytes with the scan as root finder
@@ -293,7 +317,7 @@ def test_univ_roots_against_sympy_factorisation():
                             break
                     f = f * MPoly(1, p, {(i,): c for i, c in enumerate(g)}) ** rng.randrange(
                         1, max_mult + 1)
-            _, factors = sympy.Poly(univ_to_dense(f)[::-1], x, modulus=p).factor_list()
+            _, factors = sympy.Poly(_dense(f)[::-1], x, modulus=p).factor_list()
             linear, quadratic = {}, {}
             for g, mult in factors:
                 coeffs = [int(c) % p for c in g.all_coeffs()]
@@ -457,4 +481,4 @@ def test_format_zero_and_constants():
 
 
 def test_derivative():
-    assert univ_to_dense(parse_poly("x^2 + 4", ["x"], 5)) == [4, 0, 1]
+    assert _dense(parse_poly("x^2 + 4", ["x"], 5)) == [4, 0, 1]
