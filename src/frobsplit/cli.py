@@ -305,7 +305,11 @@ def _parse_case(text: str) -> tuple[str, dict]:
                 raise CliError(f"bad case parameter {chunk!r}")
             if key in params:
                 raise CliError(f"repeated case parameter {key!r}")
-            params[key] = (val == "true") if val in ("true", "false") else int(val)
+            try:
+                params[key] = (val == "true") if val in ("true", "false") else int(val)
+            except ValueError:
+                raise CliError(f"bad case parameter {chunk!r}: "
+                               "expected true, false or an integer") from None
     return case_id.strip(), params
 
 
@@ -400,14 +404,27 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=None) -> _Parser:
+    """The frobsplit parser, with every subcommand registered.
+
+    A subcommand gets its flags only if its name is a token of argv; with
+    argv None, every subcommand gets them.  Parsing argv gives the same
+    namespace, message, exit code and help text either way: argparse's
+    subparsers action looks its parser up by the exact token that names it
+    and runs that parser alone, so a subparser no token names never runs.
+    The top-level usage, --help and "invalid choice" list come from the
+    add_parser calls, which are all made.
+    """
     # no abbreviations: a prefix of a flag the subcommand lacks must not
     # silently become a longer flag it has (--e for --emax)
     parser = _Parser(prog="frobsplit", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
+    named = _COMMANDS if argv is None else set(argv)
     for name, (_, keys) in _COMMANDS.items():
         sp = sub.add_parser(name, allow_abbrev=False)
+        if name not in named:
+            continue
         for key in keys:
             option, kwargs = _FLAGS[key]
             sp.add_argument(option, dest=key, **kwargs)
@@ -455,7 +472,8 @@ def _render_text(obj, indent: int = 0, out=None) -> None:
 
 
 def run(argv=None) -> tuple[int, dict | None]:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if not args.command:

@@ -612,8 +612,7 @@ def pushforward_splitting_check(cover: DoubleCover, B_target: P1Divisor,
             m = 2 * n - (q - 1)  # multiplicity of the ramification point, doubled
             if m < 0:
                 raise ValueError(f"source boundary not effective over {point.element(p)!r}")
-            if m % 2 == 1:
-                raise ValueError("odd ramification multiplicity; not representable")
+            # m is even: 2n is, and so is q - 1 since q is odd
             n = m // 2
         if n:
             gz_parts.append((elt, n))

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -6,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from frobsplit.cli import build_parser, main, run
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frobsplit.cli import _COMMANDS, _FLAGS, CliError, build_parser, main, run
 from frobsplit.elliptic import (hasse_closed_symbolic, hasse_coeff_symbolic,
                                 supersingular_report)
 from frobsplit.fibration import f_discriminant_legendre
@@ -139,6 +144,14 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a case parameter value that is neither true, false nor an integer
+    for argv, chunk in ((["catalog", "--case", "legendre:p=x"], "p=x"),
+                        (["kappa", "--case", "ruled:g=two,d=3"], "g=two"),
+                        (["kappa", "--case", "ruled:g=2,d=3.5"], "d=3.5"),
+                        (["catalog", "--case", "product:ordinary=maybe"], "ordinary=maybe")):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == (
+            "", f"error: bad case parameter {chunk!r}: expected true, false or an integer\n")
     # the Legendre cover's lambda is a point of F_p
     for lam in ("2+t", "3+4t", "inf"):
         assert main(["cover-check", "--p", "7", "--cover", "legendre", "--lambda", lam,
@@ -211,7 +224,42 @@ def test_readme_examples_parse():
     lines = [ln for ln in block.splitlines() if ln.startswith("frobsplit ")]
     assert len(lines) == 16
     for line in lines:
-        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv), line
+
+
+# argv tokens for the parser comparison: every command and flag, the
+# top-level options, and values good and bad, a command name among them
+_ARGV_TOKENS = (list(_COMMANDS) + [option for option, _ in _FLAGS.values()]
+                + ["--json", "--strict", "--timings", "-h", "--help", "--version", "--"]
+                + ["5", "0", "-1", "3.5", "x", "", "y^2 - x^3", "x,y", "1/2@inf", "3..7",
+                   "trivial", "ruled:g=2,d=3", "--p=7", "--emax=kgfr", "nosuch"])
+_TOKEN = st.sampled_from(_ARGV_TOKENS)
+
+
+def _parse_outcome(parser, argv):
+    """What parsing argv gives: a namespace, an error message or an exit
+    code, with what was printed on the way."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = ("namespace", vars(parser.parse_args(argv)))
+        except CliError as exc:
+            outcome = ("error", str(exc))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+    return outcome, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.lists(_TOKEN, max_size=6),
+                 st.builds(lambda name, rest: [name, *rest],
+                           st.sampled_from(list(_COMMANDS)), st.lists(_TOKEN, max_size=8))))
+def test_parser_for_argv_parses_like_the_full_parser(argv):
+    # build_parser(argv) gives flags only to the subcommands argv names;
+    # argparse runs only the subparser a token names, so nothing it parses,
+    # prints or raises can differ from the parser with every flag
+    assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
 
 
 def test_documented_polynomials_parse():
@@ -358,8 +406,10 @@ for argv in first.values():
     with contextlib.redirect_stdout(io.StringIO()):
         code, _ = cli.run(argv + ["--json"])
     assert code == 0, argv
+calls = tracer.summary()["calls"]
 print(sorted(first))
-print(sorted(name for name in tracer.summary()["calls"] if name.startswith("kappa.")))
+print(sorted(name for name in calls if name.startswith("kappa.")))
+print(len(first), calls["cli.run"], calls["cli.build_parser"])
 """
 
 
@@ -374,6 +424,9 @@ def test_benchmark_tracer_installs_and_runs():
     assert "'supersingular'" in proc.stdout and "'kgfr'" in proc.stdout, proc.stdout
     assert "'catalog'" in proc.stdout and "'kappa'" in proc.stdout, proc.stdout
     assert "'kappa.check_superadditivity'" in proc.stdout, proc.stdout
+    # cli.build_parser.calls counts runs only while each run builds one parser
+    queries, runs, builds = map(int, proc.stdout.splitlines()[-1].split())
+    assert builds == runs == queries, proc.stdout
 
 
 def test_library_imports_only_the_standard_library():
