@@ -73,6 +73,36 @@ def _inverse(a: int, b: int, p: int) -> tuple[int, int]:
     return a * inv, -b * inv
 
 
+def _square_roots(zs: Iterable[tuple[int, int]], p: int) -> list[tuple[int, int] | None]:
+    """A reduced square root (x, y) of each reduced z = (a, b) = a + b*t in
+    F_{p^2}, or None where z is not a square in F_{p^2}; one table of
+    squares mod p serves the whole batch.
+
+    For b = 0, a is x^2 or, when it is not a square mod p, n*y^2 = (y*t)^2,
+    since a/n is then a square.  For b != 0, (x + y*t)^2 = z means
+    x^2 + n*y^2 = a and 2*x*y = b, so x^2 - n*y^2 = c with c^2 = N(z) =
+    a^2 - n*b^2: z is a square iff N(z) is a square mod p (as
+    z^((p^2-1)/2) = N(z)^((p-1)/2)).  Then x^2 = (a + c)/2 and y = b/(2x).
+    Since ((a + c)/2) * ((a - c)/2) = n*b^2/4 is a nonresidue, exactly one of
+    the two choices c = +-sqrt(N(z)) makes (a + c)/2 a nonzero square.
+    """
+    n = quadratic_nonresidue(p)
+    half, inv_n = (p + 1) // 2, pow(n, -1, p)
+    root_of = {x * x % p: x for x in range(half)}
+    roots: list[tuple[int, int] | None] = []
+    for a, b in zs:
+        if b == 0:
+            roots.append((root_of[a], 0) if a in root_of else (0, root_of[a * inv_n % p]))
+            continue
+        c = root_of.get((a * a - n * b * b) % p)
+        if c is None:
+            roots.append(None)
+            continue
+        x = root_of.get((a + c) * half % p) or root_of[(a - c) * half % p]
+        roots.append((x, b * half * pow(x, -1, p) % p))
+    return roots
+
+
 class _Element:
     """a + b*t in F_{p^2} = F_p[t]/(t^2 - n), n = quadratic_nonresidue(p), with
     a, b in [0, p); F_p is the part b = 0, held by `FieldElement`.

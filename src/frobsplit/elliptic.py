@@ -7,10 +7,16 @@ curve-level KGFR classifier.
 
 H_p is a dense coefficient tuple c[0..m] over F_p, m = (p-1)/2, as in
 `upoly`.  The two Hasse routes share no code path: the closed form takes its
-coefficients from binomials and evaluates them by Horner's rule on field
-elements, the extraction builds them by Pascal's rule and evaluates them on
-int pairs with `upoly.univ_eval`.  Their agreement is asserted by the
-callers that need it and doubles as an arithmetic regression test.
+coefficients from binomials (by their ratios, O(p)) and evaluates them by
+Horner's rule on field elements, the extraction builds them by Pascal's rule
+and evaluates them on int pairs with `upoly.univ_eval`.  Their agreement is
+asserted by the callers that need it and doubles as an arithmetic
+regression test.
+
+The root locus comes from a polynomial of half the degree: H_p(1/2 + mu) is
+mu^(m mod 2) * E(mu^2), by the symmetry H_p(1 - lambda) = (-1)^m H_p(lambda),
+and the roots of E over F_{p^2} give the roots 1/2 +- sqrt(s) of H_p
+(`supersingular_report`).
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from functools import lru_cache
 from typing import IO, Union
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
-                    _check_modulus, binom_mod_p, legendre_symbol)
-from .upoly import univ_eval, univ_roots, univ_squarefree
+                    _check_modulus, _square_roots, legendre_symbol)
+from .upoly import univ_eval, univ_roots
 
 LambdaLike = Union[int, FieldElement, ExtFieldElement]
 
@@ -64,11 +70,22 @@ def hasse_coeff(lam: LambdaLike, p: int) -> AnyFieldElement:
 @lru_cache(maxsize=None)
 def hasse_closed_symbolic(p: int) -> tuple[int, ...]:
     """The closed form in lambda: c_i = (-1)^m * C(m, i)^2 mod p, i = 0..m,
-    m = (p-1)/2."""
+    m = (p-1)/2, in O(p).
+
+    The binomials come from C(m, i+1) = C(m, i) * (m-i)/(i+1), with the
+    inverses of 1..m from inv(k) = -(p // k) * inv(p mod k), which holds as
+    p = (p // k) * k + p mod k; m < p, so no C(m, i) vanishes mod p.
+    """
     _check_modulus(p)
     m = (p - 1) // 2
+    inv = [0, 1]
+    for k in range(2, m + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    binom = [1]
+    for i in range(m):
+        binom.append(binom[i] * (m - i) * inv[i + 1] % p)
     sign = 1 if m % 2 == 0 else p - 1
-    return tuple(sign * binom_mod_p(m, i, p) ** 2 % p for i in range(m + 1))
+    return tuple(sign * c * c % p for c in binom)
 
 
 @lru_cache(maxsize=None)
@@ -147,6 +164,16 @@ class SupersingularReport:
         return sum(m for _, m in self.roots)
 
 
+def _shift_half(dense: tuple[int, ...], p: int) -> list[int]:
+    """f(1/2 + mu) as c[0..deg] in mu, by Horner's rule in mu + 1/2: O(deg^2)."""
+    half = (p + 1) // 2
+    shifted: list[int] = []
+    for c in reversed(dense):
+        # shifted * (mu + 1/2) + c
+        shifted = [(lo + half * hi) % p for lo, hi in zip([c] + shifted, shifted + [0])]
+    return shifted
+
+
 @lru_cache(maxsize=None)
 def supersingular_report(p: int) -> SupersingularReport:
     """H_p, its F_{p^2} root locus Lambda_p, and the squarefree flag.
@@ -154,17 +181,58 @@ def supersingular_report(p: int) -> SupersingularReport:
     The symbolic polynomial is computed by coefficient extraction and
     cross-checked against the binomial closed form before use; a mismatch
     would mean one of the two arithmetic paths is broken.
+
+    The roots come from a polynomial of half the degree.  With m = (p-1)/2
+    and f_lam(x) = x(x-1)(x-lam), f_lam(1-x) = -f_(1-lam)(x).  Write
+    F = f_lam^m = sum_j F_j x^j, of degree 3m < 2p - 1; then
+    [x^(p-1)] F(1-x) = sum_j F_j * C(j, p-1) mod p, and by Lucas C(j, p-1)
+    is 1 at j = p-1 and 0 mod p at every other j < 2p - 1.  So
+    H_p(lam) = [x^(p-1)] F(1-x) = (-1)^m H_p(1-lam), as polynomials in lam.
+    For G(mu) = H_p(1/2 + mu) this reads G(-mu) = (-1)^m G(mu): every
+    coefficient of G of the parity other than eps = m mod 2 is zero, and
+    G(mu) = mu^eps * E(mu^2) with deg E = floor(m/2).  At mu != 0 the factor
+    mu^2 - s of E(mu^2), s = mu^2, has the simple root mu (p is odd), so a
+    root lam = 1/2 + mu of H_p in F_{p^2} has the multiplicity of s in E,
+    and lam = 1/2 has eps + 2 * mult_E(0).  Conversely each root s of E in
+    F_{p^2} that is a square there gives the two roots 1/2 +- sqrt(s); the
+    others give roots outside F_{p^2} and are dropped.
+
+    Every supersingular lam lies in F_{p^2} (Deuring), so the multiplicities
+    must add up to m; then H_p splits over F_{p^2}, and it is squarefree iff
+    every multiplicity is 1.  The roots are listed in `univ_roots`' order:
+    F_p roots ascending, then conjugate pairs by (b, a).
     """
     hp = hasse_coeff_symbolic(p)
     if hp != hasse_closed_symbolic(p):
         raise RuntimeError(
             f"Hasse polynomial mismatch at p = {p}: the two computation "
             "routes disagree")
+    m = (p - 1) // 2
+    eps, half = m % 2, (p + 1) // 2
+    shifted = _shift_half(hp, p)
+    if any(shifted[1 - eps::2]):
+        raise RuntimeError(
+            f"H_p(1/2 + mu) at p = {p} is not mu^{eps} times a polynomial in "
+            "mu^2: the lambda -> 1 - lambda symmetry fails")
+    mult = {(half, 0): 1} if eps else {}
+    e_roots = univ_roots(shifted[eps::2], p, level=2)
+    for (_, k), r in zip(e_roots, _square_roots([s for s, _ in e_roots], p)):
+        if r is None:
+            continue  # 1/2 +- sqrt(s) lie outside F_{p^2}
+        x, y = r
+        for lam in (((half + x) % p, y), ((half - x) % p, -y % p)):
+            mult[lam] = mult.get(lam, 0) + k  # s = 0 adds 2k at lam = 1/2
+    if sum(mult.values()) != m:
+        raise RuntimeError(
+            f"H_p at p = {p} has {sum(mult.values())} roots in F_{{p^2}} with "
+            f"multiplicity, not all {m} as Deuring's theorem says")
+    roots = tuple(sorted(mult.items(), key=lambda item: (
+        item[0][1] != 0, min(item[0][1], p - item[0][1]), item[0])))
     return SupersingularReport(
         prime=p,
         poly=hp,
-        roots=tuple(univ_roots(hp, p, level=2)),
-        squarefree=univ_squarefree(hp, p),
+        roots=roots,
+        squarefree=all(k == 1 for _, k in roots),
     )
 
 

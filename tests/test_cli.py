@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -306,6 +307,7 @@ def test_decision_commands_build_no_field_elements(field_elements_built, capsys)
         ["kgfr", "--p", "13"],
         ["fdisc", "--p", "29"],
         ["supersingular", "--p", "61"],
+        ["supersingular", "--p", "199"],
         ["gfs-p1", "--p", "7", "--divisor", "1/2@1+3t,1/4@6,1/2@inf,1/2@4+3t,1/4@3+4t"],
         ["gfr-p1", "--p", "5", "--divisor", "1/3@2+4t,1/3@3,1/3@inf,1/6@3+4t"],
         ["gfs-cy", "--p", "7", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z"],
@@ -378,6 +380,22 @@ def test_text_mode_renders(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "degree = 1" in out
+
+
+# sha256 of `supersingular --p P --json` stdout, taken from the full-degree
+# root finder: a change of root finder must not reorder or change the roots
+_SUPERSINGULAR_SHA256 = {
+    101: "83fdf66f5ca36c37df84cec1970a67a3121ab9b9aff48d6798bb19c213fb87d6",
+    199: "d9b50f8fefd9796ecb87942847d7b5c63af03c4c36b1eab2cdb7bde182a94e35",
+    1009: "8a71df43792468b778b7f803574e87bc17c46925ddcea7f319c1a69b35dc28f0",
+}
+
+
+def test_supersingular_json_pinned(capsys):
+    for p, digest in _SUPERSINGULAR_SHA256.items():
+        assert main(["supersingular", "--p", str(p), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, p
 
 
 def test_run_returns_report():

@@ -2,13 +2,16 @@ import io
 
 import pytest
 
-from frobsplit.arith import ExtFieldElement, FieldElement, is_prime
-from frobsplit.elliptic import (CurveKgfrVerdict, LegendreCurve,
+from frobsplit import elliptic
+from frobsplit.arith import (ExtFieldElement, FieldElement, _square_roots,
+                             _times, binom_mod_p, is_prime)
+from frobsplit.elliptic import (CurveKgfrVerdict, LegendreCurve, _shift_half,
                                 classify_curve_kgfr, count_points,
                                 hasse_closed, hasse_coeff,
                                 hasse_closed_symbolic, hasse_coeff_symbolic,
                                 is_supersingular_by_count,
                                 supersingular_report, write_hasse_table)
+from frobsplit.upoly import univ_eval, univ_roots, univ_squarefree
 
 
 def test_hasse_examples():
@@ -63,6 +66,77 @@ def test_hasse_symbolic_routes_agree_to_400():
     assert {p % 4 for p in primes} == {1, 3}
     for p in primes:
         assert hasse_coeff_symbolic(p) == hasse_closed_symbolic(p), p
+
+
+def test_hasse_closed_symbolic_against_lucas_binomials():
+    # the O(p) ratio recurrence against binom_mod_p's base-p digits
+    for p in (1009, 4001):
+        m = (p - 1) // 2
+        sign = (-1) ** m
+        assert hasse_closed_symbolic(p) == tuple(
+            sign * binom_mod_p(m, i, p) ** 2 % p for i in range(m + 1)), p
+
+
+_ROOT_PRIMES = _odd_primes(3, 400) + [1009]
+
+
+def test_half_degree_roots_equal_univ_roots_on_h_p():
+    # the oracle is univ_roots and univ_squarefree on H_p itself, at full degree
+    assert {p % 4 for p in _ROOT_PRIMES} == {1, 3}   # eps = 0 and eps = 1
+    for p in _ROOT_PRIMES:
+        rep = supersingular_report(p)
+        assert rep.roots == tuple(univ_roots(hasse_coeff_symbolic(p), p, level=2)), p
+        if p < 400:
+            assert rep.squarefree == univ_squarefree(rep.poly, p), p
+
+
+def test_shift_half_is_mu_eps_times_a_polynomial_in_mu_squared():
+    for p in _ROOT_PRIMES:
+        hp, m, half = hasse_coeff_symbolic(p), (p - 1) // 2, (p + 1) // 2
+        shifted = _shift_half(hp, p)
+        assert len(shifted) == m + 1 and not any(shifted[1 - m % 2::2]), p
+        # and it is the Taylor shift: G(mu) = H_p(1/2 + mu)
+        for a, b in ((0, 0), (3, 0), (p - 2, 5), (1, 1)):
+            assert univ_eval(shifted, (a, b), p) == univ_eval(hp, ((a + half) % p, b), p), p
+
+
+def test_square_roots_exhaustive():
+    for p in (3, 5, 7, 11, 13):
+        field = [(a, b) for a in range(p) for b in range(p)]
+        squares = {tuple(c % p for c in _times(*z, *z, p)) for z in field}
+        assert len(squares) == (p * p + 1) // 2, p
+        for z, r in zip(field, _square_roots(field, p)):
+            if z in squares:
+                assert tuple(c % p for c in _times(*r, *r, p)) == z, (p, z, r)
+                assert all(0 <= c < p for c in r), (p, z, r)
+            else:
+                assert r is None, (p, z, r)
+
+
+def _poly_of_mu_squared(e_coeffs, p):
+    """E((lambda - 1/2)^2) as c[0..2 deg E] in lambda."""
+    g = []
+    for c in reversed(e_coeffs):   # g <- g * (lambda - 1/2)^2 + c
+        for _ in range(2):
+            g = [(lo - (p + 1) // 2 * hi) % p for lo, hi in zip([0] + g, g + [0])]
+        g = [(g[0] + c) % p] + g[1:] if g else [c]
+    return tuple(g)
+
+
+def test_supersingular_report_refuses_a_broken_polynomial(monkeypatch):
+    # p = 13, m = 6: a lambda^1 term breaks the lambda <-> 1 - lambda symmetry;
+    # E = s^3 - 2, irreducible over F_13, has its roots outside F_{p^2}
+    symmetric = _poly_of_mu_squared((11, 0, 0, 1), 13)
+    asymmetric = (symmetric[0], (symmetric[1] + 1) % 13) + symmetric[2:]
+    for poly, match in ((asymmetric, "symmetry"), (symmetric, "Deuring")):
+        monkeypatch.setattr(elliptic, "hasse_coeff_symbolic", lambda p: poly)
+        monkeypatch.setattr(elliptic, "hasse_closed_symbolic", lambda p: poly)
+        supersingular_report.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=match):
+                supersingular_report(13)
+        finally:
+            supersingular_report.cache_clear()
 
 
 def test_eichler_deuring_supersingular_j_count():
