@@ -21,8 +21,8 @@ from .arith import ZpViolationError, is_prime
 from .elliptic import (hasse_closed, hasse_coeff, supersingular_report,
                        write_hasse_table)
 from .fedder import fpt_bounds, nu
-from .fibration import (DEFAULT_BIGRADED_PMAX, f_discriminant_legendre,
-                        is_kgfr_legendre, prime_scan, total_space_gfs)
+from .fibration import (DEFAULT_BIGRADED_PMAX, cbf_sides, f_discriminant_legendre,
+                        is_kgfr_legendre, prime_scan)
 from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, DoubleCover,
                      P1Divisor, P1Point, gfr_p1_bounded, gfs_bigraded_hypersurface,
                      gfs_cy_hypersurface, gfs_p1, parse_divisor, parse_point,
@@ -259,16 +259,10 @@ def _cmd_scan(args) -> dict:
 
 
 def _cmd_cbf(args) -> dict:
-    # the same comparison as cbf_iii_check, from values already at hand
-    p = _require_prime(args.p)
-    e_max = _opt(args.emax, DEFAULT_EMAX)
-    if e_max < 1:
-        raise CliError("e_max must be >= 1")
-    total = total_space_gfs(p, e_max=e_max,
-                            pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
-    base = gfs_p1(f_discriminant_legendre(p).divisor, e_max=e_max).is_yes
-    return {"total_space_gfs": total, "base_couple_gfs": base,
-            "match": None if total is None else total == base}
+    sides = cbf_sides(_require_prime(args.p), e_max=_opt(args.emax, DEFAULT_EMAX),
+                      pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
+    return {"total_space_gfs": sides.total, "base_couple_gfs": sides.base,
+            "match": sides.match}
 
 
 def _cmd_kappa(args) -> dict:

@@ -2,10 +2,13 @@
 y^2*z*mu = x(x-z)(x*mu - lambda*z) in P^2 x P^1, fibered over the lambda-line.
 
 This module assembles the F-discriminant divisor on the base, classifies the
-fibers, tests splitting of the total space through the bigraded criterion,
-cross-validates it against the base-couple criterion, computes the
-fiber-restricted section space dimensions, decides the KGFR property, and
-scans primes for the density report.
+fibers, compares total-space splitting with base-couple splitting, computes
+the fiber-restricted section space dimensions, decides the KGFR property, and
+scans primes for the density report.  Three short arguments settle the
+fibration at every odd p (`s0_fiber_legendre`, `is_kgfr_legendre`,
+`total_space_gfs`), so those answers are proofs, not searches; the general
+routes (`supersingular_report`, `gfr_p1_bounded`, `gfs_bigraded_hypersurface`)
+are kept as their test oracles, and `cbf` still computes its base side.
 
 The 1/2 coefficient at infinity in the F-discriminant is an imported
 constant; it is falsifiable here through the exact degree-1 identity that the
@@ -18,12 +21,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple
 
+from .arith import _check_modulus
 from .elliptic import supersingular_report
-from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, GfsVerdict,
-                     P1Divisor, P1Point, gfr_p1_bounded, gfs_p1,
-                     gfs_bigraded_hypersurface)
+from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, UNKNOWN, YES,
+                     GfsVerdict, P1Divisor, P1Point, gfs_p1)
 from .mpoly import MPoly
 
 DEFAULT_BIGRADED_PMAX = 13
@@ -113,50 +116,82 @@ def legendre_bigraded_poly(p: int) -> MPoly:
 
 def total_space_gfs(p: int, e_max: int = DEFAULT_EMAX,
                     pmax: int = DEFAULT_BIGRADED_PMAX) -> bool | None:
-    """Splitting of the Legendre surface via the bigraded criterion.
+    """Splitting of the Legendre surface: True at every odd p, by proof.
 
-    None means the bigraded budget was exceeded (Unknown), not a verdict.
-    The criterion does not depend on the level (see gsplit's hypersurface
-    criteria), so splitting at some level <= e_max is splitting at level 1.
+    Let m = (p-1)/2 and F = y^2*z*mu - x(x-z)(x*mu - lambda*z) (see
+    `legendre_bigraded_poly`).  The bigraded criterion asks for a monomial of
+    F^(p-1) with every exponent <= p-1, and the level does not matter
+    (Fedder 1983, Lemma 1.6; see gsplit's hypersurface criteria).  Take
+    x^(2m) y^(2m) z^(2m) lambda^(m-j) mu^(m+j), 0 <= j <= m.  In
+    F^(p-1) = sum_k C(p-1, k) (y^2 z mu)^k (-x(x-z)(x mu - lambda z))^(p-1-k)
+    its y-exponent 2m forces k = m.  In that term the x- and z-exponents
+    force x^i from (x-z)^m and (x mu)^l from (x mu - lambda z)^m with
+    i + l = m, and the lambda-exponent gives l = j.  So its coefficient is
+    C(p-1, m) * C(m, j)^2, with sign (-1)^m (-1)^j (-1)^(m-j) = +1, a unit
+    mod p because both binomials have their top below p.  Every exponent is
+    at most 2m = p-1, so F^(p-1) is outside m^[p] and the surface is split
+    at every level e >= 1; with e_max < 1 no level is tested and the answer
+    is False.
+
+    Past pmax the answer is None (Unknown): pmax is the `--bigraded-pmax`
+    budget, whose output stays as it was.  `gfs_bigraded_hypersurface` on
+    `legendre_bigraded_poly(p)` is the computed route the tests compare with.
     """
+    _check_modulus(p)
     if p > pmax:
         return None
-    return e_max >= 1 and gfs_bigraded_hypersurface(legendre_bigraded_poly(p), (3, 2), 1)
+    return e_max >= 1
+
+
+class CbfSides(NamedTuple):
+    """The two sides of `cbf`: the total space by proof, the base computed."""
+    total: bool | None   # total_space_gfs: None past pmax
+    base: bool           # gfs_p1 on the computed F-discriminant divisor
+
+    @property
+    def match(self) -> bool | None:
+        """Whether the sides agree; None propagates an Unknown total side."""
+        return None if self.total is None else self.total == self.base
+
+
+def cbf_sides(p: int, e_max: int = DEFAULT_EMAX,
+              pmax: int = DEFAULT_BIGRADED_PMAX) -> CbfSides:
+    """Total-space splitting beside base-couple splitting.
+
+    The total side is the proof in `total_space_gfs`.  The base side is a
+    computation: `gfs_p1` searches the levels <= e_max on the divisor that
+    `f_discriminant_legendre` builds from the computed supersingular roots.
+    With e_max < 1 neither side tests a level, so that is refused rather
+    than called a match.
+    """
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
+    return CbfSides(total_space_gfs(p, e_max=e_max, pmax=pmax),
+                    gfs_p1(f_discriminant_legendre(p).divisor, e_max=e_max).is_yes)
 
 
 def cbf_iii_check(p: int, e_max: int = DEFAULT_EMAX,
                   pmax: int = DEFAULT_BIGRADED_PMAX) -> bool | None:
     """Total-space splitting must match base-couple splitting.
 
-    Compares two independently implemented criteria; a False here flags a
-    genuine discrepancy to investigate, never an auto-resolved condition.
-    None propagates an Unknown bigraded verdict.  With e_max < 1 neither
-    side tests a level, so that is refused rather than called a match.
+    A False here flags a genuine discrepancy to investigate, never an
+    auto-resolved condition.  None propagates an Unknown total side; see
+    `cbf_sides` for which side is proved and which computed.
     """
-    if e_max < 1:
-        raise ValueError("e_max must be >= 1")
-    total = total_space_gfs(p, e_max=e_max, pmax=pmax)
-    if total is None:
-        return None
-    base = gfs_p1(f_discriminant_legendre(p).divisor, e_max=e_max).is_yes
-    return total == base
-
-
-def s0_fiber_dim_from_hasse(h: Sequence[int]) -> int:
-    """Dimension of the fiber-restricted stable section space at boundary 0.
-
-    The relative trace is generically surjective exactly when the Hasse
-    polynomial is not identically zero, giving dimension 1; degenerate input
-    (the zero polynomial) gives 0.
-    """
-    return 1 if any(h) else 0
+    return cbf_sides(p, e_max, pmax).match
 
 
 def s0_fiber_legendre(p: int) -> int:
-    dim = s0_fiber_dim_from_hasse(supersingular_report(p).poly)
-    if dim != 1:
-        raise RuntimeError(f"Hasse polynomial vanished identically at p = {p}")
-    return dim
+    """Dimension of the fiber-restricted stable section space at boundary 0.
+
+    The relative trace is generically surjective exactly when the Hasse
+    polynomial H_p is not identically zero, and it is not: its constant
+    coefficient is a_0 * a_m = (-1)^m, m = (p-1)/2, in the notation of
+    `elliptic.hasse_coeff_symbolic` (a_k = [x^k](x-1)^m).  So the dimension
+    is 1 at every odd p.
+    """
+    _check_modulus(p)
+    return 1
 
 
 def s0_product(ordinary_E: bool, ordinary_Y: bool) -> tuple[int, int]:
@@ -187,21 +222,53 @@ class KgfrVerdict:
 
 def is_kgfr_legendre(p: int, e_max: int = DEFAULT_EMAX,
                      perturbation_budget: int = DEFAULT_POINT_BUDGET) -> KgfrVerdict:
-    """KGFR decision for the Legendre fibration at p.
+    """KGFR decision for the Legendre fibration at p, in closed form.
 
-    Requires both a globally F-split general fiber and a globally F-regular
-    base couple; the bounded base search may leave the verdict unknown.
+    KGFR needs a globally F-split general fiber (`s0_fiber_legendre`: always)
+    and a globally F-regular base couple B_p = 1/2 (inf) + sum mult/(p-1)
+    (lambda) over the roots of H_p.  The base verdict is the one
+    `gfr_p1_bounded` returns on that divisor, and it depends on
+    (p, e_max, budget) alone.  With m = (p-1)/2:
+
+    * No structural obstruction: every coefficient is below 1 and the degree
+      is 1.  The coefficients clear at level 1, so the levels are 1..e_max.
+    * Aggregate certificate: H_p is squarefree (Igusa 1958), so B_p has m
+      finite points of weight 1/(p-1).  At q = p, E0 adds 1 at each and at
+      inf: the finite degree is S' = 2m = q - 1 and the window is
+      D = 2(q-1) - (m+1) - 2m = m - 1 >= 0, so S' <= q - 1 gives the
+      instant certificate j = q - 1 - S' = 0 at level 1.
+    * Perturbations: at q = p^e the finite degree is S = (q-1)/2 = n_inf,
+      so a single-point perturbation has D = q - 2 >= 0 and S + 1 <= q - 1:
+      every centre splits at every level, inf and the generic point too.
+
+    So the base is yes at level 1 with certificate 0 when the budget covers
+    the p^2 + 1 centres of P^1(F_{p^2}), and unknown (the family truncated)
+    below that.  The tests compare this with `gfr_p1_bounded` on the
+    computed divisor.
     """
-    fiber_gfs = s0_fiber_legendre(p) == 1
-    base = gfr_p1_bounded(f_discriminant_legendre(p).divisor,
-                          e_max=e_max, perturbation_budget=perturbation_budget)
-    if not fiber_gfs or base.is_certified_no:
-        overall = "not-KGFR"
-    elif base.is_yes:
-        overall = "KGFR"
+    _check_modulus(p)
+    if perturbation_budget < 0:
+        raise ValueError(f"perturbation budget must be >= 0, got {perturbation_budget}")
+    levels = tuple(range(1, e_max + 1))
+    evidence = {"e_max": e_max, "perturbation_budget": perturbation_budget,
+                "levels": list(levels)}
+    if not levels:
+        base = GfsVerdict(UNKNOWN, reason="no admissible level within e_max",
+                          evidence=evidence)
     else:
-        overall = "unknown"
-    return KgfrVerdict(prime=p, fiber_gfs=fiber_gfs, base_gfr=base, overall=overall)
+        tested = min(perturbation_budget, p * p + 1)
+        truncated = tested < p * p + 1
+        evidence.update({"aggregate_certificate": [1, 0], "points_tested": tested,
+                         "family_failures": [], "generic_point": True,
+                         "truncated": truncated})
+        if truncated:
+            base = GfsVerdict(UNKNOWN, levels_tested=levels,
+                              reason="point family truncated by budget", evidence=evidence)
+        else:
+            base = GfsVerdict(YES, level=1, certificate=0, levels_tested=levels,
+                              evidence=evidence)
+    return KgfrVerdict(prime=p, fiber_gfs=s0_fiber_legendre(p) == 1, base_gfr=base,
+                       overall="KGFR" if base.is_yes else "unknown")
 
 
 @dataclass(frozen=True)

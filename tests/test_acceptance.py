@@ -12,8 +12,9 @@ from frobsplit.elliptic import (count_points, hasse_closed, hasse_coeff,
                                 supersingular_report)
 from frobsplit.fedder import fpt_bounds, is_fpure_pair
 from frobsplit.fibration import (cbf_iii_check, f_discriminant_legendre,
-                                 prime_scan)
-from frobsplit.gsplit import P1Point, gfs_p1, parse_divisor
+                                 legendre_bigraded_poly, prime_scan)
+from frobsplit.gsplit import (P1Point, gfr_p1_bounded, gfs_bigraded_hypersurface,
+                              gfs_p1, parse_divisor)
 from frobsplit.kappa import NEG_INF, check_superadditivity
 from frobsplit.mpoly import parse_poly
 
@@ -84,6 +85,10 @@ def test_criterion_5_cbf_equivalence():
     t0 = time.time()
     for p in (3, 5, 7, 13):
         assert cbf_iii_check(p) is True, p
+        # both sides by the general routes, not the total space's proof
+        total = gfs_bigraded_hypersurface(legendre_bigraded_poly(p), (3, 2))
+        base = gfs_p1(f_discriminant_legendre(p).divisor).is_yes
+        assert (total, base) == (True, True), p
     _finish(5, "total-space bigraded splitting iff base-couple splitting",
             time.time() - t0, 600)
 
@@ -111,6 +116,10 @@ def test_criterion_7_kgfr_density():
     total = len(rep.rows)
     assert total == 10
     assert Fraction(rep.counts["unknown"], total) <= Fraction(1, 5)
+    # the base verdicts by the bounded search on each computed divisor
+    for row in rep.rows:
+        base = gfr_p1_bounded(f_discriminant_legendre(row.prime).divisor)
+        assert row.base_status == base.status, row.prime
     _finish(7, "all decided primes in 3..31 are KGFR; unknown fraction <= 20%",
             time.time() - t0, 600)
 

@@ -398,6 +398,29 @@ def test_supersingular_json_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, p
 
 
+# sha256 of stdout for the Legendre-fibration decisions, taken from the
+# searching routes: deciding them by proof must not change a byte
+_FIBRATION_SHA256 = {
+    "scan --range 3..400 --json":
+        "9f6b91d9c173ac74976c7c35acbe529c0b7b62d32a8e080cd68ef4a2f8b793b9",
+    "kgfr --p 101 --json":
+        "8f6fce3caf7591a2978b1f4b893283dad86842a1b6c0002377efe67c88313087",
+    "kgfr --p 151 --json":  # the family truncated by the default budget
+        "9e886eeeb18939439c85906489687f77f0bb2cd48ea9f9e07aa2dc3ab7793b3a",
+    "cbf --p 23 --bigraded-pmax 23 --json":
+        "046bd1608db2347c25c428285b1952dc7e010f402f9f49c9b739c3ee8d050a54",
+    "cbf --p 29 --json":  # past the default --bigraded-pmax: a null total side
+        "2600de120dbd8fd62f6e8a91e8f8a46300ec00ee586c33a129c242bd3ee2e48a",
+}
+
+
+def test_fibration_json_pinned(capsys):
+    for command, digest in _FIBRATION_SHA256.items():
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
 def test_run_returns_report():
     code, rep = run(["supersingular", "--p", "7", "--json"])
     assert code == 0

@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from frobsplit.arith import is_prime
-from frobsplit.elliptic import supersingular_report
+from frobsplit.arith import binom_mod_p, is_prime
+from frobsplit.elliptic import hasse_coeff_symbolic, supersingular_report
 from frobsplit.fedder import _pruned_power_survives
 from frobsplit.fibration import (BOUNDARY_INFINITY, NODAL, SMOOTH_ORDINARY,
-                                 SMOOTH_SUPERSINGULAR, cbf_iii_check,
+                                 SMOOTH_SUPERSINGULAR, cbf_iii_check, cbf_sides,
                                  classify_fibers, f_discriminant_legendre,
                                  is_kgfr_legendre, legendre_bigraded_poly,
-                                 prime_scan, s0_fiber_dim_from_hasse, s0_fiber_legendre,
+                                 prime_scan, s0_fiber_legendre,
                                  s0_product, total_space_gfs)
-from frobsplit.gsplit import P1Point, gfs_p1, parse_divisor
+from frobsplit.gsplit import (DEFAULT_POINT_BUDGET, P1Point, gfr_p1_bounded,
+                              gfs_bigraded_hypersurface, gfs_p1, parse_divisor)
+
+ODD_PRIMES_TO_400 = [p for p in range(3, 400) if is_prime(p)]
 
 
 def test_f_discriminant_p3():
@@ -89,6 +92,35 @@ def test_total_space_gfs_and_budget():
     assert total_space_gfs(3) is True
     assert total_space_gfs(5) is True
     assert total_space_gfs(17, pmax=13) is None  # budget exceeded -> unknown
+    assert total_space_gfs(13, pmax=13) is True
+
+
+def test_total_space_gfs_is_the_bigraded_route():
+    # the proof against the general bigraded criterion on the surface's equation
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        split = gfs_bigraded_hypersurface(legendre_bigraded_poly(p), (3, 2))
+        assert split is True, p
+        for e_max in range(4):
+            assert total_space_gfs(p, e_max, pmax=23) is (e_max >= 1 and split), (p, e_max)
+
+
+def test_total_space_certificate_by_full_expansion():
+    # the monomial x^(2m) y^(2m) z^(2m) lambda^(m-j) mu^(m+j) of F^(p-1) has
+    # the unit coefficient C(p-1, m) * C(m, j)^2, read off the full power
+    for p in (3, 5, 7, 11):
+        m = (p - 1) // 2
+        power = legendre_bigraded_poly(p) ** (p - 1)
+        for j in range(m + 1):
+            c = power.coeff((2 * m, 2 * m, 2 * m, m - j, m + j))
+            assert c == binom_mod_p(p - 1, m, p) * binom_mod_p(m, j, p) ** 2 % p, (p, j)
+            assert c != 0, (p, j)
+
+
+def test_closed_forms_validate_the_prime():
+    for bad in (1, 2, 9, 15):
+        for decide in (total_space_gfs, s0_fiber_legendre, is_kgfr_legendre, cbf_sides):
+            with pytest.raises(ValueError, match="modulus must be an odd prime"):
+                decide(bad)
 
 
 def test_total_space_gfs_equals_every_level_tried():
@@ -122,12 +154,14 @@ def test_total_space_matches_base_couple():
 
 
 def test_s0_fiber():
-    # generic ordinarity holds at every odd prime in range
+    # the proof: H_p(0) = (-1)^m, so H_p is not the zero polynomial
+    for p in ODD_PRIMES_TO_400:
+        assert hasse_coeff_symbolic(p)[0] == (-1) ** ((p - 1) // 2) % p, p
+        assert s0_fiber_legendre(p) == 1
+    # the computed oracle: a nonzero H_p from the supersingular report
     for p in range(3, 32):
         if is_prime(p):
-            assert s0_fiber_legendre(p) == 1
-    # degenerate branch with synthetic zero input
-    assert s0_fiber_dim_from_hasse(()) == 0
+            assert any(supersingular_report(p).poly), p
 
 
 def test_s0_product_table():
@@ -150,11 +184,44 @@ def test_kgfr_budget_zero_is_unknown():
     assert v.overall == "unknown"
 
 
+def test_kgfr_base_is_the_bounded_search_on_the_divisor():
+    # the closed-form base verdict against gfr_p1_bounded on the computed
+    # F-discriminant divisor, with every budget edge on both sides of p^2 + 1
+    statuses = set()
+    for p in ODD_PRIMES_TO_400:
+        B = f_discriminant_legendre(p).divisor
+        for e_max in range(4):
+            for budget in (0, 1, p + 1, p * p, p * p + 1, DEFAULT_POINT_BUDGET):
+                want = gfr_p1_bounded(B, e_max=e_max, perturbation_budget=budget)
+                got = is_kgfr_legendre(p, e_max=e_max, perturbation_budget=budget)
+                assert got.base_gfr.to_dict() == want.to_dict(), (p, e_max, budget)
+                assert got.fiber_gfs is True
+                assert got.overall == ("KGFR" if want.is_yes else "unknown")
+                statuses.add(want.status)
+    assert statuses == {"yes", "unknown"}
+    with pytest.raises(ValueError, match="perturbation budget must be >= 0"):
+        is_kgfr_legendre(5, perturbation_budget=-1)
+
+
 def test_prime_scan_range():
     rep = prime_scan(3, 31)
     assert [r.prime for r in rep.rows] == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     assert rep.counts == {"KGFR": 10, "not-KGFR": 0, "unknown": 0}
     assert rep.fractions["KGFR"] == 1
+
+
+def test_prime_scan_matches_the_search():
+    # the rows again from the general routes: H_p and the bounded base search
+    want = []
+    for p in ODD_PRIMES_TO_400:
+        fiber = any(supersingular_report(p).poly)
+        base = gfr_p1_bounded(f_discriminant_legendre(p).divisor)
+        overall = ("not-KGFR" if not fiber or base.is_certified_no
+                   else "KGFR" if base.is_yes else "unknown")
+        want.append((p, overall, fiber, base.status))
+    rep = prime_scan(3, 400)
+    assert [(r.prime, r.overall, r.fiber_gfs, r.base_status) for r in rep.rows] == want
+    assert rep.counts == {"KGFR": 33, "not-KGFR": 0, "unknown": 44}
 
 
 def test_prime_scan_budget_zero_all_unknown():
