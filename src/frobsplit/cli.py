@@ -10,7 +10,6 @@ across runs.  Exit codes: 0 success, 1 input error, 2 Unknown verdict under
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -110,6 +109,7 @@ def _cmd_supersingular(args) -> dict:
         "expected_count": (p - 1) // 2,
     }
     if args.out:
+        import csv
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["root", "multiplicity"])
@@ -250,6 +250,7 @@ def _cmd_scan(args) -> dict:
                         workers=_opt(args.workers, 1))
     payload = report.to_dict()
     if args.out:
+        import csv
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["prime", "overall", "fiber_gfs", "base_status"])

@@ -21,10 +21,8 @@ and the roots of E over F_{p^2} give the roots 1/2 +- sqrt(s) of H_p
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Union
+from typing import IO, NamedTuple, Union
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, _square_roots, legendre_symbol)
@@ -131,13 +129,17 @@ def is_supersingular_by_count(lam: LambdaLike, p: int) -> bool:
     return count_points(lam, p) == p + 1
 
 
-@dataclass(frozen=True)
-class LegendreCurve:
+class _LegendreCurveFields(NamedTuple):
     lam: AnyFieldElement
     prime: int
 
-    def __post_init__(self):
-        _as_lambda(self.lam, self.prime)
+
+class LegendreCurve(_LegendreCurveFields):
+    __slots__ = ()
+
+    def __new__(cls, lam: AnyFieldElement, prime: int):
+        _as_lambda(lam, prime)
+        return super().__new__(cls, lam, prime)
 
     def hasse(self) -> AnyFieldElement:
         return hasse_closed(self.lam, self.prime)
@@ -152,8 +154,7 @@ class LegendreCurve:
         return count_points(self.lam, self.prime)
 
 
-@dataclass(frozen=True)
-class SupersingularReport:
+class SupersingularReport(NamedTuple):
     prime: int
     poly: tuple[int, ...]            # H_p, degree (p-1)/2 in lambda, as c[0..m]
     roots: tuple[tuple[tuple[int, int], int], ...]  # Lambda_p over F_{p^2}, as in univ_roots
@@ -236,8 +237,7 @@ def supersingular_report(p: int) -> SupersingularReport:
     )
 
 
-@dataclass(frozen=True)
-class CurveKgfrVerdict:
+class CurveKgfrVerdict(NamedTuple):
     kgfr: bool
     reason: str
 
@@ -263,6 +263,7 @@ def classify_curve_kgfr(genus: int, curve: LegendreCurve | None = None) -> Curve
 
 def write_hasse_table(p: int, out: IO[str]) -> int:
     """CSV rows (p, lambda, hasse, count, ordinary) for lambda in F_p - {0,1}."""
+    import csv
     writer = csv.writer(out)
     writer.writerow(["p", "lambda", "hasse", "count", "ordinary"])
     rows = 0

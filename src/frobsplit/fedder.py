@@ -8,8 +8,8 @@ translate coordinates to test other points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import require_p_free
 from .mpoly import MPoly
@@ -208,8 +208,7 @@ def nu_binary(f: MPoly, e: int) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class NuSequence:
+class NuSequence(NamedTuple):
     poly: MPoly
     prime: int
     values: tuple[tuple[int, int], ...]  # (e, nu_f(p^e))

@@ -18,7 +18,6 @@ finite coefficients must complete.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -37,8 +36,7 @@ SMOOTH_SUPERSINGULAR = "smooth-supersingular"
 BOUNDARY_INFINITY = "boundary-infinity"
 
 
-@dataclass(frozen=True)
-class FDiscriminantReport:
+class FDiscriminantReport(NamedTuple):
     prime: int
     divisor: P1Divisor                      # 1/2 at infinity, mult/(p-1) on Lambda_p
     fiber_table: tuple[tuple[P1Point, str], ...]
@@ -205,8 +203,7 @@ def s0_product(ordinary_E: bool, ordinary_Y: bool) -> tuple[int, int]:
     return total, fiber
 
 
-@dataclass(frozen=True)
-class KgfrVerdict:
+class KgfrVerdict(NamedTuple):
     prime: int
     fiber_gfs: bool
     base_gfr: GfsVerdict
@@ -271,16 +268,14 @@ def is_kgfr_legendre(p: int, e_max: int = DEFAULT_EMAX,
                        overall="KGFR" if base.is_yes else "unknown")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     prime: int
     overall: str
     fiber_gfs: bool
     base_status: str
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     rows: tuple[ScanRow, ...]
     counts: dict
     fractions: dict

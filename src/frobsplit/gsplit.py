@@ -14,9 +14,8 @@ coeff_{x^(q-1-j)}(g) is nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, require_p_free, splitting_level)
@@ -32,8 +31,7 @@ _ALL = "all"  # every finite perturbation centre fails (_perturbed_level)
 
 # -- points and divisors on P^1 ----------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class P1Point:
+class P1Point(NamedTuple):
     """A closed point of P^1: infinity (value None) or a finite value, the
     pair (a, b) in [0, p)^2 for a + b*t in F_{p^2} (b = 0 on F_p; t as in
     `arith.ExtFieldElement`).
@@ -198,14 +196,13 @@ CERTIFIED_NO = "certified-no"
 UNKNOWN = "unknown"
 
 
-@dataclass
-class GfsVerdict:
+class GfsVerdict(NamedTuple):
     status: str
     level: Optional[int] = None
     certificate: Optional[int] = None       # the monomial index j of a splitting section
     levels_tested: tuple[int, ...] = ()
     reason: str = ""
-    evidence: dict = field(default_factory=dict)
+    evidence: Optional[dict] = None         # None, not a dict every default would share
 
     @property
     def is_yes(self) -> bool:
@@ -501,25 +498,28 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
 
 # -- double covers and trace pushforward --------------------------------------
 
-@dataclass(frozen=True)
-class DoubleCover:
+class _DoubleCoverFields(NamedTuple):
+    branch: tuple[int, ...]  # f over F_p as c[0..deg f], squarefree; kept reduced, trimmed
+    prime: int
+    name: str = "double-cover"
+
+
+class DoubleCover(_DoubleCoverFields):
     """The double cover y^2 = f(x) of the x-line, p odd.
 
     deg f = 1 gives the squaring cover of P^1 by P^1; deg f = 3 the genus-1
     double cover branched at the roots of f and at infinity.
     """
-    branch: tuple[int, ...]  # f over F_p as c[0..deg f], squarefree; kept reduced, trimmed
-    prime: int
-    name: str = "double-cover"
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_modulus(self.prime)
-        f = tuple(_dense_trim([c % self.prime for c in self.branch]))
+    def __new__(cls, branch: tuple[int, ...], prime: int, name: str = "double-cover"):
+        _check_modulus(prime)
+        f = tuple(_dense_trim([c % prime for c in branch]))
         if not f:
             raise ValueError("branch polynomial must be a nonzero univariate")
-        object.__setattr__(self, "branch", f)
-        if not univ_squarefree(f, self.prime):
+        if not univ_squarefree(f, prime):
             raise ValueError("branch polynomial must be squarefree (separable cover)")
+        return super().__new__(cls, f, prime, name)
 
     @property
     def degree(self) -> int:
@@ -546,8 +546,7 @@ class DoubleCover:
         return univ_eval(self.branch, point.value, self.prime) == (0, 0)
 
 
-@dataclass(frozen=True)
-class CoverCheckReport:
+class CoverCheckReport(NamedTuple):
     agree: bool                   # the two composite trace routes coincide
     source_gfs: Optional[bool]    # GFS of the source couple (when computable)
     target_gfs: bool

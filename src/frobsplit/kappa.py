@@ -9,22 +9,25 @@ from finitely many samples alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class H0Interval:
+class _H0IntervalFields(NamedTuple):
     m: int
     lower: int
     upper: int
 
-    def __post_init__(self):
-        if self.lower < 0 or self.lower > self.upper:
-            raise ValueError(f"bad interval [{self.lower}, {self.upper}]")
+
+class H0Interval(_H0IntervalFields):
+    __slots__ = ()
+
+    def __new__(cls, m: int, lower: int, upper: int):
+        if lower < 0 or lower > upper:
+            raise ValueError(f"bad interval [{lower}, {upper}]")
+        return super().__new__(cls, m, lower, upper)
 
     @property
     def pinned(self) -> bool:
@@ -54,8 +57,7 @@ def h0_curve(g: int, d: int, degree_zero: Optional[str] = None, m: int = 1) -> H
     return H0Interval(m, max(0, d + 1 - g), 1 + d // 2)
 
 
-@dataclass(frozen=True)
-class KappaResult:
+class KappaResult(NamedTuple):
     low: float       # int or -inf
     high: float
     certified: bool
@@ -77,8 +79,7 @@ class KappaResult:
 
 # -- section-count sources -----------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveSectionGrowth:
+class CurveSectionGrowth(NamedTuple):
     """Multiples of a degree-d bundle on a genus-g curve."""
     g: int
     d: int
@@ -99,8 +100,12 @@ class CurveSectionGrowth:
         return (NEG_INF, 0, False, "degree 0 without a triviality flag")
 
 
-@dataclass(frozen=True)
-class RuledAnticanonical:
+class _RuledAnticanonicalFields(NamedTuple):
+    g: int
+    d_D: int
+
+
+class RuledAnticanonical(_RuledAnticanonicalFields):
     """Anticanonical multiples of P(O + O(-K-D)) over a genus-g curve.
 
     Writing t = 2g - 2 + deg D > 0 for the negative of the twisting degree,
@@ -114,14 +119,14 @@ class RuledAnticanonical:
     and vanish; the missing top powers force a fixed component along the
     negative section with coefficient (2m - k_max(m))/m.
     """
-    g: int
-    d_D: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 2:
+    def __new__(cls, g: int, d_D: int):
+        if g < 2:
             raise ValueError("the ruled construction needs genus >= 2")
-        if self.d_D <= 2 * self.g - 2:
+        if d_D <= 2 * g - 2:
             raise ValueError("deg D must exceed 2g - 2")
+        return super().__new__(cls, g, d_D)
 
     @property
     def twist(self) -> int:
@@ -195,8 +200,7 @@ def _consistent_with_order(evidence: tuple[H0Interval, ...], order: float) -> bo
 
 # -- superadditivity catalog ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SuperadditivityReport:
+class SuperadditivityReport(NamedTuple):
     case_id: str
     params: dict
     kappa_total: KappaResult

@@ -421,6 +421,68 @@ def test_fibration_json_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
+# sha256 over (argv, exit code, stdout, stderr) of cli.run on every query of
+# the three benchmark workloads at seed 1, with and without --json, taken
+# while the result records were dataclasses: json.dumps(default=str) prints
+# a NamedTuple as an array where it printed a dataclass as its repr, so a
+# record reaching a report would change these bytes
+_WORKLOAD_OUTPUTS_SHA256 = "942b7d6f4aa8f6da770c1fb6436ea7d2ec0fbd422bb81d3b866dec83ad43479c"
+
+_WORKLOAD_OUTPUTS = """
+import contextlib, hashlib, io, json, sys
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/bench"]
+import frobsplit.cli as cli
+from workloads import WORKLOADS, queries
+digest, count = hashlib.sha256(), 0
+for name in WORKLOADS:
+    for q in queries(name, 1):
+        for argv in (q["argv"], q["argv"] + ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code, _ = cli.run(argv)
+            line = json.dumps([argv, code, out.getvalue(), err.getvalue()])
+            digest.update(line.encode() + b"\\n")
+            count += 1
+print(count, digest.hexdigest())
+"""
+
+
+def test_workload_outputs_pinned():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _WORKLOAD_OUTPUTS, str(root)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    count, digest = proc.stdout.split()
+    assert int(count) > 600, count
+    assert digest == _WORKLOAD_OUTPUTS_SHA256
+
+
+_IMPORT_CLI = """
+import sys
+before = set(sys.modules)
+import frobsplit.cli
+print(frobsplit.cli.__file__)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # a fresh `frobsplit` call pays for every module the CLI import loads:
+    # dataclasses brings inspect (and ast, dis, tokenize) along, and csv is
+    # needed only where --out writes a file; the modules new after the
+    # import are compared, so what site loads first does not matter
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    path, new = proc.stdout.splitlines()
+    assert Path(path).parent == src / "frobsplit", path
+    new = set(new.split())
+    assert "frobsplit.cli" in new, new
+    assert not new & {"dataclasses", "inspect", "csv"}, sorted(new)
+
+
 def test_run_returns_report():
     code, rep = run(["supersingular", "--p", "7", "--json"])
     assert code == 0

@@ -274,10 +274,13 @@ def test_classify_curve_kgfr():
 
 
 def test_legendre_curve_validation():
-    with pytest.raises(ValueError):
+    nodal = r"^lambda in \{0, 1\} gives a nodal fiber, not an elliptic curve$"
+    with pytest.raises(ValueError, match=nodal):
         LegendreCurve(FieldElement(0, 5), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=nodal):
         LegendreCurve(FieldElement(1, 5), 5)
+    with pytest.raises(ValueError, match=nodal):
+        LegendreCurve(6, 5)
     c = LegendreCurve(FieldElement(2, 5), 5)
     assert c.is_ordinary() and not c.is_supersingular()
     assert c.count_points() == 8

@@ -701,10 +701,14 @@ def test_cover_rejects_branch_point_outside_support():
 
 
 def test_cover_rejects_non_squarefree_branch():
-    with pytest.raises(ValueError, match="squarefree"):
+    squarefree = r"^branch polynomial must be squarefree \(separable cover\)$"
+    with pytest.raises(ValueError, match=squarefree):
         DoubleCover((0, 0, 1), 5)  # x^2
-    with pytest.raises(ValueError, match="nonzero"):
-        DoubleCover((5, 0), 5)  # zero mod 5
+    with pytest.raises(ValueError, match=squarefree):
+        DoubleCover((1, 2, 1), 7)  # (x + 1)^2
+    for zero in ((5, 0), ()):  # zero mod 5, and no coefficients at all
+        with pytest.raises(ValueError, match="^branch polynomial must be a nonzero univariate$"):
+            DoubleCover(zero, 5)
 
 
 def test_branch_values_equal_the_polynomial_route():

@@ -21,9 +21,9 @@ def test_h0_curve_examples():
 
 
 def test_interval_sanity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad interval \[3, 2\]$"):
         H0Interval(1, 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad interval \[-1, 2\]$"):
         H0Interval(1, -1, 2)
     # degree-determined regimes are pinned
     for d in (-5, -1, 3, 4, 10):
@@ -83,10 +83,10 @@ def test_ruled_fixed_part_limit():
 
 
 def test_ruled_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the ruled construction needs genus >= 2$"):
         RuledAnticanonical(1, 3)
-    with pytest.raises(ValueError):
-        RuledAnticanonical(2, 2)   # deg D must exceed 2g - 2
+    with pytest.raises(ValueError, match="^deg D must exceed 2g - 2$"):
+        RuledAnticanonical(2, 2)
 
 
 # -- kappa estimation --------------------------------------------------------------
