@@ -246,8 +246,7 @@ def _cmd_scan(args) -> dict:
     except ValueError as exc:
         raise CliError("--range must look like 3..31") from exc
     report = prime_scan(lo, hi, e_max=_opt(args.emax, DEFAULT_EMAX),
-                        perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET),
-                        workers=_opt(args.workers, 1))
+                        perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
     payload = report.to_dict()
     if args.out:
         import csv
@@ -374,7 +373,6 @@ _FLAGS = {
     "mmax": ("--mmax", {"type": int}),
     "budget": ("--budget", {"type": int}),
     "bigraded_pmax": ("--bigraded-pmax", {"type": int}),
-    "workers": ("--workers", {"type": int}),
     "out": ("--out", {}),
 }
 
@@ -393,7 +391,7 @@ _COMMANDS = {
     "cover-check": (_cmd_cover_check, ("p", "cover", "lam", "divisor", "e")),
     "kgfr": (_cmd_kgfr, ("p", "emax", "budget")),
     "cbf": (_cmd_cbf, ("p", "emax", "bigraded_pmax")),
-    "scan": (_cmd_scan, ("range", "emax", "budget", "workers", "out")),
+    "scan": (_cmd_scan, ("range", "emax", "budget", "out")),
     "kappa": (_cmd_kappa, ("case", "genus", "degree", "degree_zero", "mmax")),
     "catalog": (_cmd_catalog, ("case",)),
 }
@@ -429,10 +427,7 @@ def build_parser(argv=None) -> _Parser:
 
 
 def _echo_inputs(args) -> dict:
-    # workers is deliberately not echoed: results are independent of the
-    # worker count, and the contract is byte-identical output across it
-    return {k: getattr(args, k) for k in _FLAGS
-            if k != "workers" and getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in _FLAGS if getattr(args, k, None) is not None}
 
 
 def _contains_unknown(obj) -> bool:

@@ -17,12 +17,11 @@ finite coefficients must complete.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import _check_modulus
+from .arith import _check_modulus, is_prime
 from .elliptic import supersingular_report
 from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, UNKNOWN, YES,
                      GfsVerdict, P1Divisor, P1Point, gfs_p1)
@@ -290,34 +289,15 @@ class ScanReport(NamedTuple):
         }
 
 
-def _scan_one(args: tuple) -> ScanRow:
-    p, e_max, budget = args
-    v = is_kgfr_legendre(p, e_max=e_max, perturbation_budget=budget)
-    return ScanRow(prime=p, overall=v.overall, fiber_gfs=v.fiber_gfs,
-                   base_status=v.base_gfr.status)
-
-
 def prime_scan(start: int, stop: int, e_max: int = DEFAULT_EMAX,
-               perturbation_budget: int = DEFAULT_POINT_BUDGET,
-               workers: int = 1) -> ScanReport:
-    """KGFR density over the odd primes in [start, stop].
-
-    Workers > 1 fans the per-prime computations out to a process pool, at
-    most one process per prime and per CPU; rows are assembled in input
-    order either way, so output does not depend on completion order.
-    """
-    from .arith import is_prime
-    if start > stop or workers < 1:
-        raise ValueError(f"need start <= stop and workers >= 1, got {start}..{stop}, {workers}")
-    primes = [p for p in range(max(3, start), stop + 1) if p % 2 and is_prime(p)]
-    jobs = [(p, e_max, perturbation_budget) for p in primes]
-    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            rows = tuple(pool.map(_scan_one, jobs))
-    else:
-        rows = tuple(map(_scan_one, jobs))
+               perturbation_budget: int = DEFAULT_POINT_BUDGET) -> ScanReport:
+    """KGFR density over the odd primes in [start, stop], in ascending order."""
+    if start > stop:
+        raise ValueError(f"need start <= stop, got {start}..{stop}")
+    verdicts = (is_kgfr_legendre(p, e_max=e_max, perturbation_budget=perturbation_budget)
+                for p in range(max(3, start), stop + 1) if p % 2 and is_prime(p))
+    rows = tuple(ScanRow(prime=v.prime, overall=v.overall, fiber_gfs=v.fiber_gfs,
+                         base_status=v.base_gfr.status) for v in verdicts)
     counts = {"KGFR": 0, "not-KGFR": 0, "unknown": 0}
     for r in rows:
         counts[r.overall] += 1

@@ -14,6 +14,7 @@ coeff_{x^(q-1-j)}(g) is nonzero.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -73,26 +74,29 @@ class P1Point(NamedTuple):
         return f"{a}+{b}t" if b else str(a)
 
 
+# A point: an integer a, or a + bt with either part optional ('t', '-2t',
+# '3 + t', '2*t').  Spaces may stand between any two parts; digits are
+# ASCII only, so '1_0' and non-ASCII digits are refused.
+_POINT = re.compile(r"(?P<asign>[+-]?)\s*(?P<a>[0-9]+)"
+                    r"|(?:(?P<tsign>[+-]?)\s*(?P<ta>[0-9]+)\s*(?=[+-]))?"
+                    r"(?P<bsign>[+-]?)\s*(?:(?P<b>[0-9]+)\s*\*?\s*)?t", re.ASCII)
+
+
+def _signed(sign: str, digits: str) -> int:
+    return -int(digits) if sign == "-" else int(digits)
+
+
 def parse_point(text: str, p: int) -> P1Point:
     text = text.strip()
     if text in ("inf", "infty", "oo"):
         return P1Point.infinity()
-    if "t" in text:
-        head, _, tail = text.partition("t")
-        if tail:
-            raise ValueError(f"bad point {text!r}: text after 't'")
-        a_str, sep, b_str = head.rpartition("+")
-        if not sep:
-            a_str, sep, b_str = head.rpartition("-")
-            if sep:
-                b_str = "-" + b_str
-        if not sep:
-            a_str, b_str = "0", head or "1"
-        b_str = b_str.rstrip("*")
-        if b_str in ("", "-"):
-            b_str += "1"
-        return P1Point((int(a_str or "0") % p, int(b_str) % p))
-    return P1Point((int(text) % p, 0))
+    m = _POINT.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad point {text!r}")
+    if m["a"] is not None:
+        return P1Point((_signed(m["asign"], m["a"]) % p, 0))
+    return P1Point((_signed(m["tsign"], m["ta"] or "0") % p,
+                    _signed(m["bsign"], m["b"] or "1") % p))
 
 
 class P1Divisor:
@@ -123,6 +127,9 @@ class P1Divisor:
 
     def __setattr__(self, name, val):
         raise AttributeError("P1Divisor is immutable")
+
+    def __reduce__(self):  # pickle and copy call the constructor, not __setattr__
+        return type(self), (self.prime, tuple(self.entries.items()))
 
     @classmethod
     def zero(cls, prime: int) -> "P1Divisor":
@@ -156,6 +163,8 @@ class P1Divisor:
 
     def __le__(self, other: "P1Divisor") -> bool:
         """Coefficientwise comparison: self <= other."""
+        if self.prime != other.prime:
+            raise ValueError("prime mismatch")
         points = set(self.entries) | set(other.entries)
         return all(self.coefficient(pt) <= other.coefficient(pt) for pt in points)
 

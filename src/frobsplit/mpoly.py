@@ -45,6 +45,9 @@ class MPoly:
     def __setattr__(self, name, val):
         raise AttributeError("MPoly is immutable")
 
+    def __reduce__(self):  # pickle and copy call the constructor, not __setattr__
+        return type(self), (self.nvars, self.p, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -1,5 +1,3 @@
-import concurrent.futures
-import os
 from fractions import Fraction
 
 import pytest
@@ -234,36 +232,3 @@ def test_prime_scan_empty_range():
     rep = prime_scan(32, 36)
     assert rep.rows == ()
     assert rep.fractions["KGFR"] == 0
-
-
-def test_prime_scan_parallel_matches_serial():
-    serial = prime_scan(3, 13)
-    parallel = prime_scan(3, 13, workers=2)
-    assert serial.rows == parallel.rows
-
-
-def test_prime_scan_pool_is_capped_by_primes_and_cpus(monkeypatch):
-    # a stub pool records its size and maps in process: no worker is started
-    sizes = []
-
-    class StubPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
-    serial = prime_scan(3, 7)
-    # three primes: at most three workers, at most one per CPU, none for one CPU
-    for cpus, expected in ((64, [3]), (2, [2]), (1, []), (None, [])):
-        sizes.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert prime_scan(3, 7, workers=100000).rows == serial.rows, cpus
-        assert sizes == expected, cpus

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,8 +35,18 @@ def test_point_normalization_and_parsing():
     assert parse_point("-t", 5) == P1Point((0, 4))
     assert parse_point("-2t", 5) == P1Point((0, 3))
     assert parse_point("+t", 5) == P1Point((0, 1))
-    with pytest.raises(ValueError):
-        parse_point("3+2tt", 5)
+    # spaces may stand on either side of a sign, whatever follows it
+    assert parse_point("3 + t", 5) == parse_point("3+t", 5) == P1Point((3, 1))
+    assert parse_point("1 + 2t", 5) == parse_point("1+2*t", 5) == P1Point((1, 2))
+    assert parse_point("- 2", 5) == parse_point("-2", 5) == P1Point((3, 0))
+    assert parse_point("+1 - t", 5) == P1Point((1, 4))
+    # a digit run followed by t is the t-part alone
+    assert parse_point("32t", 5) == P1Point((0, 2))
+    # refused: text after t, letters, an underscore or a non-ASCII digit, a
+    # star without a digit, two signs in a row, nothing, two numbers
+    for text in ("3+2tt", "abc", "1_0", "\u0663", "1_0+t", "*t", "3+-2t", "", "3 2"):
+        with pytest.raises(ValueError, match=re.escape(f"bad point {text!r}")):
+            parse_point(text, 5)
 
 
 class _ObjectPoint:
@@ -106,6 +117,15 @@ def test_divisor_merging_and_degree():
     # zero coefficients vanish
     C = parse_divisor("1/2@0,-1/2@0", 5)
     assert C == P1Divisor.zero(5)
+
+
+def test_divisor_order_refuses_other_primes():
+    # as for +, divisors over different primes do not compare
+    B, C = parse_divisor("1/2@0", 5), parse_divisor("1/2@0,1/2@1", 7)
+    for op in (lambda: B <= C, lambda: C <= B, lambda: B + C):
+        with pytest.raises(ValueError, match="prime mismatch"):
+            op()
+    assert B <= parse_divisor("1/2@0,1/2@1", 5)
 
 
 def test_divisor_zp_enforcement():

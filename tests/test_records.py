@@ -1,11 +1,13 @@
 """The result records are NamedTuples: what a frozen record must keep doing.
 
-DoubleCover's normalised branch, read-only attributes, pickling (the
-`scan --workers` pool pickles its rows), hashes equal to the field tuple's,
-and no mutable state shared between defaults.  The constructor refusals are
-checked, message by message, beside each record's other tests.
+DoubleCover's normalised branch, read-only attributes, pickling and copying
+(records are plain values, so a caller may store or ship them), hashes equal
+to the field tuple's, and no mutable state shared between defaults.  The
+constructor refusals are checked, message by message, beside each record's
+other tests.
 """
 
+import copy
 import pickle
 
 import pytest
@@ -68,17 +70,22 @@ def test_records_are_read_only():
 
 
 def test_records_survive_pickle():
-    # NuSequence and FDiscriminantReport are left out: an MPoly and a
-    # P1Divisor refuse the attribute writes that unpickling makes
-    records = [r for r in _one_of_each()
-               if type(r) not in (NuSequence, FDiscriminantReport)]
-    for record in records:
-        copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and type(copy) is type(record), record
+    for record in _one_of_each():
+        restored = pickle.loads(pickle.dumps(record))
+        assert restored == record and type(restored) is type(record), record
     report = prime_scan(3, 60)
-    copy = pickle.loads(pickle.dumps(report))
-    assert copy.to_dict() == report.to_dict()
-    assert all(type(r) is ScanRow for r in copy.rows)
+    restored = pickle.loads(pickle.dumps(report))
+    assert restored.to_dict() == report.to_dict()
+    assert all(type(r) is ScanRow for r in restored.rows)
+    # MPoly and P1Divisor refuse attribute writes, so their copies go
+    # through the constructor
+    F = parse_poly("x^2 + 3*x*y - y^3", ["x", "y"], 5)
+    B = parse_divisor("1/2@0,1/4@3+2t,1/4@inf", 5)
+    for value, state in ((F, "terms"), (B, "entries")):
+        for restored in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+            assert restored == value and type(restored) is type(value)
+        assert getattr(copy.deepcopy(value), state) is not getattr(value, state)
 
 
 def test_point_hash_is_the_field_tuple_hash():
