@@ -8,6 +8,7 @@ odd prime modulus p >= 3.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -15,6 +16,17 @@ from typing import Iterable, Union
 
 class ZpViolationError(ValueError):
     """A rational coefficient has a denominator divisible by the working prime."""
+
+
+def read_int(digits: str) -> int:
+    """int(digits) for a string of digits.  Past int()'s digit limit the
+    error names the number and its length, not the process-wide setting
+    that int() suggests raising."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise ValueError(f"number {digits[:5]}...{digits[-5:]} has {len(digits)} digits, "
+                         f"more than the {limit} that are read")
+    return int(digits)
 
 
 def is_prime(n: int) -> bool:

@@ -42,6 +42,15 @@ class CliError(Exception):
     pass
 
 
+def _emax(args, default: int = DEFAULT_EMAX) -> int:
+    """--emax, refused past sys.maxsize: the levels 1..e_max are listed, and
+    no sequence is longer than that."""
+    e_max = _opt(args.emax, default)
+    if e_max > sys.maxsize:
+        raise CliError(f"--emax must be at most {sys.maxsize}, got {e_max}")
+    return e_max
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on input errors, not argparse's 2
         raise CliError(message)
@@ -150,7 +159,7 @@ def _cmd_fedder_nu(args) -> dict:
 
 def _cmd_fpt(args) -> dict:
     f, names = _poly_from_args(args)
-    seq = fpt_bounds(f, _opt(args.emax, 3))
+    seq = fpt_bounds(f, _emax(args, 3))
     e_max, nu_max = seq.values[-1]
     return {
         "poly": format_poly(f, names),
@@ -174,13 +183,13 @@ def _divisor_from_args(args) -> P1Divisor:
 
 def _cmd_gfs_p1(args) -> dict:
     B = _divisor_from_args(args)
-    verdict = gfs_p1(B, e_max=_opt(args.emax, DEFAULT_EMAX))
+    verdict = gfs_p1(B, e_max=_emax(args))
     return {"divisor": _divisor_payload(B), "verdict": verdict.to_dict()}
 
 
 def _cmd_gfr_p1(args) -> dict:
     B = _divisor_from_args(args)
-    verdict = gfr_p1_bounded(B, e_max=_opt(args.emax, DEFAULT_EMAX),
+    verdict = gfr_p1_bounded(B, e_max=_emax(args),
                              perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
     return {"divisor": _divisor_payload(B), "verdict": verdict.to_dict()}
 
@@ -233,7 +242,7 @@ def _cmd_cover_check(args) -> dict:
 
 def _cmd_kgfr(args) -> dict:
     p = _require_prime(args.p)
-    verdict = is_kgfr_legendre(p, e_max=_opt(args.emax, DEFAULT_EMAX),
+    verdict = is_kgfr_legendre(p, e_max=_emax(args),
                                perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
     return {"prime": p, **_fdisc_payload(p), "kgfr": verdict.to_dict()}
 
@@ -245,7 +254,7 @@ def _cmd_scan(args) -> dict:
         lo, hi = (int(x) for x in args.range.split(".."))
     except ValueError as exc:
         raise CliError("--range must look like 3..31") from exc
-    report = prime_scan(lo, hi, e_max=_opt(args.emax, DEFAULT_EMAX),
+    report = prime_scan(lo, hi, e_max=_emax(args),
                         perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
     payload = report.to_dict()
     if args.out:
@@ -259,7 +268,7 @@ def _cmd_scan(args) -> dict:
 
 
 def _cmd_cbf(args) -> dict:
-    sides = cbf_sides(_require_prime(args.p), e_max=_opt(args.emax, DEFAULT_EMAX),
+    sides = cbf_sides(_require_prime(args.p), e_max=_emax(args),
                       pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
     return {"total_space_gfs": sides.total, "base_couple_gfs": sides.base,
             "match": sides.match}
@@ -400,13 +409,14 @@ _COMMANDS = {
 def build_parser(argv=None) -> _Parser:
     """The frobsplit parser, with every subcommand registered.
 
-    A subcommand gets its flags only if its name is a token of argv; with
-    argv None, every subcommand gets them.  Parsing argv gives the same
-    namespace, message, exit code and help text either way: argparse's
-    subparsers action looks its parser up by the exact token that names it
-    and runs that parser alone, so a subparser no token names never runs.
-    The top-level usage, --help and "invalid choice" list come from the
-    add_parser calls, which are all made.
+    A subcommand gets its flags and its -h only if its name is a token of
+    argv; with argv None, every subcommand gets them.  Parsing argv gives
+    the same namespace, message, exit code and help text either way:
+    argparse's subparsers action looks its parser up by the exact token that
+    names it and runs that parser alone, so a subparser no token names never
+    runs and is never asked for help.  The top-level usage, --help and
+    "invalid choice" list come from the add_parser calls, which are all
+    made.
     """
     # no abbreviations: a prefix of a flag the subcommand lacks must not
     # silently become a longer flag it has (--e for --emax)
@@ -415,7 +425,8 @@ def build_parser(argv=None) -> _Parser:
     sub = parser.add_subparsers(dest="command")
     named = _COMMANDS if argv is None else set(argv)
     for name, (_, keys) in _COMMANDS.items():
-        sp = sub.add_parser(name, allow_abbrev=False)
+        # -h costs an action and a HelpFormatter (a terminal-size lookup)
+        sp = sub.add_parser(name, allow_abbrev=False, add_help=name in named)
         if name not in named:
             continue
         for key in keys:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
-                    _check_modulus, require_p_free, splitting_level)
+                    _check_modulus, read_int, require_p_free, splitting_level)
 from .fedder import _diagonal_coefficient, _pruned_power_survives
 from .mpoly import MPoly
 from .upoly import (UPoly, _boundary_poly, _dense_trim, _udiv, _umul,
@@ -83,7 +83,7 @@ _POINT = re.compile(r"(?P<asign>[+-]?)\s*(?P<a>[0-9]+)"
 
 
 def _signed(sign: str, digits: str) -> int:
-    return -int(digits) if sign == "-" else int(digits)
+    return -read_int(digits) if sign == "-" else read_int(digits)
 
 
 def parse_point(text: str, p: int) -> P1Point:
@@ -177,6 +177,12 @@ class P1Divisor:
         return splitting_level(self.entries.values(), self.prime)
 
 
+# A coefficient: an integer, num/den or a decimal ('0.5', '.5', '1.') with
+# an optional sign; digits are ASCII only, as in a point.
+_COEFF = re.compile(r"(?P<sign>[+-]?)(?=\.?[0-9])(?P<num>[0-9]*)"
+                    r"(?:/(?P<den>[0-9]+)|\.(?P<dec>[0-9]*))?", re.ASCII)
+
+
 def parse_divisor(text: str, p: int) -> P1Divisor:
     """Grammar: comma-separated entries 'num/den@point', point int / a+bt / inf."""
     entries = []
@@ -186,14 +192,19 @@ def parse_divisor(text: str, p: int) -> P1Divisor:
             coeff_str, sep, point_str = chunk.partition("@")
             if not sep:
                 raise ValueError(f"bad divisor entry {chunk!r}, expected coeff@point")
-            # Fraction would read "1e999999999" as a huge integer
+            # the grammar has no exponents; "1e999999999" gets its own message
             if "e" in coeff_str.lower():
                 raise ValueError(f"exponent notation is not accepted in {chunk!r}")
-            try:
-                coeff = Fraction(coeff_str.strip())
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {chunk!r}") from None
-            entries.append((parse_point(point_str, p), coeff))
+            m = _COEFF.fullmatch(coeff_str.strip())
+            if m is None:
+                raise ValueError(f"bad coefficient in {chunk!r}")
+            dec = m["dec"] or ""  # n.d is nd / 10^len(d)
+            num = read_int(m["num"] or "0") * 10 ** len(dec) + read_int(dec or "0")
+            den = 10 ** len(dec) if m["den"] is None else read_int(m["den"])
+            if not den:
+                raise ValueError(f"zero denominator in {chunk!r}")
+            entries.append((parse_point(point_str, p),
+                            Fraction(-num if m["sign"] == "-" else num, den)))
     return P1Divisor(p, entries)
 
 

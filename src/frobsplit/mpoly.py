@@ -15,7 +15,7 @@ from functools import reduce
 from math import comb
 from typing import Mapping, Sequence
 
-from .arith import AnyFieldElement, FieldElement, _check_modulus
+from .arith import AnyFieldElement, FieldElement, _check_modulus, read_int
 
 
 class MPoly:
@@ -325,13 +325,20 @@ class _Parser:
             tok = self._next()
             if not tok.isdigit():
                 raise PolyParseError(f"exponent must be a nonnegative integer, got {tok!r}")
-            k = int(tok)
+            k = self._int(tok)
             if (len(base.terms) > 1
                     and comb(self.nvars + k * base.degree(), self.nvars) > MAX_POWER_TERMS):
                 raise PolyParseError(f"power ^{k} of a {len(base.terms)}-term base may have "
                                      f"more than {MAX_POWER_TERMS} terms")
             return base ** k
         return base
+
+    @staticmethod
+    def _int(tok: str) -> int:
+        try:
+            return read_int(tok)
+        except ValueError as exc:
+            raise PolyParseError(str(exc)) from None
 
     def _base(self) -> MPoly:
         tok = self._next()
@@ -343,7 +350,7 @@ class _Parser:
         if tok == "-":
             return -self._factor()
         if tok.isdigit():
-            return MPoly.constant(int(tok), self.nvars, self.p)
+            return MPoly.constant(self._int(tok), self.nvars, self.p)
         if tok in self.names:
             return MPoly.variable(self.names[tok], self.nvars, self.p)
         raise PolyParseError(f"unknown variable {tok!r}")

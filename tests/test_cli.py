@@ -164,6 +164,34 @@ def test_input_error_exit_code(tmp_path, capsys):
                            "bad divisor: bad point '3+2tt'")):
         assert main(argv) == 1, argv
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a coefficient is ASCII digits too: Fraction() alone read these as 10/3
+    # and 3/4
+    for coeff in ("1_0/3", "\u0663/4"):
+        assert main(["gfs-p1", "--p", "5", "--divisor", f"{coeff}@1"]) == 1, coeff
+        assert capsys.readouterr() == (
+            "", f"error: bad divisor: bad coefficient in {coeff + '@1'!r}\n")
+    # a number past int()'s 4,300-digit limit is named, and the limit is not
+    # raised for the whole process
+    nines = "9" * 5000
+    for argv, prefix in ((["hasse", "--p", "5", "--lambda", nines], ""),
+                         (["gfs-p1", "--p", "5", "--divisor", f"{nines}/1@1"], "bad divisor: "),
+                         (["fedder-nu", "--p", "5", "--poly", f"x^{nines}", "--vars", "x"],
+                          "bad polynomial: ")):
+        assert main(argv) == 1, argv[0]
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {prefix}number 99999...99999 has 5000 digits, "
+                                  "more than the 4300 that are read\n"), argv[0]
+        assert "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == 4300
+    # an e_max no sequence of levels can hold
+    huge = "99999999999999999999"
+    for argv in (["gfs-p1", "--p", "5", "--divisor", "1/2@1"],
+                 ["gfr-p1", "--p", "5", "--divisor", "1/2@1"],
+                 ["kgfr", "--p", "5"], ["cbf", "--p", "5"], ["scan", "--range", "3..5"],
+                 ["fpt", "--p", "5", "--poly", "x", "--vars", "x"]):
+        assert main(argv + ["--emax", huge]) == 1, argv
+        assert capsys.readouterr() == (
+            "", f"error: --emax must be at most {sys.maxsize}, got {huge}\n"), argv
     # the Legendre cover's lambda is a point of F_p
     for lam in ("2+t", "3+4t", "inf"):
         assert main(["cover-check", "--p", "7", "--cover", "legendre", "--lambda", lam,
@@ -268,10 +296,53 @@ def _parse_outcome(parser, argv):
                  st.builds(lambda name, rest: [name, *rest],
                            st.sampled_from(list(_COMMANDS)), st.lists(_TOKEN, max_size=8))))
 def test_parser_for_argv_parses_like_the_full_parser(argv):
-    # build_parser(argv) gives flags only to the subcommands argv names;
-    # argparse runs only the subparser a token names, so nothing it parses,
-    # prints or raises can differ from the parser with every flag
+    # build_parser(argv) gives flags and -h only to the subcommands argv
+    # names; argparse runs only the subparser a token names, so nothing it
+    # parses, prints or raises can differ from the parser with every flag
     assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
+
+
+# sha256 over (argv, exit or SystemExit code, stdout, stderr) of cli.run on
+# the top-level help, usage and error argvs and on each subcommand's help,
+# usage and flag errors, at COLUMNS=80, taken while every subparser had -h.
+# argparse's help layout differs between Python versions; this is 3.11's
+_HELP_OUTPUTS_SHA256 = "799c54d854756f175df8932edcbbce28646c7d18c6f0a6f12dce458d02f03c35"
+
+
+def _help_argvs():
+    argvs = [[], ["--help"], ["-h"], ["--version"], ["nosuch"], ["fpt"], ["fpt", "--bogus"]]
+    for name in _COMMANDS:
+        argvs += [[name, "--help"], [name, "-h"], [name, "--p", "x"], [name, "--e"]]
+    return argvs
+
+
+def test_help_and_usage_outputs_pinned(monkeypatch):
+    # help text wraps at the terminal width, which argparse reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    argvs = _help_argvs()
+    assert len(argvs) == 67
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)[0]
+            except SystemExit as exc:
+                code = ["SystemExit", exc.code]
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    assert digest.hexdigest() == _HELP_OUTPUTS_SHA256
+
+
+def test_unnamed_subcommands_get_no_help_action():
+    # argparse never runs a subparser no token names, so it needs no -h
+    parser = build_parser(["fpt", "--p", "5"])
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(_COMMANDS)
+    for name, sp in subparsers.items():
+        if name == "fpt":
+            assert sp.format_usage().startswith("usage: frobsplit fpt [-h] [--p P]"), name
+        else:
+            assert sp.format_usage() == f"usage: frobsplit {name}\n", name
 
 
 def test_documented_polynomials_parse():

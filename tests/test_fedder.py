@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from frobsplit import fedder
 from frobsplit.elliptic import hasse_closed, hasse_coeff
-from frobsplit.fedder import (NuMonotonicityError, _DigitTable, _pack_terms,
-                              _pruned_power_survives, fpt_bounds, in_bracket_ideal,
+from frobsplit.fedder import (NuMonotonicityError, _diagonal_coefficient, _DigitTable,
+                              _pack_terms, _pruned_power_survives, fpt_bounds, in_bracket_ideal,
                               is_fpure_pair, nu, nu_binary)
 from frobsplit.mpoly import MPoly, parse_poly
 
@@ -266,6 +266,31 @@ def test_fermat_cubic_cone_nu_closed_form():
                                    for e in range(1, e_max + 1)), p
         seen.add(p % 3)
     assert seen == {1, 2}
+
+
+def test_fermat_diagonal_coefficient_closed_form():
+    # F = sum a_i x_i^n: the only way to reach (x_1...x_n)^(p-1) in F^(p-1)
+    # is k = (p-1)/n copies of every term, so the coefficient is the
+    # multinomial (p-1)!/(k!)^n times prod a_i^k when n | p - 1, else 0
+    rng = random.Random(23)
+    kinds = set()
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        for n in (3, 4):
+            for _ in range(3):
+                a = [rng.randrange(1, p) for _ in range(n)]
+                F = MPoly(n, p, {tuple(n * (i == j) for j in range(n)): a[i]
+                                 for i in range(n)})
+                if (p - 1) % n:
+                    want = 0
+                else:
+                    k = (p - 1) // n
+                    want = math.factorial(p - 1) * pow(math.factorial(k), -n, p)
+                    for c in a:
+                        want *= pow(c, k, p)
+                got = _diagonal_coefficient(F)
+                assert got == want % p, (p, a)
+                kinds.add(got != 0)
+    assert kinds == {True, False}
 
 
 def test_legendre_cone_nu_matches_hasse():

@@ -143,6 +143,55 @@ def test_divisor_exponent_notation_refused():
     assert parse_divisor("0.5@1", 5) == parse_divisor("1/2@1", 5)
 
 
+def test_divisor_coefficient_reads_as_fraction_drawn():
+    # the coefficient grammar is Fraction's without exponents, underscores or
+    # non-ASCII digits: every text of ASCII digits that Fraction reads keeps
+    # its value, and every text it refuses stays refused
+    p, one = 13, P1Point((1, 0))
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(_token_strings(["0", "1", "7", "/", ".", "+", "-", " "], 6))
+    def check(text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        try:
+            got = parse_divisor(f"{text}@1", p).coefficient(one)
+        except ZpViolationError:
+            assert want is not None and want.denominator % p == 0, text
+            return
+        except ValueError:
+            got = None
+        assert got == want, text
+        outcomes.add(got is None)
+
+    check()
+    assert outcomes == {True, False}
+    for text in ("1_0/3@1", "1/1_0@1", "1.0_0@1", "\u0663/4@1", "1/\u0664@1", "\uff11@1"):
+        with pytest.raises(ValueError, match="bad coefficient in"):
+            parse_divisor(text, 5)
+
+
+def test_long_numbers_are_named():
+    # past int()'s 4,300-digit limit the error names the number, not
+    # sys.set_int_max_str_digits
+    nines = "9" * 5000
+    for call in (lambda: parse_point(nines, 5), lambda: parse_point(f"1+{nines}t", 5),
+                 lambda: parse_divisor(f"{nines}/1@1", 5),
+                 lambda: parse_divisor(f"1/{nines}@1", 5),
+                 lambda: parse_divisor(f"0.{nines}@1", 5),
+                 lambda: parse_poly(f"x^{nines}", ["x"], 5),
+                 lambda: parse_poly(f"{nines}*x", ["x"], 5)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == ("number 99999...99999 has 5000 digits, "
+                                   "more than the 4300 that are read")
+    # 4,300 digits are read
+    assert parse_point("1" * 4300, 5) == P1Point((int("1" * 4300) % 5, 0))
+
+
 @st.composite
 def _divisors(draw):
     p = draw(st.sampled_from([3, 5, 7, 13]))
