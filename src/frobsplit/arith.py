@@ -29,6 +29,18 @@ def read_int(digits: str) -> int:
     return int(digits)
 
 
+def parse_int(text: str) -> int:
+    """int(text) on ASCII digits: an optional sign and surrounding
+    whitespace, as int() reads them, but no underscores and no non-ASCII
+    digits, which int() would also read."""
+    body = text.strip()
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    value = read_int(digits)
+    return -value if body.startswith("-") else value
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial division; sufficient for desk-scale moduli."""
     if n < 2:

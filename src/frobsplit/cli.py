@@ -16,21 +16,20 @@ import sys
 import time
 
 from . import __version__
-from .arith import ZpViolationError, is_prime
+from .arith import ZpViolationError, is_prime, parse_int
 from .elliptic import (hasse_closed, hasse_coeff, supersingular_report,
                        write_hasse_table)
 from .fedder import fpt_bounds, nu
 from .fibration import (DEFAULT_BIGRADED_PMAX, cbf_sides, f_discriminant_legendre,
                         is_kgfr_legendre, prime_scan)
-from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, DoubleCover,
-                     P1Divisor, P1Point, gfr_p1_bounded, gfs_bigraded_hypersurface,
-                     gfs_cy_hypersurface, gfs_p1, parse_divisor, parse_point,
-                     pushforward_splitting_check)
+from .gsplit import (DEFAULT_EMAX, DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
+                     gfs_bigraded_hypersurface, gfs_cy_hypersurface, gfs_p1,
+                     parse_divisor, parse_point, pushforward_splitting_check)
 from .kappa import (CATALOG, CurveSectionGrowth, case_params, check_superadditivity,
-                    kappa_estimate)
+                    kappa_estimate, match_expectation)
 from .mpoly import MPoly, PolyParseError, format_poly, parse_poly
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _opt(value, default):
@@ -42,13 +41,22 @@ class CliError(Exception):
     pass
 
 
-def _emax(args, default: int = DEFAULT_EMAX) -> int:
-    """--emax, refused past sys.maxsize: the levels 1..e_max are listed, and
-    no sequence is longer than that."""
-    e_max = _opt(args.emax, default)
-    if e_max > sys.maxsize:
-        raise CliError(f"--emax must be at most {sys.maxsize}, got {e_max}")
-    return e_max
+def _int(text: str) -> int:
+    """The type of every integer flag: int() on ASCII digits alone."""
+    return parse_int(text)
+
+
+_int.__name__ = "int"  # argparse's "invalid int value" message names the type
+
+
+def _level(args, key: str, default: int) -> int:
+    """--e or --emax, refused past sys.maxsize: the levels 1..e_max are
+    listed, and no sequence is longer than that; a single level e gets the
+    same ceiling, as no q = p^e past it fits in memory."""
+    level = _opt(getattr(args, key), default)
+    if level > sys.maxsize:
+        raise CliError(f"{_FLAGS[key][0]} must be at most {sys.maxsize}, got {level}")
+    return level
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,13 +161,13 @@ def _poly_from_args(args):
 
 def _cmd_fedder_nu(args) -> dict:
     f, names = _poly_from_args(args)
-    e = _opt(args.e, 1)
+    e = _level(args, "e", 1)
     return {"poly": format_poly(f, names), "e": e, "nu": nu(f, e)}
 
 
 def _cmd_fpt(args) -> dict:
     f, names = _poly_from_args(args)
-    seq = fpt_bounds(f, _emax(args, 3))
+    seq = fpt_bounds(f, _level(args, "emax", 3))
     e_max, nu_max = seq.values[-1]
     return {
         "poly": format_poly(f, names),
@@ -183,20 +191,20 @@ def _divisor_from_args(args) -> P1Divisor:
 
 def _cmd_gfs_p1(args) -> dict:
     B = _divisor_from_args(args)
-    verdict = gfs_p1(B, e_max=_emax(args))
+    verdict = gfs_p1(B, e_max=_level(args, "emax", DEFAULT_EMAX))
     return {"divisor": _divisor_payload(B), "verdict": verdict.to_dict()}
 
 
 def _cmd_gfr_p1(args) -> dict:
     B = _divisor_from_args(args)
-    verdict = gfr_p1_bounded(B, e_max=_emax(args),
-                             perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
+    verdict = gfr_p1_bounded(B, e_max=_level(args, "emax", DEFAULT_EMAX))
     return {"divisor": _divisor_payload(B), "verdict": verdict.to_dict()}
 
 
 def _cmd_gfs_cy(args) -> dict:
     f, names = _poly_from_args(args)
-    return {"poly": format_poly(f, names), "split": gfs_cy_hypersurface(f, _opt(args.e, 1))}
+    return {"poly": format_poly(f, names),
+            "split": gfs_cy_hypersurface(f, _level(args, "e", 1))}
 
 
 def _cmd_gfs_bigraded(args) -> dict:
@@ -204,13 +212,13 @@ def _cmd_gfs_bigraded(args) -> dict:
     if not args.groups:
         raise CliError("--groups is required, e.g. --groups 3,2")
     try:
-        g1, g2 = (int(x) for x in args.groups.split(","))
+        g1, g2 = (parse_int(x) for x in args.groups.split(","))
     except ValueError:
         raise CliError(f"--groups needs two integer sizes, got {args.groups!r}") from None
     return {
         "poly": format_poly(f, names),
         "groups": [g1, g2],
-        "split": gfs_bigraded_hypersurface(f, (g1, g2), _opt(args.e, 1)),
+        "split": gfs_bigraded_hypersurface(f, (g1, g2), _level(args, "e", 1)),
     }
 
 
@@ -228,7 +236,7 @@ def _cmd_cover_check(args) -> dict:
     else:
         raise CliError("--cover must be 'squaring' or 'legendre'")
     B = _divisor_from_args(args)
-    rep = pushforward_splitting_check(cover, B, _opt(args.e, 1))
+    rep = pushforward_splitting_check(cover, B, _level(args, "e", 1))
     return {
         "cover": cover.name,
         "divisor": _divisor_payload(B),
@@ -242,8 +250,7 @@ def _cmd_cover_check(args) -> dict:
 
 def _cmd_kgfr(args) -> dict:
     p = _require_prime(args.p)
-    verdict = is_kgfr_legendre(p, e_max=_emax(args),
-                               perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
+    verdict = is_kgfr_legendre(p, e_max=_level(args, "emax", DEFAULT_EMAX))
     return {"prime": p, **_fdisc_payload(p), "kgfr": verdict.to_dict()}
 
 
@@ -251,11 +258,10 @@ def _cmd_scan(args) -> dict:
     if not args.range:
         raise CliError("--range a..b is required")
     try:
-        lo, hi = (int(x) for x in args.range.split(".."))
+        lo, hi = (parse_int(x) for x in args.range.split(".."))
     except ValueError as exc:
         raise CliError("--range must look like 3..31") from exc
-    report = prime_scan(lo, hi, e_max=_emax(args),
-                        perturbation_budget=_opt(args.budget, DEFAULT_POINT_BUDGET))
+    report = prime_scan(lo, hi, e_max=_level(args, "emax", DEFAULT_EMAX))
     payload = report.to_dict()
     if args.out:
         import csv
@@ -268,7 +274,7 @@ def _cmd_scan(args) -> dict:
 
 
 def _cmd_cbf(args) -> dict:
-    sides = cbf_sides(_require_prime(args.p), e_max=_emax(args),
+    sides = cbf_sides(_require_prime(args.p), e_max=_level(args, "emax", DEFAULT_EMAX),
                       pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
     return {"total_space_gfs": sides.total, "base_couple_gfs": sides.base,
             "match": sides.match}
@@ -309,32 +315,11 @@ def _parse_case(text: str) -> tuple[str, dict]:
             if key in params:
                 raise CliError(f"repeated case parameter {key!r}")
             try:
-                params[key] = (val == "true") if val in ("true", "false") else int(val)
+                params[key] = (val == "true") if val in ("true", "false") else parse_int(val)
             except ValueError:
                 raise CliError(f"bad case parameter {chunk!r}: "
                                "expected true, false or an integer") from None
     return case_id.strip(), params
-
-
-def _match_expectation(report, expected: dict) -> tuple[bool, list[str]]:
-    problems = []
-    want = expected.get("inequality")
-    if want == "holds-with-equality":
-        if report.inequality_holds is not True or report.equality_observed is not True:
-            problems.append("expected the inequality to hold with equality")
-    elif want == "holds":
-        if report.inequality_holds is not True:
-            problems.append("expected the inequality to hold")
-    elif want == "fails":
-        if report.inequality_holds is not False:
-            problems.append("expected the inequality to fail")
-    if expected.get("kgfr") == "yes" and report.hypothesis_flags.get("kgfr") != "KGFR":
-        problems.append("expected a KGFR verdict")
-    if expected.get("kgfr") == "no" and report.hypothesis_flags.get("kgfr") == "KGFR":
-        problems.append("expected a non-KGFR verdict")
-    if expected.get("fixed-part") == "fires" and not report.hypothesis_flags.get("fixed_part_flag"):
-        problems.append("expected the fixed-part flag to fire")
-    return not problems, problems
 
 
 def _cmd_catalog(args) -> dict:
@@ -350,7 +335,7 @@ def _cmd_catalog(args) -> dict:
     results = []
     for case_id, params, expected, basis in rows:
         rep = check_superadditivity(case_id, **params)
-        ok, problems = _match_expectation(rep, expected)
+        ok, problems = match_expectation(rep, expected)
         results.append({
             "case": case_id,
             "params": {k: str(v) for k, v in sorted(params.items())},
@@ -365,10 +350,10 @@ def _cmd_catalog(args) -> dict:
 # Every flag a subcommand may read, in the order reports echo them: the
 # option string and its add_argument keywords, keyed by its dest.
 _FLAGS = {
-    "p": ("--p", {"type": int}),
+    "p": ("--p", {"type": _int}),
     "lam": ("--lambda", {}),
-    "e": ("--e", {"type": int}),
-    "emax": ("--emax", {"type": int}),
+    "e": ("--e", {"type": _int}),
+    "emax": ("--emax", {"type": _int}),
     "poly": ("--poly", {}),
     "vars": ("--vars", {}),
     "divisor": ("--divisor", {}),
@@ -376,12 +361,11 @@ _FLAGS = {
     "cover": ("--cover", {}),
     "range": ("--range", {}),
     "case": ("--case", {}),
-    "genus": ("--genus", {"type": int}),
-    "degree": ("--degree", {"type": int}),
+    "genus": ("--genus", {"type": _int}),
+    "degree": ("--degree", {"type": _int}),
     "degree_zero": ("--degree-zero", {"choices": ["trivial", "generic"]}),
-    "mmax": ("--mmax", {"type": int}),
-    "budget": ("--budget", {"type": int}),
-    "bigraded_pmax": ("--bigraded-pmax", {"type": int}),
+    "mmax": ("--mmax", {"type": _int}),
+    "bigraded_pmax": ("--bigraded-pmax", {"type": _int}),
     "out": ("--out", {}),
 }
 
@@ -394,13 +378,13 @@ _COMMANDS = {
     "fedder-nu": (_cmd_fedder_nu, ("p", "poly", "vars", "e")),
     "fpt": (_cmd_fpt, ("p", "poly", "vars", "emax")),
     "gfs-p1": (_cmd_gfs_p1, ("p", "divisor", "emax")),
-    "gfr-p1": (_cmd_gfr_p1, ("p", "divisor", "emax", "budget")),
+    "gfr-p1": (_cmd_gfr_p1, ("p", "divisor", "emax")),
     "gfs-cy": (_cmd_gfs_cy, ("p", "poly", "vars", "e")),
     "gfs-bigraded": (_cmd_gfs_bigraded, ("p", "poly", "vars", "groups", "e")),
     "cover-check": (_cmd_cover_check, ("p", "cover", "lam", "divisor", "e")),
-    "kgfr": (_cmd_kgfr, ("p", "emax", "budget")),
+    "kgfr": (_cmd_kgfr, ("p", "emax")),
     "cbf": (_cmd_cbf, ("p", "emax", "bigraded_pmax")),
-    "scan": (_cmd_scan, ("range", "emax", "budget", "out")),
+    "scan": (_cmd_scan, ("range", "emax", "out")),
     "kappa": (_cmd_kappa, ("case", "genus", "degree", "degree_zero", "mmax")),
     "catalog": (_cmd_catalog, ("case",)),
 }

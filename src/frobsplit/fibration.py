@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .arith import _check_modulus, is_prime
 from .elliptic import supersingular_report
-from .gsplit import (DEFAULT_EMAX, DEFAULT_POINT_BUDGET, UNKNOWN, YES,
-                     GfsVerdict, P1Divisor, P1Point, gfs_p1)
+from .gsplit import (DEFAULT_EMAX, UNKNOWN, YES, GfsVerdict, P1Divisor, P1Point,
+                     gfs_p1)
 from .mpoly import MPoly
 
 DEFAULT_BIGRADED_PMAX = 13
@@ -216,15 +216,14 @@ class KgfrVerdict(NamedTuple):
         }
 
 
-def is_kgfr_legendre(p: int, e_max: int = DEFAULT_EMAX,
-                     perturbation_budget: int = DEFAULT_POINT_BUDGET) -> KgfrVerdict:
+def is_kgfr_legendre(p: int, e_max: int = DEFAULT_EMAX) -> KgfrVerdict:
     """KGFR decision for the Legendre fibration at p, in closed form.
 
     KGFR needs a globally F-split general fiber (`s0_fiber_legendre`: always)
     and a globally F-regular base couple B_p = 1/2 (inf) + sum mult/(p-1)
     (lambda) over the roots of H_p.  The base verdict is the one
-    `gfr_p1_bounded` returns on that divisor, and it depends on
-    (p, e_max, budget) alone.  With m = (p-1)/2:
+    `gfr_p1_bounded` returns on that divisor, and it depends on (p, e_max)
+    alone.  With m = (p-1)/2:
 
     * No structural obstruction: every coefficient is below 1 and the degree
       is 1.  The coefficients clear at level 1, so the levels are 1..e_max.
@@ -237,32 +236,21 @@ def is_kgfr_legendre(p: int, e_max: int = DEFAULT_EMAX,
       so a single-point perturbation has D = q - 2 >= 0 and S + 1 <= q - 1:
       every centre splits at every level, inf and the generic point too.
 
-    So the base is yes at level 1 with certificate 0 when the budget covers
-    the p^2 + 1 centres of P^1(F_{p^2}), and unknown (the family truncated)
-    below that.  The tests compare this with `gfr_p1_bounded` on the
-    computed divisor.
+    So the base is yes at level 1 with certificate 0 whenever e_max >= 1,
+    and unknown (no level to test) below that.  The tests compare this with
+    `gfr_p1_bounded` on the computed divisor.
     """
     _check_modulus(p)
-    if perturbation_budget < 0:
-        raise ValueError(f"perturbation budget must be >= 0, got {perturbation_budget}")
     levels = tuple(range(1, e_max + 1))
-    evidence = {"e_max": e_max, "perturbation_budget": perturbation_budget,
-                "levels": list(levels)}
+    evidence = {"e_max": e_max, "levels": list(levels)}
     if not levels:
         base = GfsVerdict(UNKNOWN, reason="no admissible level within e_max",
                           evidence=evidence)
     else:
-        tested = min(perturbation_budget, p * p + 1)
-        truncated = tested < p * p + 1
-        evidence.update({"aggregate_certificate": [1, 0], "points_tested": tested,
-                         "family_failures": [], "generic_point": True,
-                         "truncated": truncated})
-        if truncated:
-            base = GfsVerdict(UNKNOWN, levels_tested=levels,
-                              reason="point family truncated by budget", evidence=evidence)
-        else:
-            base = GfsVerdict(YES, level=1, certificate=0, levels_tested=levels,
-                              evidence=evidence)
+        evidence.update({"aggregate_certificate": [1, 0], "family_failures": [],
+                         "generic_point": True})
+        base = GfsVerdict(YES, level=1, certificate=0, levels_tested=levels,
+                          evidence=evidence)
     return KgfrVerdict(prime=p, fiber_gfs=s0_fiber_legendre(p) == 1, base_gfr=base,
                        overall="KGFR" if base.is_yes else "unknown")
 
@@ -289,12 +277,11 @@ class ScanReport(NamedTuple):
         }
 
 
-def prime_scan(start: int, stop: int, e_max: int = DEFAULT_EMAX,
-               perturbation_budget: int = DEFAULT_POINT_BUDGET) -> ScanReport:
+def prime_scan(start: int, stop: int, e_max: int = DEFAULT_EMAX) -> ScanReport:
     """KGFR density over the odd primes in [start, stop], in ascending order."""
     if start > stop:
         raise ValueError(f"need start <= stop, got {start}..{stop}")
-    verdicts = (is_kgfr_legendre(p, e_max=e_max, perturbation_budget=perturbation_budget)
+    verdicts = (is_kgfr_legendre(p, e_max=e_max)
                 for p in range(max(3, start), stop + 1) if p % 2 and is_prime(p))
     rows = tuple(ScanRow(prime=v.prime, overall=v.overall, fiber_gfs=v.fiber_gfs,
                          base_status=v.base_gfr.status) for v in verdicts)

@@ -26,7 +26,6 @@ from .upoly import (UPoly, _boundary_poly, _dense_trim, _udiv, _umul,
                     _upow_frobenius, univ_eval, univ_squarefree)
 
 DEFAULT_EMAX = 2
-DEFAULT_POINT_BUDGET = 20000
 _ALL = "all"  # every finite perturbation centre fails (_perturbed_level)
 
 
@@ -359,8 +358,7 @@ def _perturbed_level(q: int, finite_parts, n_inf: int, p: int):
     return (roots.pop() if len(roots) == 1 else None), inf_ok
 
 
-def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
-                   perturbation_budget: int = DEFAULT_POINT_BUDGET) -> GfsVerdict:
+def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
     """Bounded global F-regularity test for (P^1, B).
 
     CertifiedNo on the structural obstructions (a coefficient >= 1 or
@@ -371,9 +369,9 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
       (the point inf when the support is empty), so that the complement of
       E0 is affine and regular -- the standard sufficient criterion for
       F-regularity;
-    * every single-point perturbation B + (P)/(p^e - 1) over the first
-      perturbation_budget centres P of P^1(F_{p^2}) (inf, F_p by value,
-      a+bt by (b, a)) splitting at some tested level;
+    * every single-point perturbation B + (P)/(p^e - 1) over the p^2 + 1
+      centres P of P^1(F_{p^2}) (inf, F_p by value, a+bt by (b, a))
+      splitting at some tested level;
     * the symbolic generic-point perturbation splitting likewise.
 
     A finite centre s turns the boundary polynomial g into g*(x - s), whose
@@ -381,12 +379,10 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
     failing finite centres are none, all (then every centre fails and so
     does the generic point), or g[k-1]/g[k].  That covers the support points
     too, so only inf is tested one at a time: one boundary polynomial per
-    level, O(|support| * levels) work, not O(p^2).  Anything short of Yes
-    returns Unknown with the first ten failures recorded; the family is not
-    claimed complete for No.
+    level, O(|support| * levels) work, not O(p^2), so the whole family is
+    decided at every p.  Anything short of Yes returns Unknown with the
+    first ten failures recorded; the family is not claimed complete for No.
     """
-    if perturbation_budget < 0:
-        raise ValueError(f"perturbation budget must be >= 0, got {perturbation_budget}")
     p = B.prime
     for point, c in B.sorted_entries():
         if c >= 1:
@@ -397,11 +393,10 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
         return GfsVerdict(CERTIFIED_NO, reason="deg B >= 2: boundary is not log Fano")
     d = B.level()
     levels = tuple(range(d, e_max + 1, d))
-    budgets = {"e_max": e_max, "perturbation_budget": perturbation_budget,
-               "levels": list(levels)}
+    evidence = {"e_max": e_max, "levels": list(levels)}
     if not levels:
         return GfsVerdict(UNKNOWN, reason="no admissible level within e_max",
-                          evidence=budgets)
+                          evidence=evidence)
 
     # aggregate certificate B + E0/(q-1), E0 the support (inf if it is empty;
     # a nonempty support already has affine complement): +1 on each support
@@ -418,28 +413,23 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
 
     # A centre fails when it fails at every level; a support point s, like
     # any finite centre, turns g into g*(x - s), so only inf is tested alone.
-    tested = min(perturbation_budget, p * p + 1)
     perturbed = [_perturbed_level(q, finite_parts, n_inf, p)
                  for _, (q, finite_parts, n_inf) in data]
     outcomes = {finite for finite, _ in perturbed} - {_ALL}
     if not outcomes:  # inf perturbs the same zero window
-        failing = range(tested)
+        failing = range(p * p + 1)
     else:
-        failing = [0] if tested and not any(inf_ok for _, inf_ok in perturbed) else []
+        failing = [] if any(inf_ok for _, inf_ok in perturbed) else [0]
         if len(outcomes) == 1 and None not in outcomes:
-            failing += [r for r in outcomes if r < tested]
+            failing += outcomes
     generic_ok = bool(outcomes)
-    truncated = tested < p * p + 1
 
-    evidence = dict(budgets)
     evidence.update({
         "aggregate_certificate": list(aggregate) if aggregate else None,
-        "points_tested": tested,
         "family_failures": [str(_centre_at(i, p)) for i in failing[:10]],
         "generic_point": generic_ok,
-        "truncated": truncated,
     })
-    if aggregate and not failing and generic_ok and not truncated:
+    if aggregate and not failing and generic_ok:
         return GfsVerdict(YES, level=aggregate[0], certificate=aggregate[1],
                           levels_tested=levels, evidence=evidence)
     reasons = []
@@ -449,8 +439,6 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX,
         reasons.append(f"{len(failing)} point perturbations undecided")
     if not generic_ok:
         reasons.append("generic perturbation undecided")
-    if truncated:
-        reasons.append("point family truncated by budget")
     return GfsVerdict(UNKNOWN, levels_tested=levels, reason="; ".join(reasons),
                       evidence=evidence)
 

@@ -261,6 +261,30 @@ CATALOG = (
 )
 
 
+def match_expectation(report: SuperadditivityReport, expected: dict) -> tuple[bool, list[str]]:
+    """Whether a report meets a CATALOG row's `expected` verdicts, and the
+    problems when it does not."""
+    problems = []
+    want = expected.get("inequality")
+    if want == "holds-with-equality":
+        if report.inequality_holds is not True or report.equality_observed is not True:
+            problems.append("expected the inequality to hold with equality")
+    elif want == "holds":
+        if report.inequality_holds is not True:
+            problems.append("expected the inequality to hold")
+    elif want == "fails":
+        if report.inequality_holds is not False:
+            problems.append("expected the inequality to fail")
+    if expected.get("kgfr") == "yes" and report.hypothesis_flags.get("kgfr") != "KGFR":
+        problems.append("expected a KGFR verdict")
+    if expected.get("kgfr") == "no" and report.hypothesis_flags.get("kgfr") == "KGFR":
+        problems.append("expected a non-KGFR verdict")
+    if (expected.get("fixed-part") == "fires"
+            and not report.hypothesis_flags.get("fixed_part_flag")):
+        problems.append("expected the fixed-part flag to fire")
+    return not problems, problems
+
+
 def case_params(case_id: str, params: dict) -> dict:
     """A catalog case's parameters with its defaults filled in.
 

@@ -244,7 +244,9 @@ def _default_names(nvars: int) -> list[str]:
 MAX_POWER_TERMS = 5000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN_RE = re.compile(rf"\s*(\d+|{_NAME_RE.pattern}|\*|\+|\-|\^|\(|\))")
+# ASCII digits only, as in a point: int() would also read non-ASCII digits
+_DIGITS_RE = re.compile(r"[0-9]+")
+_TOKEN_RE = re.compile(rf"\s*({_DIGITS_RE.pattern}|{_NAME_RE.pattern}|\*|\+|\-|\^|\(|\))")
 
 
 class PolyParseError(ValueError):
@@ -323,7 +325,7 @@ class _Parser:
         if self._peek() == "^":
             self._next()
             tok = self._next()
-            if not tok.isdigit():
+            if not _DIGITS_RE.fullmatch(tok):
                 raise PolyParseError(f"exponent must be a nonnegative integer, got {tok!r}")
             k = self._int(tok)
             if (len(base.terms) > 1
@@ -349,7 +351,7 @@ class _Parser:
             return inner
         if tok == "-":
             return -self._factor()
-        if tok.isdigit():
+        if _DIGITS_RE.fullmatch(tok):
             return MPoly.constant(self._int(tok), self.nvars, self.p)
         if tok in self.names:
             return MPoly.variable(self.names[tok], self.nvars, self.p)

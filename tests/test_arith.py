@@ -8,7 +8,7 @@ import pytest
 
 from frobsplit.arith import (ExtFieldElement, FieldElement,
                              ZpViolationError, binom_mod_p, is_prime,
-                             legendre_symbol, quadratic_nonresidue,
+                             legendre_symbol, parse_int, quadratic_nonresidue,
                              splitting_level)
 
 
@@ -17,6 +17,16 @@ def test_is_prime_small():
     composites = [0, 1, 4, 9, 15, 91, 100]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in composites)
+
+
+def test_parse_int_reads_what_int_reads_in_ascii():
+    # sign and surrounding whitespace as int() takes them, ASCII digits only
+    for text in ("5", " 5", "5\n", "+5", "-5", " -007 ", "0", "-0", "9" * 30):
+        assert parse_int(text) == int(text), text
+    for text in ("", " ", "+", "-", "1_0", "\u0665", "5\u0665", "+-5", "- 5", "5 5", "0x5",
+                 "5.0", "\uff15"):
+        with pytest.raises(ValueError):
+            parse_int(text)
 
 
 def test_field_element_basics():

@@ -30,7 +30,7 @@ def _json_report(argv, capsys):
 def test_supersingular_p5(capsys):
     code, rep = _json_report(["supersingular", "--p", "5"], capsys)
     assert code == 0
-    assert rep["schema_version"] == "1"
+    assert rep["schema_version"] == "2"
     r = rep["results"]
     assert r["poly"] == "lam^2 + 4*lam + 1"
     assert r["root_count"] == 2 and r["squarefree"] is True
@@ -84,7 +84,9 @@ def test_gfs_p1_without_admissible_level_is_unknown(capsys):
 
 
 def test_strict_exit_code_on_unknown(capsys):
-    code = main(["kgfr", "--p", "17", "--budget", "0", "--strict", "--json"])
+    # g = x^5 - x: every centre of the single-point family fails
+    code = main(["gfr-p1", "--p", "5", "--divisor", "1/4@0,1/4@1,1/4@2,1/4@3,1/4@4,2/4@inf",
+                 "--emax", "1", "--strict", "--json"])
     capsys.readouterr()
     assert code == 2
 
@@ -104,12 +106,18 @@ def test_input_error_exit_code(tmp_path, capsys):
         # a flag the subcommand does not read, and abbreviations
         ["fdisc", "--p", "5", "--poly", "x"],
         ["fpt", "--p", "5", "--poly", "x*y", "--vars", "x,y", "--e", "2"],
-        ["gfr-p1", "--p", "5", "--divisor", "1/2@inf", "--bud", "3"],
-        # a negative budget, a reversed range, and --workers, which scan
-        # no longer has
-        ["gfr-p1", "--p", "5", "--divisor", "1/4@1", "--budget", "-1"],
+        ["gfr-p1", "--p", "5", "--divisor", "1/2@inf", "--em", "3"],
+        # a reversed range, and --workers, which scan no longer has
         ["scan", "--range", "5..3"],
         ["scan", "--range", "3..7", "--workers", "2"],
+        # integers are ASCII digits: int() alone read these as 5, 10, 3, 11,
+        # 3 and 2
+        ["hasse", "--p", "\u0665", "--lambda", "2"],
+        ["kgfr", "--p", "5", "--emax", "1_0"],
+        ["fedder-nu", "--p", "5", "--poly", "x^\u0663", "--vars", "x"],
+        ["scan", "--range", "3..1_1"],
+        ["kappa", "--case", "ruled:g=2,d=\u0663"],
+        ["fpt", "--p", "5", "--poly", "x^2", "--vars", "x", "--emax", "\u0662"],
         # a level below 1 for the two hypersurface criteria
         ["gfs-cy", "--p", "5", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z", "--e", "0"],
         ["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
@@ -146,6 +154,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # no --budget: the single-point family is always decided in full
+    assert main(["kgfr", "--p", "151", "--budget", "20000"]) == 1
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --budget 20000\n")
     # a case parameter value that is neither true, false nor an integer
     for argv, chunk in ((["catalog", "--case", "legendre:p=x"], "p=x"),
                         (["kappa", "--case", "ruled:g=two,d=3"], "g=two"),
@@ -183,15 +194,23 @@ def test_input_error_exit_code(tmp_path, capsys):
                                   "more than the 4300 that are read\n"), argv[0]
         assert "set_int_max_str_digits" not in err
     assert sys.get_int_max_str_digits() == 4300
-    # an e_max no sequence of levels can hold
+    # an e_max no sequence of levels can hold, and a level e as large
     huge = "99999999999999999999"
-    for argv in (["gfs-p1", "--p", "5", "--divisor", "1/2@1"],
-                 ["gfr-p1", "--p", "5", "--divisor", "1/2@1"],
-                 ["kgfr", "--p", "5"], ["cbf", "--p", "5"], ["scan", "--range", "3..5"],
-                 ["fpt", "--p", "5", "--poly", "x", "--vars", "x"]):
-        assert main(argv + ["--emax", huge]) == 1, argv
+    for argv, flag in ((["gfs-p1", "--p", "5", "--divisor", "1/2@1"], "--emax"),
+                       (["gfr-p1", "--p", "5", "--divisor", "1/2@1"], "--emax"),
+                       (["kgfr", "--p", "5"], "--emax"), (["cbf", "--p", "5"], "--emax"),
+                       (["scan", "--range", "3..5"], "--emax"),
+                       (["fpt", "--p", "5", "--poly", "x", "--vars", "x"], "--emax"),
+                       (["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x"], "--e"),
+                       (["cover-check", "--p", "5", "--cover", "squaring",
+                         "--divisor", "1/2@0,1/2@inf"], "--e"),
+                       (["gfs-cy", "--p", "5", "--poly", "x^3 + y^3 + z^3",
+                         "--vars", "x,y,z"], "--e"),
+                       (["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
+                         "--groups", "2,2"], "--e")):
+        assert main(argv + [flag, huge]) == 1, argv
         assert capsys.readouterr() == (
-            "", f"error: --emax must be at most {sys.maxsize}, got {huge}\n"), argv
+            "", f"error: {flag} must be at most {sys.maxsize}, got {huge}\n"), argv
     # the Legendre cover's lambda is a point of F_p
     for lam in ("2+t", "3+4t", "inf"):
         assert main(["cover-check", "--p", "7", "--cover", "legendre", "--lambda", lam,
@@ -268,6 +287,12 @@ def test_readme_examples_parse():
         assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv), line
 
 
+def test_every_flag_belongs_to_a_subcommand():
+    # _echo_inputs and the token list below read _FLAGS, so a retired flag
+    # must leave it along with its last subcommand
+    assert set(_FLAGS) == {key for _, keys in _COMMANDS.values() for key in keys}
+
+
 # argv tokens for the parser comparison: every command and flag, the
 # top-level options, and values good and bad, a command name among them
 _ARGV_TOKENS = (list(_COMMANDS) + [option for option, _ in _FLAGS.values()]
@@ -304,9 +329,10 @@ def test_parser_for_argv_parses_like_the_full_parser(argv):
 
 # sha256 over (argv, exit or SystemExit code, stdout, stderr) of cli.run on
 # the top-level help, usage and error argvs and on each subcommand's help,
-# usage and flag errors, at COLUMNS=80, taken while every subparser had -h.
+# usage and flag errors, at COLUMNS=80, taken while every subparser had -h
+# and re-taken when --budget left gfr-p1, kgfr and scan.
 # argparse's help layout differs between Python versions; this is 3.11's
-_HELP_OUTPUTS_SHA256 = "799c54d854756f175df8932edcbbce28646c7d18c6f0a6f12dce458d02f03c35"
+_HELP_OUTPUTS_SHA256 = "437fcb4a3b700858136e2502b8cc48d1fdea6778393dd34ad6e22a63b8df2be0"
 
 
 def _help_argvs():
@@ -457,11 +483,12 @@ def test_text_mode_renders(capsys):
 
 
 # sha256 of `supersingular --p P --json` stdout, taken from the full-degree
-# root finder: a change of root finder must not reorder or change the roots
+# root finder (re-taken at schema version 2, which changed only that line): a
+# change of root finder must not reorder or change the roots
 _SUPERSINGULAR_SHA256 = {
-    101: "83fdf66f5ca36c37df84cec1970a67a3121ab9b9aff48d6798bb19c213fb87d6",
-    199: "d9b50f8fefd9796ecb87942847d7b5c63af03c4c36b1eab2cdb7bde182a94e35",
-    1009: "8a71df43792468b778b7f803574e87bc17c46925ddcea7f319c1a69b35dc28f0",
+    101: "b13d2f86ee2d4b0b9c5dfcb33b120f5420fa87338f24780561811068942326a3",
+    199: "71c2d4771ee7182978261bed0d9c5811cb32e8acb3c9a35448954873c97b6fdd",
+    1009: "ac2919b8cd4992a12b7b9d92957bc7280df0cbd9550a6ecd254dec5979970fb9",
 }
 
 
@@ -473,18 +500,20 @@ def test_supersingular_json_pinned(capsys):
 
 
 # sha256 of stdout for the Legendre-fibration decisions, taken from the
-# searching routes: deciding them by proof must not change a byte
+# searching routes and re-taken at schema version 2, where the base evidence
+# lost perturbation_budget, points_tested and truncated: deciding them by
+# proof must not change a byte
 _FIBRATION_SHA256 = {
-    "scan --range 3..400 --json":
-        "9f6b91d9c173ac74976c7c35acbe529c0b7b62d32a8e080cd68ef4a2f8b793b9",
+    "scan --range 3..400 --json":  # 77 KGFR, every family decided in full
+        "c30c0212f56c253bf354a65c9b571bc2a4fb783fc447631f502d4457f63dc97b",
     "kgfr --p 101 --json":
-        "8f6fce3caf7591a2978b1f4b893283dad86842a1b6c0002377efe67c88313087",
-    "kgfr --p 151 --json":  # the family truncated by the default budget
-        "9e886eeeb18939439c85906489687f77f0bb2cd48ea9f9e07aa2dc3ab7793b3a",
+        "738520535dad11ba1cd85a56a88cfc418871fc983c5152777217689346d55df1",
+    "kgfr --p 151 --json":  # p^2 + 1 = 22802 centres, all decided: yes
+        "07bd87053bd782a4bebbe6c2bdd08eb15da67af23527725c2fd4714b62fb7660",
     "cbf --p 23 --bigraded-pmax 23 --json":
-        "046bd1608db2347c25c428285b1952dc7e010f402f9f49c9b739c3ee8d050a54",
+        "cd3fb46092bcf6c22d2b8f243a9428d78a622029bb25c8df46ebf7c0f234def2",
     "cbf --p 29 --json":  # past the default --bigraded-pmax: a null total side
-        "2600de120dbd8fd62f6e8a91e8f8a46300ec00ee586c33a129c242bd3ee2e48a",
+        "8c5d8e5d22b871946d429ffda1d4010259b09d8f9ef2f7f5e4c92ee409f74188",
 }
 
 
@@ -497,10 +526,11 @@ def test_fibration_json_pinned(capsys):
 
 # sha256 over (argv, exit code, stdout, stderr) of cli.run on every query of
 # the three benchmark workloads at seed 1, with and without --json, taken
-# while the result records were dataclasses: json.dumps(default=str) prints
+# while the result records were dataclasses (json.dumps(default=str) prints
 # a NamedTuple as an array where it printed a dataclass as its repr, so a
-# record reaching a report would change these bytes
-_WORKLOAD_OUTPUTS_SHA256 = "942b7d6f4aa8f6da770c1fb6436ea7d2ec0fbd422bb81d3b866dec83ad43479c"
+# record reaching a report would change these bytes) and re-taken at schema
+# version 2, which dropped three GFR evidence fields
+_WORKLOAD_OUTPUTS_SHA256 = "61fb9b1f8f9f02af12048f4713dc02d74c6af7d89d7bab2a62f6b9fd29a214b5"
 
 _WORKLOAD_OUTPUTS = """
 import contextlib, hashlib, io, json, sys

@@ -11,8 +11,8 @@ from frobsplit.fibration import (BOUNDARY_INFINITY, NODAL, SMOOTH_ORDINARY,
                                  is_kgfr_legendre, legendre_bigraded_poly,
                                  prime_scan, s0_fiber_legendre,
                                  s0_product, total_space_gfs)
-from frobsplit.gsplit import (DEFAULT_POINT_BUDGET, P1Point, gfr_p1_bounded,
-                              gfs_bigraded_hypersurface, gfs_p1, parse_divisor)
+from frobsplit.gsplit import (P1Point, gfr_p1_bounded, gfs_bigraded_hypersurface, gfs_p1,
+                              parse_divisor)
 
 ODD_PRIMES_TO_400 = [p for p in range(3, 400) if is_prime(p)]
 
@@ -177,28 +177,21 @@ def test_kgfr_examples():
         assert v.base_gfr.is_yes
 
 
-def test_kgfr_budget_zero_is_unknown():
-    v = is_kgfr_legendre(5, perturbation_budget=0)
-    assert v.overall == "unknown"
-
-
 def test_kgfr_base_is_the_bounded_search_on_the_divisor():
     # the closed-form base verdict against gfr_p1_bounded on the computed
-    # F-discriminant divisor, with every budget edge on both sides of p^2 + 1
+    # F-discriminant divisor: yes at every e_max >= 1, unknown at 0
     statuses = set()
     for p in ODD_PRIMES_TO_400:
         B = f_discriminant_legendre(p).divisor
         for e_max in range(4):
-            for budget in (0, 1, p + 1, p * p, p * p + 1, DEFAULT_POINT_BUDGET):
-                want = gfr_p1_bounded(B, e_max=e_max, perturbation_budget=budget)
-                got = is_kgfr_legendre(p, e_max=e_max, perturbation_budget=budget)
-                assert got.base_gfr.to_dict() == want.to_dict(), (p, e_max, budget)
-                assert got.fiber_gfs is True
-                assert got.overall == ("KGFR" if want.is_yes else "unknown")
-                statuses.add(want.status)
+            want = gfr_p1_bounded(B, e_max=e_max)
+            got = is_kgfr_legendre(p, e_max=e_max)
+            assert got.base_gfr.to_dict() == want.to_dict(), (p, e_max)
+            assert got.fiber_gfs is True
+            assert got.overall == ("KGFR" if want.is_yes else "unknown")
+            assert want.is_yes == (e_max >= 1), (p, e_max)
+            statuses.add(want.status)
     assert statuses == {"yes", "unknown"}
-    with pytest.raises(ValueError, match="perturbation budget must be >= 0"):
-        is_kgfr_legendre(5, perturbation_budget=-1)
 
 
 def test_prime_scan_range():
@@ -219,13 +212,7 @@ def test_prime_scan_matches_the_search():
         want.append((p, overall, fiber, base.status))
     rep = prime_scan(3, 400)
     assert [(r.prime, r.overall, r.fiber_gfs, r.base_status) for r in rep.rows] == want
-    assert rep.counts == {"KGFR": 33, "not-KGFR": 0, "unknown": 44}
-
-
-def test_prime_scan_budget_zero_all_unknown():
-    rep = prime_scan(3, 13, perturbation_budget=0)
-    assert rep.counts["unknown"] == len(rep.rows) > 0
-    assert rep.counts["KGFR"] == 0
+    assert rep.counts == {"KGFR": 77, "not-KGFR": 0, "unknown": 0}
 
 
 def test_prime_scan_empty_range():

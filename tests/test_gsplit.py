@@ -346,7 +346,7 @@ def test_gfr_trivial_boundary():
     v = gfr_p1_bounded(P1Divisor.zero(5))
     assert v.is_yes
     assert v.evidence["generic_point"] is True
-    assert v.evidence["points_tested"] == 26
+    assert v.evidence["family_failures"] == []
 
 
 def test_gfr_certified_no():
@@ -365,18 +365,6 @@ def test_gfr_legendre_base_pair():
     assert v.evidence["family_failures"] == []
 
 
-def test_gfr_budget_exhaustion_reports_unknown():
-    from frobsplit.fibration import f_discriminant_legendre
-    v = gfr_p1_bounded(f_discriminant_legendre(5).divisor, perturbation_budget=3)
-    assert v.status == "unknown"
-    assert "truncated" in v.reason
-
-
-def test_gfr_rejects_negative_budget():
-    with pytest.raises(ValueError):
-        gfr_p1_bounded(parse_divisor("1/4@1", 5), perturbation_budget=-1)
-
-
 def _all_p2_points(p):
     """P^1(F_{p^2}) in the family order: inf, F_p by value, a+bt by (b, a)."""
     points = [P1Point.infinity()]
@@ -385,18 +373,18 @@ def _all_p2_points(p):
     return points
 
 
-def _bruteforce_gfr(B, e_max, budget):
+def _bruteforce_gfr(B, e_max):
     """gfr_p1_bounded by enumeration, for p <= 31: every centre of
     P^1(F_{p^2}) rebuilt as a perturbed divisor and tested at every level.
 
-    Returns (the verdict's to_dict(), every failing centre within the budget).
+    Returns (the verdict's to_dict(), every failing centre).
     The generic point is decided by specialisation: its window coefficients
     are affine in the centre, so a nonzero one vanishes at one centre at
     most, and the generic point splits at a level iff some centre off the
     support does (there are at least two of them).
     """
     p = B.prime
-    assert p <= 31 and budget >= 0
+    assert p <= 31
     assert all(0 < c < 1 for c in B.entries.values()) and B.degree < 2
     d = B.level()
     levels = tuple(range(d, e_max + 1, d))
@@ -416,14 +404,11 @@ def _bruteforce_gfr(B, e_max, budget):
     off = [pt for pt in family if not pt.is_infinity and pt not in B.entries]
     assert len(off) >= 2
     generic_ok = any(splits[pt, e] for pt in off for e in levels)
-    failing = [str(pt) for pt in family[:budget]
-               if not any(splits[pt, e] for e in levels)]
-    truncated = budget < len(family)
+    failing = [str(pt) for pt in family if not any(splits[pt, e] for e in levels)]
     evidence = {"aggregate_certificate": aggregate, "e_max": e_max,
                 "family_failures": failing[:10], "generic_point": generic_ok,
-                "levels": list(levels), "perturbation_budget": budget,
-                "points_tested": min(budget, len(family)), "truncated": truncated}
-    if aggregate and not failing and generic_ok and not truncated:
+                "levels": list(levels)}
+    if aggregate and not failing and generic_ok:
         return {"status": "yes", "level": aggregate[0], "certificate": aggregate[1],
                 "levels_tested": list(levels), "evidence": evidence}, failing
     reasons = []
@@ -433,16 +418,14 @@ def _bruteforce_gfr(B, e_max, budget):
         reasons.append(f"{len(failing)} point perturbations undecided")
     if not generic_ok:
         reasons.append("generic perturbation undecided")
-    if truncated:
-        reasons.append("point family truncated by budget")
     return {"status": "unknown", "levels_tested": list(levels),
             "reason": "; ".join(reasons), "evidence": evidence}, failing
 
 
-def _check_gfr_against_bruteforce(p, divisor, e_max, budget=20000):
+def _check_gfr_against_bruteforce(p, divisor, e_max):
     B = parse_divisor(divisor, p)
-    want, failing = _bruteforce_gfr(B, e_max, budget)
-    assert gfr_p1_bounded(B, e_max, budget).to_dict() == want, (p, divisor, e_max, budget)
+    want, failing = _bruteforce_gfr(B, e_max)
+    assert gfr_p1_bounded(B, e_max).to_dict() == want, (p, divisor, e_max)
     return B, want, failing
 
 
@@ -486,26 +469,11 @@ def test_gfr_failing_support_point_and_infinity():
     assert failing == ["inf"] and P1Point.infinity() not in B.entries
 
 
-def test_gfr_budgets_against_bruteforce():
-    # the last centre fails: it falls outside every budget below p^2 + 1
-    for budget in (0, 1, 4, 9, 10):
-        _, want, failing = _check_gfr_against_bruteforce(
-            3, "1/2@inf,1/2@0,1/2@1+1t", 1, budget)
-        assert failing == (["2+2t"] if budget == 10 else [])
-        assert want["evidence"]["truncated"] == (budget < 10)
-    # every centre fails: the count follows the budget, the list stops at ten
-    for budget in (0, 1, 6, 25, 26):
-        _, want, failing = _check_gfr_against_bruteforce(
-            5, "1/4@0,1/4@1,1/4@2,1/4@3,1/4@4,2/4@inf", 1, budget)
-        assert len(failing) == budget
-        assert want["evidence"]["family_failures"] == failing[:10]
-
-
 def test_gfr_yes_cases_against_bruteforce():
     from frobsplit.fibration import f_discriminant_legendre
     for p, e_max in ((5, 3), (13, 2), (31, 2)):
         B = f_discriminant_legendre(p).divisor
-        want, failing = _bruteforce_gfr(B, e_max, 20000)
+        want, failing = _bruteforce_gfr(B, e_max)
         assert gfr_p1_bounded(B, e_max).to_dict() == want
         assert want["status"] == "yes" and failing == []
 
@@ -1028,15 +996,14 @@ def test_gfr_p1_equals_object_oracle_drawn():
     verdicts = set()
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @given(_couples((3, 5, 7), 49, 4, below_two=True),
-           st.one_of(st.just(20000), st.integers(0, 60)))
-    def check(drawn, budget):
+    @given(_couples((3, 5, 7), 49, 4, below_two=True))
+    def check(drawn):
         B, e_max = drawn
         if B.degree >= 2:
             return  # certified-no: no boundary polynomial
-        got = gfr_p1_bounded(B, e_max, budget).to_dict()
+        got = gfr_p1_bounded(B, e_max).to_dict()
         with _object_kernel():
-            assert _bruteforce_gfr(B, e_max, budget)[0] == got, (B, e_max, budget)
+            assert _bruteforce_gfr(B, e_max)[0] == got, (B, e_max)
         verdicts.add(got["status"])
 
     check()

@@ -4,7 +4,8 @@ import pytest
 
 from frobsplit.kappa import (CATALOG, NEG_INF, CurveSectionGrowth, H0Interval,
                              RuledAnticanonical, check_superadditivity,
-                             h0_curve, h0_ruled_anticanonical, kappa_estimate)
+                             h0_curve, h0_ruled_anticanonical, kappa_estimate,
+                             match_expectation)
 
 
 def test_h0_curve_examples():
@@ -182,11 +183,10 @@ def test_unknown_case_rejected():
 
 
 def test_catalog_file_runs_clean():
-    from frobsplit.cli import _match_expectation
     assert {row[0] for row in CATALOG} == {"legendre", "ruled", "product"}
     for case_id, params, expected, basis in CATALOG:
         rep = check_superadditivity(case_id, **params)
-        ok, problems = _match_expectation(rep, expected)
+        ok, problems = match_expectation(rep, expected)
         assert ok, (case_id, params, problems)
 
 

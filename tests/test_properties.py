@@ -145,7 +145,7 @@ def run_json_roundtrip_suite() -> int:
         assert code == 0, argv
         blob = json.dumps(report, default=str)
         assert json.loads(blob) == json.loads(json.dumps(json.loads(blob)))
-        assert json.loads(blob)["schema_version"] == "1"
+        assert json.loads(blob)["schema_version"] == "2"
         checks += 1
     return checks
 
