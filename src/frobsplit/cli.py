@@ -50,10 +50,12 @@ _int.__name__ = "int"  # argparse's "invalid int value" message names the type
 
 
 def _level(args, key: str, default: int) -> int:
-    """--e or --emax, refused past sys.maxsize: the levels 1..e_max are
-    listed, and no sequence is longer than that; a single level e gets the
-    same ceiling, as no q = p^e past it fits in memory."""
+    """--e or --emax, refused below 0 and past sys.maxsize: the levels
+    1..e_max are listed, and no sequence is longer than that; a single level
+    e gets the same ceiling, as no q = p^e past it fits in memory."""
     level = _opt(getattr(args, key), default)
+    if level < 0:
+        raise CliError(f"{_FLAGS[key][0]} must be at least 0, got {level}")
     if level > sys.maxsize:
         raise CliError(f"{_FLAGS[key][0]} must be at most {sys.maxsize}, got {level}")
     return level
@@ -391,29 +393,25 @@ _COMMANDS = {
 
 
 def build_parser(argv=None) -> _Parser:
-    """The frobsplit parser, with every subcommand registered.
+    """The frobsplit parser for argv: argv[0]'s subcommand alone, with its
+    flags and -h, if argv[0] is one; otherwise (argv None too) all of them.
 
-    A subcommand gets its flags and its -h only if its name is a token of
-    argv; with argv None, every subcommand gets them.  Parsing argv gives
-    the same namespace, message, exit code and help text either way:
-    argparse's subparsers action looks its parser up by the exact token that
-    names it and runs that parser alone, so a subparser no token names never
-    runs and is never asked for help.  The top-level usage, --help and
-    "invalid choice" list come from the add_parser calls, which are all
-    made.
+    Parsing argv gives the same namespace, message, exit code and output
+    either way.  The top level takes only -h and --version, neither with a
+    value.  When argv[0] names a subcommand, the subparsers positional
+    (nargs A...) consumes argv[0] and every token after it: the top level
+    never prints its help, usage or "invalid choice" list, and the only
+    subparser argparse runs is the one built.  Every output that lists all
+    the subcommands needs an argv[0] that is not one, and then has them all.
     """
     # no abbreviations: a prefix of a flag the subcommand lacks must not
     # silently become a longer flag it has (--e for --emax)
     parser = _Parser(prog="frobsplit", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    named = _COMMANDS if argv is None else set(argv)
-    for name, (_, keys) in _COMMANDS.items():
-        # -h costs an action and a HelpFormatter (a terminal-size lookup)
-        sp = sub.add_parser(name, allow_abbrev=False, add_help=name in named)
-        if name not in named:
-            continue
-        for key in keys:
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for key in _COMMANDS[name][1]:
             option, kwargs = _FLAGS[key]
             sp.add_argument(option, dest=key, **kwargs)
         for option in ("--json", "--strict", "--timings"):

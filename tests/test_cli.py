@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -9,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobsplit.cli import _COMMANDS, _FLAGS, CliError, build_parser, main, run
@@ -140,6 +141,11 @@ def test_input_error_exit_code(tmp_path, capsys):
         # no level to test: neither side of the comparison would test one
         ["cbf", "--p", "7", "--emax", "0"],
         ["cbf", "--p", "7", "--emax", "-1"],
+        # a negative level, which the listing commands would echo as unknown
+        ["gfs-p1", "--p", "5", "--divisor", "1/2@0", "--emax", "-1"],
+        ["gfr-p1", "--p", "5", "--divisor", "1/2@0", "--emax", "-2"],
+        ["kgfr", "--p", "5", "--emax", "-3"],
+        ["scan", "--range", "3..31", "--emax", "-1"],
         # case parameters a case does not read, of the wrong kind, or repeated
         ["kappa", "--case", "legendre:q=7"],
         ["catalog", "--case", "legendre:prime=7"],
@@ -211,6 +217,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert main(argv + [flag, huge]) == 1, argv
         assert capsys.readouterr() == (
             "", f"error: {flag} must be at most {sys.maxsize}, got {huge}\n"), argv
+        # and a negative level, refused before any command reads it
+        assert main(argv + [flag, "-1"]) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {flag} must be at least 0, got -1\n"), argv
     # the Legendre cover's lambda is a point of F_p
     for lam in ("2+t", "3+4t", "inf"):
         assert main(["cover-check", "--p", "7", "--cover", "legendre", "--lambda", lam,
@@ -316,14 +325,31 @@ def _parse_outcome(parser, argv):
     return outcome, out.getvalue(), err.getvalue()
 
 
+# the boundary of the one-subcommand rule: a command first, then a top-level
+# option, -h, "--" or a second command name; and a command that is not first
+# or not a command's exact name
+_EDGE_ARGVS = [
+    ["kgfr", "--version"], ["kgfr", "-h"], ["kgfr", "--", "--p", "5"], ["kgfr", "fpt", "--p", "5"],
+    ["--", "kgfr", "--p", "5"], ["-1", "kgfr"], ["nosuch", "kgfr"], ["--json", "kgfr", "--p", "3"],
+    ["KGFR"], ["kgf"], [],
+]
+
+
+def _with_edge_argvs(test):
+    for argv in _EDGE_ARGVS:
+        test = example(argv)(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@_with_edge_argvs
 @given(st.one_of(st.lists(_TOKEN, max_size=6),
                  st.builds(lambda name, rest: [name, *rest],
                            st.sampled_from(list(_COMMANDS)), st.lists(_TOKEN, max_size=8))))
 def test_parser_for_argv_parses_like_the_full_parser(argv):
-    # build_parser(argv) gives flags and -h only to the subcommands argv
-    # names; argparse runs only the subparser a token names, so nothing it
-    # parses, prints or raises can differ from the parser with every flag
+    # build_parser(argv) builds only the subcommand argv[0] names; argparse
+    # then runs that subparser on the rest of argv, so nothing it parses,
+    # prints or raises can differ from the parser with every subcommand
     assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
 
 
@@ -359,16 +385,47 @@ def test_help_and_usage_outputs_pinned(monkeypatch):
     assert digest.hexdigest() == _HELP_OUTPUTS_SHA256
 
 
-def test_unnamed_subcommands_get_no_help_action():
-    # argparse never runs a subparser no token names, so it needs no -h
-    parser = build_parser(["fpt", "--p", "5"])
-    subparsers = parser._subparsers._group_actions[0].choices
-    assert list(subparsers) == list(_COMMANDS)
-    for name, sp in subparsers.items():
-        if name == "fpt":
-            assert sp.format_usage().startswith("usage: frobsplit fpt [-h] [--p P]"), name
-        else:
-            assert sp.format_usage() == f"usage: frobsplit {name}\n", name
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def _assert_complete(name, sp):
+    """The subcommand has its -h, its flags and --json/--strict/--timings."""
+    options = {opt for action in sp._actions for opt in action.option_strings}
+    assert options == {"-h", "--help", "--json", "--strict", "--timings",
+                       *(_FLAGS[key][0] for key in _COMMANDS[name][1])}, name
+
+
+def test_parser_has_the_named_subcommand_or_all(monkeypatch):
+    # a command first builds that subcommand alone; any other argv builds all
+    for name in _COMMANDS:
+        subparsers = _subparsers(build_parser([name, "--p", "5"]))
+        assert list(subparsers) == [name]
+        _assert_complete(name, subparsers[name])
+    for parser in (build_parser(["--json", "kgfr"]), build_parser()):
+        subparsers = _subparsers(parser)
+        assert list(subparsers) == list(_COMMANDS)
+        for name, sp in subparsers.items():
+            _assert_complete(name, sp)
+    # each workload-shaped call (command first) makes one add_parser call
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    argvs = [["kgfr", "--p", "5"], ["fpt", "--p", "5", "--poly", "x^2", "--vars", "x"],
+             ["gfs-p1", "--p", "5", "--divisor", "1/2@0,1/2@1,1/2@2,1/2@inf"],
+             ["gfr-p1", "--p", "5", "--divisor", "1/2@inf,1/4@3+2t,1/4@3+3t"],
+             ["fedder-nu", "--p", "5", "--poly", "y^2 - x^3", "--vars", "x,y"],
+             ["gfs-cy", "--p", "7", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z"],
+             ["cbf", "--p", "7"], ["supersingular", "--p", "101"]]
+    for argv in argvs:
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv + ["--json"])[0] == 0, argv
+        assert calls == [argv[0]], argv
 
 
 def test_documented_polynomials_parse():
