@@ -49,13 +49,14 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse's "invalid int value" message names the type
 
 
-def _level(args, key: str, default: int) -> int:
-    """--e or --emax, refused below 0 and past sys.maxsize: the levels
-    1..e_max are listed, and no sequence is longer than that; a single level
-    e gets the same ceiling, as no q = p^e past it fits in memory."""
+def _level(args, key: str, default: int, floor: int = 0) -> int:
+    """--e or --emax, refused below `floor` (0 where e_max = 0 tests nothing,
+    1 where a level is computed) and past sys.maxsize: the levels 1..e_max are
+    listed, and no sequence is longer than that; a single level e gets the
+    same ceiling, as no q = p^e past it fits in memory."""
     level = _opt(getattr(args, key), default)
-    if level < 0:
-        raise CliError(f"{_FLAGS[key][0]} must be at least 0, got {level}")
+    if level < floor:
+        raise CliError(f"{_FLAGS[key][0]} must be at least {floor}, got {level}")
     if level > sys.maxsize:
         raise CliError(f"{_FLAGS[key][0]} must be at most {sys.maxsize}, got {level}")
     return level
@@ -163,13 +164,13 @@ def _poly_from_args(args):
 
 def _cmd_fedder_nu(args) -> dict:
     f, names = _poly_from_args(args)
-    e = _level(args, "e", 1)
+    e = _level(args, "e", 1, floor=1)
     return {"poly": format_poly(f, names), "e": e, "nu": nu(f, e)}
 
 
 def _cmd_fpt(args) -> dict:
     f, names = _poly_from_args(args)
-    seq = fpt_bounds(f, _level(args, "emax", 3))
+    seq = fpt_bounds(f, _level(args, "emax", 3, floor=1))
     e_max, nu_max = seq.values[-1]
     return {
         "poly": format_poly(f, names),
@@ -206,7 +207,7 @@ def _cmd_gfr_p1(args) -> dict:
 def _cmd_gfs_cy(args) -> dict:
     f, names = _poly_from_args(args)
     return {"poly": format_poly(f, names),
-            "split": gfs_cy_hypersurface(f, _level(args, "e", 1))}
+            "split": gfs_cy_hypersurface(f, _level(args, "e", 1, floor=1))}
 
 
 def _cmd_gfs_bigraded(args) -> dict:
@@ -220,7 +221,7 @@ def _cmd_gfs_bigraded(args) -> dict:
     return {
         "poly": format_poly(f, names),
         "groups": [g1, g2],
-        "split": gfs_bigraded_hypersurface(f, (g1, g2), _level(args, "e", 1)),
+        "split": gfs_bigraded_hypersurface(f, (g1, g2), _level(args, "e", 1, floor=1)),
     }
 
 
@@ -238,7 +239,7 @@ def _cmd_cover_check(args) -> dict:
     else:
         raise CliError("--cover must be 'squaring' or 'legendre'")
     B = _divisor_from_args(args)
-    rep = pushforward_splitting_check(cover, B, _level(args, "e", 1))
+    rep = pushforward_splitting_check(cover, B, _level(args, "e", 1, floor=1))
     return {
         "cover": cover.name,
         "divisor": _divisor_payload(B),
@@ -276,7 +277,7 @@ def _cmd_scan(args) -> dict:
 
 
 def _cmd_cbf(args) -> dict:
-    sides = cbf_sides(_require_prime(args.p), e_max=_level(args, "emax", DEFAULT_EMAX),
+    sides = cbf_sides(_require_prime(args.p), e_max=_level(args, "emax", DEFAULT_EMAX, floor=1),
                       pmax=_opt(args.bigraded_pmax, DEFAULT_BIGRADED_PMAX))
     return {"total_space_gfs": sides.total, "base_couple_gfs": sides.base,
             "match": sides.match}

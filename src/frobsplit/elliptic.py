@@ -7,16 +7,13 @@ curve-level KGFR classifier.
 
 H_p is a dense coefficient tuple c[0..m] over F_p, m = (p-1)/2, as in
 `upoly`.  The two Hasse routes share no code path: the closed form takes its
-coefficients from binomials (by their ratios, O(p)) and evaluates them by
+coefficients from a table of factorials mod p (O(p)) and evaluates them by
 Horner's rule on field elements, the extraction builds them by Pascal's rule
-and evaluates them on int pairs with `upoly.univ_eval`.  Their agreement is
-asserted by the callers that need it and doubles as an arithmetic
-regression test.
+and evaluates them on int pairs with `upoly.univ_eval`.  `hasse` reports
+their agreement at its lambda; the tests compare the two polynomials.
 
-The root locus comes from a polynomial of half the degree: H_p(1/2 + mu) is
-mu^(m mod 2) * E(mu^2), by the symmetry H_p(1 - lambda) = (-1)^m H_p(lambda),
-and the roots of E over F_{p^2} give the roots 1/2 +- sqrt(s) of H_p
-(`supersingular_report`).
+The root locus comes from a half-degree polynomial E read off the Legendre
+polynomial, H_p(1/2 + mu) = mu^(m mod 2) * E(mu^2) (`supersingular_report`).
 """
 
 from __future__ import annotations
@@ -65,25 +62,28 @@ def hasse_coeff(lam: LambdaLike, p: int) -> AnyFieldElement:
     return FieldElement(a, p) if isinstance(lam, FieldElement) else ExtFieldElement(a, b, p)
 
 
+def _factorials(p: int) -> tuple[list[int], list[int]]:
+    """k! and 1/k! mod p for k = 0..p-1, in O(p): the inverses run down from
+    1/(p-1)! = -1 (Wilson) by 1/(k-1)! = k/k!."""
+    fact = [1] * p
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [p - 1] * p
+    for k in range(p - 1, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    return fact, inv_fact
+
+
 @lru_cache(maxsize=None)
 def hasse_closed_symbolic(p: int) -> tuple[int, ...]:
     """The closed form in lambda: c_i = (-1)^m * C(m, i)^2 mod p, i = 0..m,
-    m = (p-1)/2, in O(p).
-
-    The binomials come from C(m, i+1) = C(m, i) * (m-i)/(i+1), with the
-    inverses of 1..m from inv(k) = -(p // k) * inv(p mod k), which holds as
-    p = (p // k) * k + p mod k; m < p, so no C(m, i) vanishes mod p.
-    """
+    m = (p-1)/2, in O(p) from `_factorials`."""
     _check_modulus(p)
     m = (p - 1) // 2
-    inv = [0, 1]
-    for k in range(2, m + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
-    binom = [1]
-    for i in range(m):
-        binom.append(binom[i] * (m - i) * inv[i + 1] % p)
+    fact, inv_fact = _factorials(p)
     sign = 1 if m % 2 == 0 else p - 1
-    return tuple(sign * c * c % p for c in binom)
+    return tuple(sign * (fact[m] * inv_fact[i] * inv_fact[m - i]) ** 2 % p
+                 for i in range(m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -165,58 +165,54 @@ class SupersingularReport(NamedTuple):
         return sum(m for _, m in self.roots)
 
 
-def _shift_half(dense: tuple[int, ...], p: int) -> list[int]:
-    """f(1/2 + mu) as c[0..deg] in mu, by Horner's rule in mu + 1/2: O(deg^2)."""
-    half = (p + 1) // 2
-    shifted: list[int] = []
-    for c in reversed(dense):
-        # shifted * (mu + 1/2) + c
-        shifted = [(lo + half * hi) % p for lo, hi in zip([c] + shifted, shifted + [0])]
-    return shifted
+def _half_degree(p: int) -> list[int]:
+    """E of `supersingular_report` as c[0..floor(m/2)], in O(p): the
+    coefficient of s^((m - 2k - eps)/2) is (-1)^k C(m, k) C(2m - 2k, m) 4^-k
+    = (-1/4)^k (2m - 2k)! / (k! (m - k)! (m - 2k)!), as both tops are below p."""
+    m = (p - 1) // 2
+    fact, inv_fact = _factorials(p)
+    minus_quarter = pow(-4, -1, p)
+    return [pow(minus_quarter, k, p) * fact[2 * m - 2 * k] * inv_fact[k]
+            * inv_fact[m - k] * inv_fact[m - 2 * k] % p for k in range(m // 2, -1, -1)]
 
 
 @lru_cache(maxsize=None)
 def supersingular_report(p: int) -> SupersingularReport:
     """H_p, its F_{p^2} root locus Lambda_p, and the squarefree flag.
 
-    The symbolic polynomial is computed by coefficient extraction and
-    cross-checked against the binomial closed form before use; a mismatch
-    would mean one of the two arithmetic paths is broken.
+    The roots come from a polynomial of half the degree.  With m = (p-1)/2,
+    H_p(lambda) = (-1)^m P_m(1 - 2*lambda) mod p, P_m the Legendre
+    polynomial (Brillhart and Morton, J. Number Theory 106 (2004)): by
+    Murphy's formula P_m(1 - 2*lambda) = sum_i C(m, i) C(m+i, i) (-lambda)^i,
+    and C(m+i, i) = (-1)^i C(m, i) mod p because m = -1/2 mod p.  P_m has
+    the parity of m, so G(mu) = H_p(1/2 + mu) = P_m(2*mu) and, with
+    P_m(x) = 2^-m sum_k (-1)^k C(m, k) C(2m - 2k, m) x^(m - 2k),
+    G(mu) = mu^eps * E(mu^2), eps = m mod 2, deg E = floor(m/2)
+    (`_half_degree`).  The O(p) check H_p(3/2) = E(1), at mu = 1, ties E to
+    the closed form reported as `poly`.
 
-    The roots come from a polynomial of half the degree.  With m = (p-1)/2
-    and f_lam(x) = x(x-1)(x-lam), f_lam(1-x) = -f_(1-lam)(x).  Write
-    F = f_lam^m = sum_j F_j x^j, of degree 3m < 2p - 1; then
-    [x^(p-1)] F(1-x) = sum_j F_j * C(j, p-1) mod p, and by Lucas C(j, p-1)
-    is 1 at j = p-1 and 0 mod p at every other j < 2p - 1.  So
-    H_p(lam) = [x^(p-1)] F(1-x) = (-1)^m H_p(1-lam), as polynomials in lam.
-    For G(mu) = H_p(1/2 + mu) this reads G(-mu) = (-1)^m G(mu): every
-    coefficient of G of the parity other than eps = m mod 2 is zero, and
-    G(mu) = mu^eps * E(mu^2) with deg E = floor(m/2).  At mu != 0 the factor
-    mu^2 - s of E(mu^2), s = mu^2, has the simple root mu (p is odd), so a
-    root lam = 1/2 + mu of H_p in F_{p^2} has the multiplicity of s in E,
-    and lam = 1/2 has eps + 2 * mult_E(0).  Conversely each root s of E in
-    F_{p^2} that is a square there gives the two roots 1/2 +- sqrt(s); the
-    others give roots outside F_{p^2} and are dropped.
+    At mu != 0 the factor mu^2 - s of E(mu^2), s = mu^2, has the simple root
+    mu (p is odd), so a root lam = 1/2 + mu of H_p in F_{p^2} has the
+    multiplicity of s in E, and lam = 1/2 has eps + 2 * mult_E(0).
+    Conversely each root s of E in F_{p^2} that is a square there gives the
+    two roots 1/2 +- sqrt(s); the others give roots outside F_{p^2} and are
+    dropped.
 
     Every supersingular lam lies in F_{p^2} (Deuring), so the multiplicities
     must add up to m; then H_p splits over F_{p^2}, and it is squarefree iff
     every multiplicity is 1.  The roots are listed in `univ_roots`' order:
     F_p roots ascending, then conjugate pairs by (b, a).
     """
-    hp = hasse_coeff_symbolic(p)
-    if hp != hasse_closed_symbolic(p):
-        raise RuntimeError(
-            f"Hasse polynomial mismatch at p = {p}: the two computation "
-            "routes disagree")
+    hp = hasse_closed_symbolic(p)
     m = (p - 1) // 2
     eps, half = m % 2, (p + 1) // 2
-    shifted = _shift_half(hp, p)
-    if any(shifted[1 - eps::2]):
+    e_coeffs = _half_degree(p)
+    if univ_eval(hp, (3 * half % p, 0), p)[0] != sum(e_coeffs) % p:
         raise RuntimeError(
-            f"H_p(1/2 + mu) at p = {p} is not mu^{eps} times a polynomial in "
-            "mu^2: the lambda -> 1 - lambda symmetry fails")
+            f"H_p(3/2) != E(1) at p = {p}: the half-degree polynomial does not "
+            "match H_p")
     mult = {(half, 0): 1} if eps else {}
-    e_roots = univ_roots(shifted[eps::2], p, level=2)
+    e_roots = univ_roots(e_coeffs, p)
     for (_, k), r in zip(e_roots, _square_roots([s for s, _ in e_roots], p)):
         if r is None:
             continue  # 1/2 +- sqrt(s) lie outside F_{p^2}

@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
 
-from .arith import _inverse, _times, quadratic_nonresidue
+from .arith import _inverse, _square_roots, _times, quadratic_nonresidue
 
 
 # -- dense F_p[x] ------------------------------------------------------------
@@ -213,9 +213,9 @@ def _split_quadratics(g: list[int], big_x: list[int], p: int) -> list[tuple[int,
     return done
 
 
-def univ_roots(dense: Sequence[int], p: int, level: int = 1) -> list[tuple[tuple[int, int], int]]:
-    """Roots ((a, b), multiplicity) of f = sum dense[i] x^i, over F_p
-    (level 1) or F_{p^2} (level 2); (a, b) is a + b*t with a, b in [0, p).
+def univ_roots(dense: Sequence[int], p: int) -> list[tuple[tuple[int, int], int]]:
+    """Roots ((a, b), multiplicity) of f = sum dense[i] x^i over F_{p^2};
+    (a, b) is a + b*t with a, b in [0, p).
 
     F_p roots (b = 0) come first, ascending; then conjugate pairs, sorted by
     (b, a) with 1 <= b <= (p-1)/2, each given as (a, b) and then (a, p - b).
@@ -227,9 +227,9 @@ def univ_roots(dense: Sequence[int], p: int, level: int = 1) -> list[tuple[tuple
     quadratic factors: x^(p^2) - x is squarefree, so g2 is too.
     `_split_quadratics` separates them; the roots a +- b*t (t^2 = n, the
     nonresidue of `ExtFieldElement`) of x^2 + s*x + c have a = -s/2 and
-    b^2 = (a^2 - c)/n, b read off a table of squares.  A root of
-    multiplicity m in f has multiplicity m - 1 in f/g1 (level 1) or
-    f/(g1*g2) (level 2), which is what the division loops count.
+    b^2 = (a^2 - c)/n, b the root in [1, (p-1)/2] from `_square_roots`.  A
+    root of multiplicity m in f has multiplicity m - 1 in f/(g1*g2), which
+    is what the division loops count.
 
     Why the splitting rounds a = 0..p-1 always finish: two distinct
     irreducible quadratics q1, q2 stay in one piece only if
@@ -242,8 +242,6 @@ def univ_roots(dense: Sequence[int], p: int, level: int = 1) -> list[tuple[tuple
     """
     if not dense:
         raise ValueError("zero polynomial")
-    if level not in (1, 2):
-        raise ValueError("level must be 1 or 2")
     if len(dense) == 1:
         return []
     inv_lead = pow(dense[-1], -1, p)
@@ -252,7 +250,7 @@ def univ_roots(dense: Sequence[int], p: int, level: int = 1) -> list[tuple[tuple
     x = _dense_divmod([0, 1], monic, p)[1]
     big_x = ring.pow(x, p)
     g1 = _dense_gcd(monic, _dense_sub(big_x, x, p), p)
-    g12 = g1 if level == 1 else _dense_gcd(monic, _dense_sub(ring.pow(big_x, p), x, p), p)
+    g12 = _dense_gcd(monic, _dense_sub(ring.pow(big_x, p), x, p), p)
     rest = _dense_divmod(monic, g12, p)[0]
 
     roots: list[tuple[tuple[int, int], int]] = []
@@ -267,15 +265,14 @@ def univ_roots(dense: Sequence[int], p: int, level: int = 1) -> list[tuple[tuple
     if len(g12) == len(g1):
         return roots
 
-    n = quadratic_nonresidue(p)
-    inv_n, half = pow(n, -1, p), (p + 1) // 2
-    root_of = {b * b % p: b for b in range(1, half)}
-    pairs = []
+    inv_n, half = pow(quadratic_nonresidue(p), -1, p), (p + 1) // 2
+    quads = []
     for s, c in _split_quadratics(_dense_divmod(g12, g1, p)[0], big_x, p):
-        a = -s * half % p
         mult, rest = _multiplicity(rest, [c, s, 1], p)
-        pairs.append((root_of[(a * a - c) * inv_n % p], a, mult + 1))
-    for b, a, mult in sorted(pairs):
+        quads.append((-s * half % p, c, mult + 1))
+    b_squared = [((a * a - c) * inv_n % p, 0) for a, c, _ in quads]
+    for b, a, mult in sorted((b, a, mult) for (b, _), (a, _, mult)
+                             in zip(_square_roots(b_squared, p), quads)):
         roots += [((a, b), mult), ((a, p - b), mult)]
     return roots
 

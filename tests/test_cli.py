@@ -200,26 +200,35 @@ def test_input_error_exit_code(tmp_path, capsys):
                                   "more than the 4300 that are read\n"), argv[0]
         assert "set_int_max_str_digits" not in err
     assert sys.get_int_max_str_digits() == 4300
-    # an e_max no sequence of levels can hold, and a level e as large
+    # an e_max no sequence of levels can hold, and a level e as large; the
+    # floor is 0 where e_max = 0 tests nothing, and 1 where a level is computed
     huge = "99999999999999999999"
-    for argv, flag in ((["gfs-p1", "--p", "5", "--divisor", "1/2@1"], "--emax"),
-                       (["gfr-p1", "--p", "5", "--divisor", "1/2@1"], "--emax"),
-                       (["kgfr", "--p", "5"], "--emax"), (["cbf", "--p", "5"], "--emax"),
-                       (["scan", "--range", "3..5"], "--emax"),
-                       (["fpt", "--p", "5", "--poly", "x", "--vars", "x"], "--emax"),
-                       (["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x"], "--e"),
-                       (["cover-check", "--p", "5", "--cover", "squaring",
-                         "--divisor", "1/2@0,1/2@inf"], "--e"),
-                       (["gfs-cy", "--p", "5", "--poly", "x^3 + y^3 + z^3",
-                         "--vars", "x,y,z"], "--e"),
-                       (["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
-                         "--groups", "2,2"], "--e")):
+    for argv, flag, floor in (
+            (["gfs-p1", "--p", "5", "--divisor", "1/2@1"], "--emax", 0),
+            (["gfr-p1", "--p", "5", "--divisor", "1/2@1"], "--emax", 0),
+            (["kgfr", "--p", "5"], "--emax", 0), (["cbf", "--p", "5"], "--emax", 1),
+            (["scan", "--range", "3..5"], "--emax", 0),
+            (["fpt", "--p", "5", "--poly", "x", "--vars", "x"], "--emax", 1),
+            (["fedder-nu", "--p", "5", "--poly", "x", "--vars", "x"], "--e", 1),
+            (["cover-check", "--p", "5", "--cover", "squaring",
+              "--divisor", "1/2@0,1/2@inf"], "--e", 1),
+            (["gfs-cy", "--p", "5", "--poly", "x^3 + y^3 + z^3",
+              "--vars", "x,y,z"], "--e", 1),
+            (["gfs-bigraded", "--p", "3", "--poly", "x*y*u", "--vars", "x,y,u,v",
+              "--groups", "2,2"], "--e", 1)):
         assert main(argv + [flag, huge]) == 1, argv
         assert capsys.readouterr() == (
             "", f"error: {flag} must be at most {sys.maxsize}, got {huge}\n"), argv
-        # and a negative level, refused before any command reads it
-        assert main(argv + [flag, "-1"]) == 1, argv
-        assert capsys.readouterr() == ("", f"error: {flag} must be at least 0, got -1\n"), argv
+        # and a level below the command's floor, refused before any command
+        # reads it, in one message that names the floor
+        for level in ("0", "-1"):
+            code = main(argv + [flag, level])
+            err = capsys.readouterr().err
+            if int(level) < floor:
+                assert (code, err) == (
+                    1, f"error: {flag} must be at least {floor}, got {level}\n"), argv
+            else:
+                assert (code, err) == (0, ""), argv
     # the Legendre cover's lambda is a point of F_p
     for lam in ("2+t", "3+4t", "inf"):
         assert main(["cover-check", "--p", "7", "--cover", "legendre", "--lambda", lam,
@@ -540,12 +549,14 @@ def test_text_mode_renders(capsys):
 
 
 # sha256 of `supersingular --p P --json` stdout, taken from the full-degree
-# root finder (re-taken at schema version 2, which changed only that line): a
+# root finder (re-taken at schema version 2, which changed only that line), and
+# at 4001, where E has degree 1000, from the Taylor shift of H_p by 1/2: a
 # change of root finder must not reorder or change the roots
 _SUPERSINGULAR_SHA256 = {
     101: "b13d2f86ee2d4b0b9c5dfcb33b120f5420fa87338f24780561811068942326a3",
     199: "71c2d4771ee7182978261bed0d9c5811cb32e8acb3c9a35448954873c97b6fdd",
     1009: "ac2919b8cd4992a12b7b9d92957bc7280df0cbd9550a6ecd254dec5979970fb9",
+    4001: "a5adb7f286f055b889784e373cd81f76c6b2841968e4acc5cbfb8f02886e0a15",
 }
 
 

@@ -5,12 +5,14 @@ import pytest
 from frobsplit import elliptic
 from frobsplit.arith import (ExtFieldElement, FieldElement, _square_roots,
                              _times, binom_mod_p, is_prime)
-from frobsplit.elliptic import (CurveKgfrVerdict, LegendreCurve, _shift_half,
+from frobsplit.cli import run
+from frobsplit.elliptic import (CurveKgfrVerdict, LegendreCurve, _half_degree,
                                 classify_curve_kgfr, count_points,
                                 hasse_closed, hasse_coeff,
                                 hasse_closed_symbolic, hasse_coeff_symbolic,
                                 is_supersingular_by_count,
                                 supersingular_report, write_hasse_table)
+from frobsplit.fibration import f_discriminant_legendre
 from frobsplit.upoly import univ_eval, univ_roots, univ_squarefree
 
 
@@ -62,7 +64,7 @@ def test_hasse_symbolic_against_cubic_extraction():
 
 
 def test_hasse_symbolic_routes_agree_to_400():
-    primes = _odd_primes(3, 400)
+    primes = _odd_primes(3, 400) + [1009, 4001]
     assert {p % 4 for p in primes} == {1, 3}
     for p in primes:
         assert hasse_coeff_symbolic(p) == hasse_closed_symbolic(p), p
@@ -85,9 +87,19 @@ def test_half_degree_roots_equal_univ_roots_on_h_p():
     assert {p % 4 for p in _ROOT_PRIMES} == {1, 3}   # eps = 0 and eps = 1
     for p in _ROOT_PRIMES:
         rep = supersingular_report(p)
-        assert rep.roots == tuple(univ_roots(hasse_coeff_symbolic(p), p, level=2)), p
+        assert rep.roots == tuple(univ_roots(hasse_coeff_symbolic(p), p)), p
         if p < 400:
             assert rep.squarefree == univ_squarefree(rep.poly, p), p
+
+
+def _shift_half(dense, p):
+    """f(1/2 + mu) as c[0..deg] in mu, by Horner's rule in mu + 1/2: O(deg^2)."""
+    half = (p + 1) // 2
+    shifted = []
+    for c in reversed(dense):
+        # shifted * (mu + 1/2) + c
+        shifted = [(lo + half * hi) % p for lo, hi in zip([c] + shifted, shifted + [0])]
+    return shifted
 
 
 def test_shift_half_is_mu_eps_times_a_polynomial_in_mu_squared():
@@ -98,6 +110,63 @@ def test_shift_half_is_mu_eps_times_a_polynomial_in_mu_squared():
         # and it is the Taylor shift: G(mu) = H_p(1/2 + mu)
         for a, b in ((0, 0), (3, 0), (p - 2, 5), (1, 1)):
             assert univ_eval(shifted, (a, b), p) == univ_eval(hp, ((a + half) % p, b), p), p
+
+
+def test_half_degree_is_the_shift_of_h_p():
+    # the Legendre-polynomial coefficients against the Taylor shift of the
+    # extracted H_p, coefficient by coefficient
+    primes = _odd_primes(3, 1000) + [1009]
+    assert {p % 4 for p in primes} == {1, 3}   # eps = 0 and eps = 1
+    for p in primes:
+        m = (p - 1) // 2
+        assert _half_degree(p) == _shift_half(hasse_coeff_symbolic(p), p)[m % 2::2], p
+
+
+def _class_number(d):
+    """h(d) for a discriminant d = -p, p prime: the reduced forms
+    (a, b, c), b^2 - 4ac = d, |b| <= a <= c, b >= 0 when |b| = a or a = c
+    (each is primitive, as a common factor g would have g^2 | p)."""
+    count, a = 0, 1
+    while 3 * a * a <= -d:
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b - d, 4 * a)
+            if not r and c >= a and not (b < 0 and c == a):
+                count += 1
+        a += 1
+    return count
+
+
+def test_fp_supersingular_count_is_three_times_the_class_number():
+    # Brillhart and Morton, J. Number Theory 106 (2004): H_p has no root in
+    # F_p for p = 1 mod 4 and 3 h(-p) of them for p = 3 mod 4 (p > 3)
+    assert [_class_number(-p) for p in (7, 11, 19, 23, 31, 47, 71)] == [1, 1, 1, 3, 3, 5, 7]
+    primes = [p for p in _ROOT_PRIMES if p > 3]
+    assert {p % 4 for p in primes} == {1, 3}
+    for p in primes:
+        in_fp = sum(1 for (_, b), _ in supersingular_report(p).roots if not b)
+        assert in_fp == (3 * _class_number(-p) if p % 4 == 3 else 0), p
+
+
+def test_supersingular_report_needs_no_extraction(monkeypatch, capsys):
+    # the O(p^2) coefficient extraction is the hasse command's and the
+    # tests' oracle, never a step of the report or of the commands built on it
+    def refuse(p):
+        raise AssertionError("coefficient extraction called")
+
+    monkeypatch.setattr(elliptic, "hasse_coeff_symbolic", refuse)
+    caches = (supersingular_report, f_discriminant_legendre)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        for p in (3, 5, 13, 1009):
+            assert supersingular_report(p).root_count == (p - 1) // 2
+        for argv in (["kgfr", "--p", "13"], ["fdisc", "--p", "29"], ["cbf", "--p", "7"],
+                     ["supersingular", "--p", "61"], ["supersingular", "--p", "199", "--json"]):
+            assert run(argv)[0] == 0, argv
+            capsys.readouterr()
+    finally:
+        for cached in caches:
+            cached.cache_clear()
 
 
 def test_square_roots_exhaustive():
@@ -124,19 +193,25 @@ def _poly_of_mu_squared(e_coeffs, p):
 
 
 def test_supersingular_report_refuses_a_broken_polynomial(monkeypatch):
-    # p = 13, m = 6: a lambda^1 term breaks the lambda <-> 1 - lambda symmetry;
-    # E = s^3 - 2, irreducible over F_13, has its roots outside F_{p^2}
-    symmetric = _poly_of_mu_squared((11, 0, 0, 1), 13)
-    asymmetric = (symmetric[0], (symmetric[1] + 1) % 13) + symmetric[2:]
-    for poly, match in ((asymmetric, "symmetry"), (symmetric, "Deuring")):
-        monkeypatch.setattr(elliptic, "hasse_coeff_symbolic", lambda p: poly)
-        monkeypatch.setattr(elliptic, "hasse_closed_symbolic", lambda p: poly)
-        supersingular_report.cache_clear()
-        try:
-            with pytest.raises(RuntimeError, match=match):
-                supersingular_report(13)
-        finally:
+    # p = 13, m = 6: a planted H_p with one coefficient off fails
+    # H_p(3/2) = E(1) against the true E; a planted E = s^3 - 2, irreducible
+    # over F_13, with the H_p it gives, passes that check and has its roots
+    # outside F_{p^2}
+    true_hp = hasse_closed_symbolic(13)
+    broken = (true_hp[0], (true_hp[1] + 1) % 13) + true_hp[2:]
+    e_coeffs = [11, 0, 0, 1]
+    for planted, match in (({"hasse_closed_symbolic": lambda p: broken}, r"E\(1\)"),
+                           ({"hasse_closed_symbolic": lambda p: _poly_of_mu_squared(e_coeffs, p),
+                             "_half_degree": lambda p: e_coeffs}, "Deuring")):
+        with monkeypatch.context() as patch:
+            for name, fake in planted.items():
+                patch.setattr(elliptic, name, fake)
             supersingular_report.cache_clear()
+            try:
+                with pytest.raises(RuntimeError, match=match):
+                    supersingular_report(13)
+            finally:
+                supersingular_report.cache_clear()
 
 
 def test_eichler_deuring_supersingular_j_count():

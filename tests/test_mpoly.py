@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobsplit import elliptic
-from frobsplit.arith import (ExtFieldElement, FieldElement, is_prime, legendre_symbol,
+from frobsplit.arith import (ExtFieldElement, is_prime, legendre_symbol,
                              quadratic_nonresidue)
 from frobsplit.cli import run
 from frobsplit.elliptic import supersingular_report
@@ -104,17 +104,22 @@ def _dense(f):
     return dense
 
 
-def _roots(f, level):
-    return univ_roots(_dense(f), f.p, level)
+def _roots(f):
+    return univ_roots(_dense(f), f.p)
+
+
+def _in_fp(roots):
+    """The roots with b = 0, those in F_p."""
+    return [r for r in roots if not r[0][1]]
 
 
 def test_univ_roots_examples():
     f = parse_poly("x^2 - 1", ["x"], 5)
-    assert _roots(f, 1) == [((1, 0), 1), ((4, 0), 1)]
+    assert _roots(f) == [((1, 0), 1), ((4, 0), 1)]
     g = parse_poly("x^2 + 4*x + 1", ["x"], 5)
     # discriminant 12 = 2 is a nonsquare mod 5: no rational roots
-    assert _roots(g, 1) == []
-    ext_roots = _roots(g, 2)
+    ext_roots = _roots(g)
+    assert _in_fp(ext_roots) == []
     assert len(ext_roots) == 2
     r1, r2 = (ExtFieldElement(a, b, 5) for (a, b), _ in ext_roots)
     assert r1.b != 0 and r1.frobenius() == r2  # conjugate pair off F_5
@@ -123,12 +128,10 @@ def test_univ_roots_examples():
         assert (r * r + 4 * r + 1).is_zero()
 
 
-def _roots_by_full_scan(f, level):
-    """Oracle: evaluate at every field element, multiplicity by division."""
+def _roots_by_full_scan(f):
+    """Oracle: evaluate at every element of F_{p^2}."""
     p = f.p
-    points = [FieldElement(v, p) for v in range(p)]
-    if level == 2:
-        points = [ExtFieldElement(a, b, p) for a in range(p) for b in range(p)]
+    points = [ExtFieldElement(a, b, p) for a in range(p) for b in range(p)]
     found = []
     for x in points:
         if f.eval_univariate(x).is_zero():
@@ -141,8 +144,8 @@ def test_univ_roots_against_full_scan():
     for p in (3, 5):
         for _ in range(15):
             f = _random_sparse(rng, 1, p, max_exp=6, max_terms=4)
-            got = _roots(f, 2)
-            want = _roots_by_full_scan(f, 2)
+            got = _roots(f)
+            want = _roots_by_full_scan(f)
             got_points = {r for r, _ in got}
             want_points = {(x.a, x.b) for x in want}
             assert got_points == want_points, f
@@ -152,7 +155,7 @@ def test_univ_roots_against_full_scan():
 def test_multiplicity_sum_vs_degree():
     # x^2(x-1)^3 has total multiplicity 5 = its degree
     f = parse_poly("x^2 * (x-1)^3", ["x"], 7)
-    roots = _roots(f, 2)
+    roots = _roots(f)
     assert sorted(roots) == [((0, 0), 2), ((1, 0), 3)]
     assert sum(m for _, m in roots) == f.degree()
 
@@ -160,7 +163,7 @@ def test_multiplicity_sum_vs_degree():
 def test_multiplicity_sum_equals_degree_iff_split():
     # splits into linears and quadratics over F_{p^2}: equality
     f = parse_poly("(x-1) * (x^2 + 4*x + 1)", ["x"], 5)
-    assert sum(m for _, m in _roots(f, 2)) == 3
+    assert sum(m for _, m in _roots(f)) == 3
     # x^3 + x + 1 takes the values 1, 3, 1, 1, 4 at x = 0..4, so it has no
     # root over F_5; a cubic without a root is irreducible, so its roots live
     # in F_{5^3}, which meets F_{25} only in F_5, and the F_{25} count falls
@@ -168,9 +171,8 @@ def test_multiplicity_sum_equals_degree_iff_split():
     # (x - 2)(x^2 + 2x + 3), with x = 2 a root.)
     g = parse_poly("x^3 + x + 1", ["x"], 5)
     assert [v for v in range(5) if (v ** 3 + v + 1) % 5 == 0] == []
-    assert _roots_by_full_scan(g, 2) == []
-    assert _roots(g, 1) == []
-    assert sum(m for _, m in _roots(g, 2)) == 0 < g.degree()
+    assert _roots_by_full_scan(g) == []
+    assert sum(m for _, m in _roots(g)) == 0 < g.degree()
 
 
 def _long_division(a, b, p):
@@ -184,7 +186,7 @@ def _long_division(a, b, p):
     return quot, a[:len(b) - 1]
 
 
-def _scan_roots(dense, p, level):
+def _scan_roots(dense, p):
     """The F_{p^2} scan univ_roots ran before its gcd route, as an oracle:
     every r in F_p, then every a + b*t with 1 <= b <= (p-1)/2 and a in F_p,
     each root's multiplicity by dividing it out of the deflating polynomial."""
@@ -206,8 +208,6 @@ def _scan_roots(dense, p, level):
             break
         if sum(c * pow(r, i, p) for i, c in enumerate(cur)) % p == 0:
             roots.append(((r, 0), deflate([-r % p, 1])))
-    if level == 1:
-        return roots
     n = quadratic_nonresidue(p)
     for b in range(1, (p - 1) // 2 + 1):
         for a in range(p):
@@ -252,10 +252,10 @@ def _univariates(draw):
 
 def test_univ_roots_equals_scan_drawn():
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(_univariates(), st.sampled_from([1, 2]))
-    def check(drawn, level):
+    @given(_univariates())
+    def check(drawn):
         dense, p = drawn
-        assert univ_roots(dense, p, level) == _scan_roots(dense, p, level)
+        assert univ_roots(dense, p) == _scan_roots(dense, p)
 
     check()
 
@@ -327,13 +327,13 @@ def test_univ_roots_against_sympy_factorisation():
                 elif len(coeffs) == 3:
                     quadratic[tuple(coeffs[1:])] = mult
                 kinds.add((len(coeffs) - 1, mult > 1))
-            got = _roots(f, 2)
+            got = _roots(f)
             fp_roots = {a: m for (a, b), m in got if not b}
             pairs = {((-2 * a) % p, ExtFieldElement(a, b, p).norm().value): m
                      for (a, b), m in got if b}
             assert fp_roots == linear and pairs == quadratic, (p, f)
             assert len(got) == len(linear) + 2 * len(quadratic)
-            assert _roots(f, 1) == got[:len(linear)]
+            assert _in_fp(got) == got[:len(linear)]
     assert {(1, True), (2, True), (3, False), (4, False)} <= kinds
 
 
