@@ -1,4 +1,5 @@
-"""Exact arithmetic over F_p and F_{p^2}, p-integral rationals, binomials mod p.
+"""Exact arithmetic over F_p and F_{p^2}, p-integral rationals, binomials and
+factorials mod p.
 
 F_p is the b = 0 part of F_{p^2}, so every field operation is written once.
 Characteristic 2 is excluded throughout: every construction here assumes an
@@ -326,6 +327,18 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         n //= p
         k //= p
     return r
+
+
+def _factorials(p: int) -> tuple[list[int], list[int]]:
+    """k! and 1/k! mod p for k = 0..p-1, in O(p): the inverses run down from
+    1/(p-1)! = -1 (Wilson) by 1/(k-1)! = k/k!."""
+    fact = [1] * p
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [p - 1] * p
+    for k in range(p - 1, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    return fact, inv_fact
 
 
 def splitting_level(coeffs: Iterable[Fraction], p: int) -> int:

@@ -393,30 +393,51 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(_Parser):
+    """One subcommand's parser, for an argv that starts with its name: the
+    name is dropped before parsing and set as `command`, as the subparsers
+    action of the full parser sets it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args[1:], namespace)
+
+
+def _add_flags(parser: _Parser, name: str) -> _Parser:
+    """The subcommand's own flags, then --json, --strict and --timings."""
+    for key in _COMMANDS[name][1]:
+        option, kwargs = _FLAGS[key]
+        parser.add_argument(option, dest=key, **kwargs)
+    for option in ("--json", "--strict", "--timings"):
+        parser.add_argument(option, action="store_true")
+    return parser
+
+
 def build_parser(argv=None) -> _Parser:
-    """The frobsplit parser for argv: argv[0]'s subcommand alone, with its
-    flags and -h, if argv[0] is one; otherwise (argv None too) all of them.
+    """The frobsplit parser for argv: argv[0]'s subcommand alone if argv[0]
+    is one; otherwise (argv None too) the full parser with all of them.
 
     Parsing argv gives the same namespace, message, exit code and output
-    either way.  The top level takes only -h and --version, neither with a
-    value.  When argv[0] names a subcommand, the subparsers positional
-    (nargs A...) consumes argv[0] and every token after it: the top level
-    never prints its help, usage or "invalid choice" list, and the only
-    subparser argparse runs is the one built.  Every output that lists all
-    the subcommands needs an argv[0] that is not one, and then has them all.
+    either way.  The full parser's top level takes only -h and --version,
+    neither with a value.  When argv[0] names a subcommand, its subparsers
+    positional (nargs A...) consumes argv[0] and every token after it, so
+    the top level never prints its help, usage or "invalid choice" list and
+    the subparser parses the rest alone: the one parser built here is that
+    subparser, with its prog, on argv[1:].  Every output that lists all the
+    subcommands needs an argv[0] that is not one, and then has them all.
     """
     # no abbreviations: a prefix of a flag the subcommand lacks must not
     # silently become a longer flag it has (--e for --emax)
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _CommandParser(prog=f"frobsplit {name}", allow_abbrev=False)
+        parser.set_defaults(command=name)
+        return _add_flags(parser, name)
     parser = _Parser(prog="frobsplit", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
-        sp = sub.add_parser(name, allow_abbrev=False)
-        for key in _COMMANDS[name][1]:
-            option, kwargs = _FLAGS[key]
-            sp.add_argument(option, dest=key, **kwargs)
-        for option in ("--json", "--strict", "--timings"):
-            sp.add_argument(option, action="store_true")
+    for name in _COMMANDS:
+        _add_flags(sub.add_parser(name, allow_abbrev=False), name)
     return parser
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import IO, NamedTuple, Union
 
-from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
-                    _check_modulus, _square_roots, legendre_symbol)
+from .arith import (AnyFieldElement, ExtFieldElement, FieldElement, _check_modulus,
+                    _factorials, _square_roots, legendre_symbol)
 from .upoly import univ_eval, univ_roots
 
 LambdaLike = Union[int, FieldElement, ExtFieldElement]
@@ -60,18 +60,6 @@ def hasse_coeff(lam: LambdaLike, p: int) -> AnyFieldElement:
     lam = _as_lambda(lam, p)
     a, b = univ_eval(hasse_coeff_symbolic(p), (lam.a, lam.b), p)
     return FieldElement(a, p) if isinstance(lam, FieldElement) else ExtFieldElement(a, b, p)
-
-
-def _factorials(p: int) -> tuple[list[int], list[int]]:
-    """k! and 1/k! mod p for k = 0..p-1, in O(p): the inverses run down from
-    1/(p-1)! = -1 (Wilson) by 1/(k-1)! = k/k!."""
-    fact = [1] * p
-    for k in range(1, p):
-        fact[k] = fact[k - 1] * k % p
-    inv_fact = [p - 1] * p
-    for k in range(p - 1, 0, -1):
-        inv_fact[k - 1] = inv_fact[k] * k % p
-    return fact, inv_fact
 
 
 @lru_cache(maxsize=None)

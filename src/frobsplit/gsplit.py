@@ -466,7 +466,19 @@ def gfs_cy_hypersurface(F: MPoly, e: int = 1) -> bool:
     lemma above iff F^(p-1) is outside m^[p].  F^(p-1) is homogeneous of
     degree n1*(p-1), so the diagonal (x_0*...*x_n)^(p-1) is its only
     monomial with every exponent <= p-1: the test is that one coefficient,
-    which fedder reads off the half power F^((p-1)/2) mod m^[p].
+    the Hasse-Witt invariant of the hypersurface.
+
+    For F = sum_i c_i x^(a_i) with s terms, the multinomial theorem gives it
+    as sum_k (p-1)!/(k_1!...k_s!) * prod_i c_i^(k_i) over the count vectors
+    k >= 0 with sum_i k_i a_i = (p-1, ..., p-1); every k_i! is a unit, as
+    k_i < p.  The k are the lattice points of a polytope of dimension
+    f = s - rank A, A the exponent matrix, and fedder sums them over the f
+    free counts.  The route rule (`fedder._lattice_pays`): that lattice sum
+    when f <= 1, or when twenty times its C(p-1+f, f) count vectors are at
+    most the s * min(C(m+s-1, s), m * p^(rank A - 1)) term pairs, m = (p-1)/2,
+    of the half power F^((p-1)/2) mod m^[p]; that half power otherwise.  On
+    the Legendre cone y^2*z - x*(x-z)*(x-lam*z) the coefficient is H_p(lam),
+    `elliptic`'s Hasse invariant, exactly.
     """
     n1 = F.nvars
     if F.is_zero() or not F.is_homogeneous_on(range(n1)) or F.degree() != n1:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from frobsplit.arith import (ExtFieldElement, FieldElement,
-                             ZpViolationError, binom_mod_p, is_prime,
+                             ZpViolationError, _factorials, binom_mod_p, is_prime,
                              legendre_symbol, parse_int, quadratic_nonresidue,
                              splitting_level)
 
@@ -210,6 +210,18 @@ def test_binom_against_exact_factorials():
             for k in range(n + 1):
                 exact = math.factorial(n) // (math.factorial(k) * math.factorial(n - k))
                 assert binom_mod_p(n, k, p) == exact % p, (n, k, p)
+
+
+def test_factorial_table_against_exact_factorials():
+    # the one table of k! and 1/k! mod p that elliptic and fedder share
+    from frobsplit import elliptic, fedder
+    assert elliptic._factorials is fedder._factorials is _factorials
+    for p in (3, 5, 7, 13, 101):
+        fact, inv_fact = _factorials(p)
+        assert len(fact) == len(inv_fact) == p
+        for k in range(p):
+            assert fact[k] == math.factorial(k) % p, (p, k)
+            assert fact[k] * inv_fact[k] % p == 1, (p, k)
 
 
 def _binom_mod_p_multiplicative(n, k, p):

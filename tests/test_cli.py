@@ -406,24 +406,26 @@ def _assert_complete(name, sp):
 
 
 def test_parser_has_the_named_subcommand_or_all(monkeypatch):
-    # a command first builds that subcommand alone; any other argv builds all
+    # a command first builds that subcommand's parser alone, with no
+    # subparsers action; any other argv builds the full parser with all
     for name in _COMMANDS:
-        subparsers = _subparsers(build_parser([name, "--p", "5"]))
-        assert list(subparsers) == [name]
-        _assert_complete(name, subparsers[name])
+        parser = build_parser([name, "--p", "5"])
+        assert parser._subparsers is None, name
+        assert parser.prog == f"frobsplit {name}"
+        _assert_complete(name, parser)
     for parser in (build_parser(["--json", "kgfr"]), build_parser()):
         subparsers = _subparsers(parser)
         assert list(subparsers) == list(_COMMANDS)
         for name, sp in subparsers.items():
             _assert_complete(name, sp)
-    # each workload-shaped call (command first) makes one add_parser call
-    calls = []
-    add_parser = argparse._SubParsersAction.add_parser
+    # each workload-shaped call (command first) builds one parser
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        calls.append(name)
-        return add_parser(self, name, **kwargs)
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     argvs = [["kgfr", "--p", "5"], ["fpt", "--p", "5", "--poly", "x^2", "--vars", "x"],
              ["gfs-p1", "--p", "5", "--divisor", "1/2@0,1/2@1,1/2@2,1/2@inf"],
              ["gfr-p1", "--p", "5", "--divisor", "1/2@inf,1/4@3+2t,1/4@3+3t"],
@@ -431,10 +433,10 @@ def test_parser_has_the_named_subcommand_or_all(monkeypatch):
              ["gfs-cy", "--p", "7", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z"],
              ["cbf", "--p", "7"], ["supersingular", "--p", "101"]]
     for argv in argvs:
-        calls.clear()
+        built.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(argv + ["--json"])[0] == 0, argv
-        assert calls == [argv[0]], argv
+        assert built == [f"frobsplit {argv[0]}"], argv
 
 
 def test_documented_polynomials_parse():
@@ -565,6 +567,34 @@ def test_supersingular_json_pinned(capsys):
         assert main(["supersingular", "--p", str(p), "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, p
+
+
+# sha256 of `gfs-cy --p P --poly F --vars ... --json` stdout, taken from the
+# half power, where each took 0.1 to 2 s; the lattice sum now decides them
+_GFS_CY_SHA256 = {
+    ("x^4+y^4+z^4+w^4", 101):
+        "6f388c34a2e4a0d69f2dde88743a60e460ffdb3d7deae7ce028c1bbb53524ec8",
+    ("x^4+y^4+z^4+w^4-12*x*y*z*w", 101):
+        "299de6ced7c1f6eb5728e593bad932fede56596173d1d757bb0b0770db8d25b8",
+    ("y^2*z-x*(x-z)*(x-2*z)", 101):
+        "5abf67e5ace62b714e230c162b0d205597186e8ccd86788e4cd3e013198e749d",
+    ("y^2*z-x*(x-z)*(x-3*z)", 101):
+        "d2683f25827fbe3162b65848dcae04a4e9d407db859a1ca39db1e29853d9119f",
+    ("y^2*z-x*(x-z)*(x-4*z)", 101):
+        "259dee3dfd668e706ef207036a49ada7c85b80cc3aab41e090fee6885964840b",
+    ("y^2*z-x*(x-z)*(x-5*z)", 101):
+        "8d17f31c3e29577611b188db38100a03a62928d1e4c73d023c6fa617c6f35ebd",
+    ("x^3+y^3+z^3", 211):
+        "1b33dd40e1731632426f9104b66bd362d38964704609246fa0d605e85ca0b311",
+}
+
+
+def test_gfs_cy_json_pinned(capsys):
+    for (poly, p), digest in _GFS_CY_SHA256.items():
+        names = "x,y,z,w" if "w" in poly else "x,y,z"
+        assert main(["gfs-cy", "--p", str(p), "--poly", poly, "--vars", names, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (poly, p)
 
 
 # sha256 of stdout for the Legendre-fibration decisions, taken from the

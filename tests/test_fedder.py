@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from frobsplit import fedder
 from frobsplit.elliptic import hasse_closed, hasse_coeff
-from frobsplit.fedder import (NuMonotonicityError, _diagonal_coefficient, _DigitTable,
-                              _pack_terms, _pruned_power_survives, fpt_bounds, in_bracket_ideal,
+from frobsplit.fedder import (NuMonotonicityError, _CountLattice, _diagonal_coefficient,
+                              _DigitTable, _half_power_diagonal, _pack_terms,
+                              _pruned_power_survives, fpt_bounds, in_bracket_ideal,
                               is_fpure_pair, nu, nu_binary)
 from frobsplit.mpoly import MPoly, parse_poly
 
@@ -289,6 +290,8 @@ def test_fermat_diagonal_coefficient_closed_form():
                         want *= pow(c, k, p)
                 got = _diagonal_coefficient(F)
                 assert got == want % p, (p, a)
+                # both routes, whichever the rule picks
+                assert _CountLattice(F).diagonal() == _half_power_diagonal(F) == got, (p, a)
                 kinds.add(got != 0)
     assert kinds == {True, False}
 

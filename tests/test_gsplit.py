@@ -5,14 +5,15 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import gsplit, upoly
-from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError,
+from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError, is_prime,
                              quadratic_nonresidue)
 from frobsplit.elliptic import hasse_closed
-from frobsplit.fedder import _diagonal_coefficient
+from frobsplit.fedder import (_CountLattice, _diagonal_coefficient, _half_power_diagonal,
+                              _lattice_pays)
 from frobsplit.gsplit import (DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
                               gfs_bigraded_hypersurface, gfs_cy_hypersurface,
                               gfs_p1, gfs_p1_level, parse_divisor, parse_point,
@@ -588,11 +589,19 @@ def test_bigraded_matches_full_expansion_oracle():
     assert set(verdicts) == {True, False}
 
 
+def _exponents(k, d):
+    """Exponent vectors of k variables adding up to d, from k - 1 cut points
+    in [0, d] (no filtering, which hypothesis's health check refuses)."""
+    def gaps(cuts):
+        ends = sorted(cuts) + [d]
+        return tuple(b - a for a, b in zip([0] + ends, ends))
+    return st.lists(st.integers(0, d), min_size=k - 1, max_size=k - 1).map(gaps)
+
+
 def _forms(draw, sizes, degrees, p):
     """A nonzero form over F_p: one homogeneous block of the given degree per
     group of variables (the group sizes), a few random terms."""
-    blocks = [st.tuples(*[st.integers(0, d)] * k).filter(lambda t, d=d: sum(t) == d)
-              for k, d in zip(sizes, degrees)]
+    blocks = [_exponents(k, d) for k, d in zip(sizes, degrees)]
     monomial = st.tuples(*blocks).map(lambda parts: sum(parts, ()))
     terms = draw(st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=5))
     return MPoly(sum(sizes), p, terms)
@@ -615,13 +624,71 @@ def test_cy_diagonal_equals_full_expansion_drawn():
     def check(case):
         F, e = case
         p = F.p
-        assert _diagonal_coefficient(F) == (F ** (p - 1)).terms.get((p - 1,) * F.nvars, 0), F
+        want = (F ** (p - 1)).terms.get((p - 1,) * F.nvars, 0)
+        assert _CountLattice(F).diagonal() == _half_power_diagonal(F) == want, F
+        assert _diagonal_coefficient(F) == want, F
         got = gfs_cy_hypersurface(F, e)
         assert got == _cy_oracle(F, e), (F, e)
         verdicts.add(got)
 
     check()
     assert verdicts == {True, False}
+
+
+@st.composite
+def _cy_forms_to_13(draw):
+    """A Calabi-Yau form, degree n in n variables, at p <= 13 with up to six
+    terms."""
+    p, n = draw(st.sampled_from([(p, n) for p in (3, 5, 7, 11, 13) for n in (2, 3, 4)]))
+    terms = draw(st.dictionaries(_exponents(n, n), st.integers(1, p - 1), min_size=1, max_size=6))
+    return MPoly(n, p, terms)
+
+
+def test_cy_lattice_sum_equals_half_power_drawn():
+    # the two routes are each other's oracle wherever at most two counts are free
+    free = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_cy_forms_to_13())
+    def check(F):
+        lattice = _CountLattice(F)
+        assume(len(lattice.coeffs) - lattice.rank <= 2)
+        assert lattice.diagonal() == _half_power_diagonal(F), F
+        free.add(len(lattice.coeffs) - lattice.rank)
+
+    check()
+    assert free == {0, 1, 2}
+
+
+def _takes_lattice_sum(F):
+    lattice = _CountLattice(F)
+    return _lattice_pays(F.p, len(lattice.coeffs), lattice.rank)
+
+
+def test_cy_route_rule():
+    xyz, xyzw = FERMAT3[1], FERMAT4[1]
+    assert _takes_lattice_sum(parse_poly(*FERMAT4, 1009))
+    assert _takes_lattice_sum(parse_poly("x^4+y^4+z^4+w^4-12*x*y*z*w", xyzw, 1009))
+    assert _takes_lattice_sum(parse_poly("y^2*z-x*(x-z)*(x-3*z)", xyz, 1009))
+    # six terms, three free counts: the half power's fewer term pairs win
+    assert not _takes_lattice_sum(parse_poly("x^3+y^3+z^3+x^2*y+y^2*z+x*y*z", xyz, 31))
+    # every gfs-cy form the hypersurface-split benchmark sends, at any seed
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        for lam in range(2, p):
+            assert _takes_lattice_sum(parse_poly(f"y^2*z-x*(x-z)*(x-{lam}*z)", xyz, p)), (p, lam)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        assert _takes_lattice_sum(parse_poly(*FERMAT3, p)), p
+    for p in (5, 7, 11, 13, 17, 19):
+        assert _takes_lattice_sum(parse_poly(*FERMAT4, p)), p
+
+
+def test_legendre_cone_diagonal_is_the_hasse_invariant():
+    # the diagonal coefficient of y^2 z - x(x - z)(x - lam z) is H_p(lam)
+    # itself, not only zero with it: gsplit and elliptic agree exactly
+    for p in filter(is_prime, range(5, 100)):
+        for lam in range(2, p):
+            F = MPoly(3, p, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): 1 + lam, (1, 0, 2): -lam})
+            assert _diagonal_coefficient(F) == hasse_closed(lam, p).value, (p, lam)
 
 
 @st.composite
