@@ -398,9 +398,8 @@ class _CommandParser(_Parser):
     name is dropped before parsing and set as `command`, as the subparsers
     action of the full parser sets it."""
 
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        return super().parse_known_args(args[1:], namespace)
+    def parse_known_args(self, args, namespace=None):
+        return super().parse_known_args(list(args)[1:], namespace)
 
 
 def _add_flags(parser: _Parser, name: str) -> _Parser:

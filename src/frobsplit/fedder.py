@@ -200,59 +200,38 @@ class _CountLattice:
         vectors; (p-1)! = -1 (Wilson), and every k_i! is a unit as k_i < p."""
         if not self.consistent:
             return 0
-        p = self.p
+        p, coeffs = self.p, self.coeffs
         _, inv_fact = _factorials(p)
-        weights = []  # c^k / k! for k = 0..p-1, one row per term
-        for c in self.coeffs:
-            row, ck = [], 1
-            for k in range(p):
-                row.append(ck * inv_fact[k] % p)
-                ck = ck * c % p
-            weights.append(row)
-        solve = [(d, weights[col]) for col, d, _, _ in self.rows]
-        steps = [([m[j] for _, _, m, _ in self.rows], weights[col])
+
+        solve = [(d, coeffs[col]) for col, d, _, _ in self.rows]
+        steps = [([m[j] for _, _, m, _ in self.rows], coeffs[col])
                  for j, col in enumerate(self.free)]
 
         def visit(j: int, rhs: list[int], budget: int, acc: int) -> int:
             # the free counts before j are set, and rhs is each b_r less their terms
             if j < len(steps):
-                ms, w = steps[j]
-                return sum(visit(j + 1, [b - m * k for b, m in zip(rhs, ms)], budget - k,
-                                 acc * w[k] % p)
-                           for k in range(budget + 1))  # the counts add up to p - 1
-            for (d, w), b in zip(solve, rhs):
+                (ms, c), ck, total = steps[j], 1, 0
+                for k in range(budget + 1):  # the counts add up to p - 1
+                    total += visit(j + 1, [b - m * k for b, m in zip(rhs, ms)], budget - k,
+                                   acc * ck * inv_fact[k] % p)
+                    ck = ck * c % p
+                return total
+            for (d, c), b in zip(solve, rhs):
                 k, rem = divmod(b, d)
                 if rem or not 0 <= k < p:  # a later count may still be negative
                     return 0
-                acc = acc * w[k] % p
+                acc = acc * pow(c, k, p) * inv_fact[k] % p
             return acc
 
         return -visit(0, [b for _, _, _, b in self.rows], p - 1, 1) % p
 
 
-def _lattice_pays(p: int, s: int, rank: int) -> bool:
-    """The route rule for s terms whose count equations have rank `rank`.
-
-    The lattice sum visits at most C(p-1+f, f) count vectors, f = s - rank
-    free counts adding up to at most p - 1.  The half power's (p-1)/2
-    products pair the s terms with at most min(C(m+s-1, s), m * p^(rank-1))
-    monomials in all, m = (p-1)/2: the count vectors of sum < m, or the box
-    points of a slice of dimension rank - 1.  A visit costs about twenty
-    pairs: on x^3+y^3+z^3+x^2*y+y^2*z+x*y*z (f = 3) at p = 31 the lattice
-    sum took 12-16 ms and the half power 8-11 ms (CPython 3.11, one core of
-    a 2-CPU x86-64 host).  With f <= 1 the visits are at most p, fewer than
-    the half power's products cost in overhead alone.
-    """
-    free, m = s - rank, (p - 1) // 2
-    return free <= 1 or 20 * math.comb(p - 1 + free, free) <= s * min(
-        math.comb(m + s - 1, s), m * p ** (rank - 1))
-
-
 def _diagonal_coefficient(f: MPoly) -> int:
-    """The coefficient of (x_1*...*x_n)^(p-1) in f^(p-1), mod p, by the
-    route `_lattice_pays` picks."""
+    """The coefficient of (x_1*...*x_n)^(p-1) in f^(p-1), mod p: the lattice
+    sum when at most one count is free, so that it visits at most p count
+    vectors; the half power otherwise."""
     lattice = _CountLattice(f)
-    if _lattice_pays(f.p, len(lattice.coeffs), lattice.rank):
+    if len(lattice.free) <= 1:
         return lattice.diagonal()
     return _half_power_diagonal(f)
 

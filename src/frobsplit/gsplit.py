@@ -473,10 +473,8 @@ def gfs_cy_hypersurface(F: MPoly, e: int = 1) -> bool:
     k >= 0 with sum_i k_i a_i = (p-1, ..., p-1); every k_i! is a unit, as
     k_i < p.  The k are the lattice points of a polytope of dimension
     f = s - rank A, A the exponent matrix, and fedder sums them over the f
-    free counts.  The route rule (`fedder._lattice_pays`): that lattice sum
-    when f <= 1, or when twenty times its C(p-1+f, f) count vectors are at
-    most the s * min(C(m+s-1, s), m * p^(rank A - 1)) term pairs, m = (p-1)/2,
-    of the half power F^((p-1)/2) mod m^[p]; that half power otherwise.  On
+    free counts.  The route rule: that lattice sum when f <= 1, at most p
+    count vectors; the half power F^((p-1)/2) mod m^[p] otherwise.  On
     the Legendre cone y^2*z - x*(x-z)*(x-lam*z) the coefficient is H_p(lam),
     `elliptic`'s Hasse invariant, exactly.
     """

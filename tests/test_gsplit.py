@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frobsplit import gsplit, upoly
+from frobsplit import fedder, gsplit, upoly
 from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError, is_prime,
                              quadratic_nonresidue)
 from frobsplit.elliptic import hasse_closed
-from frobsplit.fedder import (_CountLattice, _diagonal_coefficient, _half_power_diagonal,
-                              _lattice_pays)
+from frobsplit.fedder import _CountLattice, _diagonal_coefficient, _half_power_diagonal
 from frobsplit.gsplit import (DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
                               gfs_bigraded_hypersurface, gfs_cy_hypersurface,
                               gfs_p1, gfs_p1_level, parse_divisor, parse_point,
@@ -660,18 +659,24 @@ def test_cy_lattice_sum_equals_half_power_drawn():
     assert free == {0, 1, 2}
 
 
-def _takes_lattice_sum(F):
-    lattice = _CountLattice(F)
-    return _lattice_pays(F.p, len(lattice.coeffs), lattice.rank)
+def test_cy_route_rule(monkeypatch):
+    # the half power runs only for forms with two or more free counts
+    halves = []
+    monkeypatch.setattr(fedder, "_half_power_diagonal", lambda F: halves.append(F) or 0)
 
+    def _takes_lattice_sum(F):
+        halves.clear()
+        _diagonal_coefficient(F)
+        return not halves
 
-def test_cy_route_rule():
     xyz, xyzw = FERMAT3[1], FERMAT4[1]
     assert _takes_lattice_sum(parse_poly(*FERMAT4, 1009))
     assert _takes_lattice_sum(parse_poly("x^4+y^4+z^4+w^4-12*x*y*z*w", xyzw, 1009))
     assert _takes_lattice_sum(parse_poly("y^2*z-x*(x-z)*(x-3*z)", xyz, 1009))
-    # six terms, three free counts: the half power's fewer term pairs win
+    # six terms, three free counts
     assert not _takes_lattice_sum(parse_poly("x^3+y^3+z^3+x^2*y+y^2*z+x*y*z", xyz, 31))
+    # five terms, two free counts
+    assert not _takes_lattice_sum(parse_poly("x^3+y^3+z^3+x^2*y+x*y*z", xyz, 13))
     # every gfs-cy form the hypersurface-split benchmark sends, at any seed
     for p in (5, 7, 11, 13, 17, 19, 23):
         for lam in range(2, p):
