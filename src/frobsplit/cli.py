@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -59,6 +60,19 @@ def _level(args, key: str, default: int, floor: int = 0) -> int:
         raise CliError(f"{_FLAGS[key][0]} must be at least {floor}, got {level}")
     if level > sys.maxsize:
         raise CliError(f"{_FLAGS[key][0]} must be at most {sys.maxsize}, got {level}")
+    return level
+
+
+def _printed_level(level: int, key: str, p: int) -> int:
+    """A level of fedder-nu or fpt, refused before any work when q = p^e has
+    more digits than sys.get_int_max_str_digits(), the most that str()
+    prints: nu_f(q) < q as f(0) = 0, and q is the bracket's denominator, so
+    no number these reports print is longer than q."""
+    limit = sys.get_int_max_str_digits()
+    size = level * math.log10(p)  # q has floor(size) + 1 digits; exact near the limit
+    if limit and size > limit - 1 and (size > limit + 1 or p ** level >= 10 ** limit):
+        raise CliError(f"{_FLAGS[key][0]} {level} gives q = {p}^{level}, of more than "
+                       f"{limit} digits, the most that are printed")
     return level
 
 
@@ -164,13 +178,13 @@ def _poly_from_args(args):
 
 def _cmd_fedder_nu(args) -> dict:
     f, names = _poly_from_args(args)
-    e = _level(args, "e", 1, floor=1)
+    e = _printed_level(_level(args, "e", 1, floor=1), "e", f.p)
     return {"poly": format_poly(f, names), "e": e, "nu": nu(f, e)}
 
 
 def _cmd_fpt(args) -> dict:
     f, names = _poly_from_args(args)
-    seq = fpt_bounds(f, _level(args, "emax", 3, floor=1))
+    seq = fpt_bounds(f, _printed_level(_level(args, "emax", 3, floor=1), "emax", f.p))
     e_max, nu_max = seq.values[-1]
     return {
         "poly": format_poly(f, names),

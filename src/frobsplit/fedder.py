@@ -52,7 +52,8 @@ def _require_local_input(f: MPoly, e: int) -> None:
 # Pruned product arithmetic on monomials packed into single integers, one
 # base-2q digit per variable.  Both operands keep every digit < q, so digitwise
 # sums stay < 2q and the packing has no carries; dropping the keys with a digit
-# >= q is reduction mod the monomial ideal m^[q], which commutes with products.
+# >= lim (q unless a smaller box is asked for) is reduction mod the monomial
+# ideal m^[lim], which commutes with products.
 
 def _pack_terms(f: MPoly, q: int) -> list[tuple[int, int]]:
     """f's terms inside the box [0, q)^n, packed; the others lie in m^[q]."""
@@ -80,60 +81,15 @@ def _box(terms: dict[int, int], nvars: int, q: int, lim: int, p: int) -> dict[in
 
 
 def _pruned_times(acc: dict[int, int], fac: list[tuple[int, int]],
-                  nvars: int, q: int, p: int) -> dict[int, int]:
-    """acc * fac mod m^[q], on packed terms."""
+                  nvars: int, q: int, p: int, lim: int | None = None) -> dict[int, int]:
+    """acc * fac mod m^[lim], on base-2q packed terms; lim is q by default."""
     out: dict[int, int] = {}
     get = out.get
     for k1, c1 in acc.items():
         for k2, c2 in fac:
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
-    return _box(out, nvars, q, q, p)
-
-
-class _DigitTable:
-    """Packed f^d mod m^[q] for the base-p digits d = 0..p-1.
-
-    Over F_p, f^N = prod_j Frob^j(f^(d_j)) for N = sum_j d_j p^j, and Frob^j
-    scales exponents by p^j with coefficients fixed.  A monomial of f^d
-    survives the twist mod m^[q] iff every exponent is below q/p^j, so each
-    factor is a filtered row of this table with its packed keys times p^j
-    (each digit stays < q, hence no carry).  No f^d is expanded outside the box.
-    """
-
-    def __init__(self, f: MPoly, q: int):
-        self.nvars, self.q, self.p = f.nvars, q, f.p
-        fac = _pack_terms(f, q)
-        self.rows = [{0: 1}]
-        for _ in range(f.p - 1):
-            self.rows.append(_pruned_times(self.rows[-1], fac, f.nvars, q, f.p))
-
-    def twisted(self, d: int, j: int) -> list[tuple[int, int]]:
-        """Frob^j(f^d) mod m^[q], packed."""
-        s = self.p ** j
-        row = _box(self.rows[d], self.nvars, self.q, -(-self.q // s), self.p)
-        return [(key * s, c) for key, c in row.items()]
-
-    def survives(self, N: int) -> bool:
-        """True iff f^N is outside m^[q].
-
-        The factors go in from the highest digit down, since the most
-        twisted rows are the sparsest, and the product stops once it is empty.
-        """
-        digits = []
-        while N:
-            N, d = divmod(N, self.p)
-            digits.append(d)
-        acc = {0: 1}
-        for j in reversed(range(len(digits))):
-            if acc and digits[j]:
-                acc = _pruned_times(acc, self.twisted(digits[j], j), self.nvars, self.q, self.p)
-        return bool(acc)
-
-
-def _pruned_power_survives(f: MPoly, N: int, q: int) -> bool:
-    """True iff f^N is outside m^[q], powering by base-p digits of N."""
-    return _DigitTable(f, q).survives(N)
+    return _box(out, nvars, q, q if lim is None else lim, p)
 
 
 def _half_power_diagonal(f: MPoly) -> int:
@@ -237,58 +193,50 @@ def _diagonal_coefficient(f: MPoly) -> int:
 
 
 def _nu_levels(f: MPoly, e_max: int) -> list[int]:
-    """nu_f(p^e) for e = 1..e_max, one level at a time.
+    """nu_f(p^e) for e = 1..e_max, one level at a time from one kept power.
 
-    nu_f(1) = 0 since f lies in m = m^[1].  Given nu = nu_f(p^(e-1)),
-    nu_f(p^e) lies in [p*nu, p*nu + p - 1]: the lower end is
-    Mustata-Takagi-Watanabe, the upper holds because f^(nu+1) in m^[p^(e-1)]
-    gives f^(p*nu+p) in m^[p^e].  Both ends are checked with the kernel, then
-    f^r outside m^[p^e] (monotone in r) is binary-searched between them.
+    nu_f(1) = 0 since f lies in m = m^[1].  Given nu = nu_f(p^(e-1)) and
+    P = f^nu mod m^[p^(e-1)], Frobenius over F_p gives
+    f^(p*nu + d) = Frob(f^nu) * f^d, and Frob maps m^[p^(e-1)] into m^[p^e],
+    so f^(p*nu + d) mod m^[p^e] is Frob(P) * f^d pruned to the box: P's packed
+    keys times p, then d pruned products by f.  The last nonzero product gives
+    nu_f(p^e) = p*nu + d and is the next P.  That d lies in [0, p - 1]
+    (Mustata-Takagi-Watanabe): Frob(P) is nonzero mod m^[p^e] as P is nonzero
+    mod m^[p^(e-1)], and f^(nu+1) in m^[p^(e-1)] gives f^(p*nu+p) in m^[p^e].
+    A level outside that bracket raises NuMonotonicityError.  One packing
+    base, 2*p^e_max, serves every level: digits stay below p^e + p^e_max.
     """
-    p = f.p
-    values = []
-    v = 0
+    p, n = f.p, f.nvars
+    top = p ** e_max
+    fac = _pack_terms(f, top)
+    kept, v, values = {0: 1}, 0, []
     for e in range(1, e_max + 1):
-        table = _DigitTable(f, p ** e)
-        lo, hi = p * v, p * v + p
-        if not table.survives(lo) or table.survives(hi):
+        q = p ** e
+        # Frob(P) = f^(p*nu) mod m^[q]; the box can only empty it if a product
+        # left a term outside its own box
+        power = _box({key * p: c for key, c in kept.items()}, n, top, q, p)
+        if not power:
             raise NuMonotonicityError(
-                f"nu({p}^{e}) outside [p*nu, p*nu + p - 1] = [{lo}, {hi - 1}] "
+                f"f^(p*nu) = f^{p * v} inside m^[{p}^{e}] for nu = nu({p}^{e - 1}) = {v}")
+        for d in range(p):
+            kept = power
+            power = _pruned_times(kept, fac, n, top, p, q)
+            if not power:
+                break
+        else:
+            raise NuMonotonicityError(
+                f"f^(p*nu + p) = f^{p * v + p} outside m^[{p}^{e}] "
                 f"for nu = nu({p}^{e - 1}) = {v}")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if table.survives(mid):
-                lo = mid
-            else:
-                hi = mid
-        v = lo
+        v = p * v + d
         values.append(v)
     return values
 
 
 def nu(f: MPoly, e: int) -> int:
-    """max r >= 0 with f^r outside m^[p^e]: the last level of the search
-    `fpt_bounds` runs, at most ceil(log2 p) + 2 kernel calls per level."""
+    """max r >= 0 with f^r outside m^[p^e]: the last level of the loop
+    `fpt_bounds` runs, at most p pruned products per level."""
     _require_local_input(f, e)
     return _nu_levels(f, e)[-1]
-
-
-def nu_binary(f: MPoly, e: int) -> int:
-    """Cross-check for nu: binary search on r over [0, n(q-1)+1].
-
-    Membership of f^r in m^[q] is monotone in r, so the predicate is
-    searchable.  Kept independent of the level-by-level brackets of `nu`.
-    """
-    _require_local_input(f, e)
-    q = f.p ** e
-    lo, hi = 0, f.nvars * (q - 1) + 1  # f^hi is always inside
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if _pruned_power_survives(f, mid, q):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 class NuSequence(NamedTuple):
@@ -318,6 +266,7 @@ def is_fpure_pair(f: MPoly, t, e: int) -> bool:
 
     Requires t*(p^e - 1) integral, mirroring the convention that boundary
     coefficients are only tested at levels where they clear denominators.
+    f^r outside m^[q] is monotone in r, so the test is t(p^e - 1) <= nu_f(p^e).
     """
     _require_local_input(f, e)
     t = require_p_free(Fraction(t), f.p)
@@ -327,4 +276,4 @@ def is_fpure_pair(f: MPoly, t, e: int) -> bool:
     N = t * (q - 1)
     if N.denominator != 1:
         raise ValueError(f"t*(p^e - 1) = {N} is not an integer at level e = {e}")
-    return _pruned_power_survives(f, int(N), q)
+    return N <= _nu_levels(f, e)[-1]

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, read_int, require_p_free, splitting_level)
-from .fedder import _diagonal_coefficient, _pruned_power_survives
+from .fedder import _diagonal_coefficient, _nu_levels
 from .mpoly import MPoly
 from .upoly import (UPoly, _boundary_poly, _dense_trim, _udiv, _umul,
                     _upow_frobenius, univ_eval, univ_squarefree)
@@ -494,9 +494,9 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
     multiplier of the remaining anticanonical budget.  Sufficiency is exact;
     necessity is only cross-validated downstream, never assumed.  Such a
     monomial exists iff F^(q-1) is outside m^[q], and by the level lemma
-    above iff F^(p-1) is outside m^[p], which fedder's kernel decides from
-    the pruned powers F^d mod m^[p], d < p (a nonzero constant F survives,
-    so it splits).
+    above iff F^(p-1) is outside m^[p], that is iff nu_F(p) = p - 1: the
+    pruned products F^d mod m^[p] of fedder's level-1 loop stay nonzero for
+    p - 1 steps.  A nonzero constant F has no nu, survives and splits.
     """
     g1, g2 = groups
     if g1 < 1 or g2 < 1:
@@ -511,7 +511,7 @@ def gfs_bigraded_hypersurface(F: MPoly, groups: tuple[int, int], e: int = 1) -> 
         raise ValueError(f"bidegree ({a}, {b}) outside the anticanonical-nonnegative regime")
     if e < 1:
         raise ValueError("e must be >= 1")
-    return _pruned_power_survives(F, F.p - 1, F.p)
+    return bool(F.constant_term()) or _nu_levels(F, 1) == [F.p - 1]
 
 
 # -- double covers and trace pushforward --------------------------------------

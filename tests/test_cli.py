@@ -237,6 +237,24 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert err == f"error: lambda must lie in F_7 for the legendre cover, got {lam!r}\n"
 
 
+def test_nu_levels_past_the_printed_digits_are_refused(capsys):
+    # nu(q) < q, so fedder-nu and fpt print every level whose q = p^e has at
+    # most int()'s 4,300 digits: 5^6151 has 4,300 and 5^6152 has 4,301.  Past
+    # it the level is refused before nu is computed, not at printing
+    assert len(str(5 ** 6151)) == sys.get_int_max_str_digits() == 4300
+    top = str(5 ** 6151 - 1)
+    for command, flag in (("fedder-nu", "--e"), ("fpt", "--emax")):
+        argv = [command, "--p", "5", "--poly", "x", "--vars", "x", flag]
+        for mode in ([], ["--json"]):
+            assert main(argv + ["6151"] + mode) == 0, (command, mode)
+            out, err = capsys.readouterr()
+            assert err == "" and top in out, (command, mode)
+            assert main(argv + ["6152"] + mode) == 1, (command, mode)
+            assert capsys.readouterr() == (
+                "", f"error: {flag} 6152 gives q = 5^6152, of more than 4300 digits, "
+                    "the most that are printed\n"), (command, mode)
+
+
 def test_closed_stdout_pipe_exits_without_traceback():
     # the reader of stdout is gone before the report is written, as with
     # `frobsplit ... | head` when head exits first

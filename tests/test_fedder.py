@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedder_oracle import _DigitTable, _pruned_power_survives, nu_binary
 from frobsplit import fedder
 from frobsplit.elliptic import hasse_closed, hasse_coeff
 from frobsplit.fedder import (NuMonotonicityError, _CountLattice, _diagonal_coefficient,
-                              _DigitTable, _half_power_diagonal, _pack_terms,
-                              _pruned_power_survives, fpt_bounds, in_bracket_ideal,
-                              is_fpure_pair, nu, nu_binary)
+                              _half_power_diagonal, _pack_terms, fpt_bounds,
+                              in_bracket_ideal, is_fpure_pair, nu)
 from frobsplit.mpoly import MPoly, parse_poly
 
 
@@ -117,22 +117,28 @@ def test_is_fpure_level_convention():
 
 
 def test_monotonicity_error_wiring(monkeypatch):
-    # a kernel that lies must trip the bracket check at some level; honest
+    # a product that lies must trip the bracket check at some level; honest
     # arithmetic never does
     f = parse_poly("y^2 - x^3 + x^2", ["x", "y"], 5)
     seq = fpt_bounds(f, 3)
     for (e1, v1), (e2, v2) in zip(seq.values, seq.values[1:]):
         assert 5 * v1 <= v2 <= 5 * v1 + 4
-    honest = fedder._DigitTable.survives
-    lies = (
-        lambda table, N: True,                     # f^(p*nu + p) "survives"
-        lambda table, N: False,                    # f^0 = 1 "dies" at level 1
-        # right at level 1, then answers for f^(N + p): f^(p*nu) "dies" at level 2
-        lambda table, N: honest(table, N if table.q == 5 else N + 5),
-    )
-    for lie in lies:
-        monkeypatch.setattr(fedder._DigitTable, "survives", lie)
-        with pytest.raises(NuMonotonicityError):
+    honest = fedder._pruned_times
+
+    def alive_at_p(acc, fac, nvars, q, p, lim=None):
+        # at level 1 (box side 5) every product "survives": f^(p*nu + p) at d = p
+        return acc if lim == 5 else honest(acc, fac, nvars, q, p, lim)
+
+    def left_the_box(acc, fac, nvars, q, p, lim=None):
+        # at level 1 each product keeps its terms times x^5, outside the box,
+        # so the kept power is empty in the box of level 2
+        out = honest(acc, fac, nvars, q, p, lim)
+        return {key + 5: c for key, c in out.items()} if lim == 5 else out
+
+    for lie, message in ((alive_at_p, r"outside m\^\[5\^1\]"),
+                         (left_the_box, r"inside m\^\[5\^2\]")):
+        monkeypatch.setattr(fedder, "_pruned_times", lie)
+        with pytest.raises(NuMonotonicityError, match=message):
             fpt_bounds(f, 3)
         with pytest.raises(NuMonotonicityError):
             nu(f, 3)
@@ -161,21 +167,42 @@ def _random_poly(rng, p, nvars, nterms, max_exp):
                             rng.randrange(1, p) for _ in range(nterms)})
 
 
+def _kernel_polys(rng, p, q):
+    polys = [
+        _random_poly(rng, p, 2, 3, 3),
+        _random_poly(rng, p, 2, 2, 2) + 1,                # a constant term: never dies
+        parse_poly("x^3*y^2 + x^2*y^4", ["x", "y"], p),   # dies after a few powers
+        parse_poly("x*y + y^2", ["x", "y"], p),
+    ]
+    if q <= 27:
+        polys.append(_random_poly(rng, p, 3, 3, 2))
+        polys.append(parse_poly("x*y*z + z^3", ["x", "y", "z"], p))
+    return polys
+
+
 def test_pruned_power_matches_full_power_seeded():
     rng = random.Random(5)
     seen = set()
     for p, q in KERNEL_QS:
-        polys = [
-            _random_poly(rng, p, 2, 3, 3),
-            _random_poly(rng, p, 2, 2, 2) + 1,                # a constant term: never dies
-            parse_poly("x^3*y^2 + x^2*y^4", ["x", "y"], p),   # dies after a few powers
-            parse_poly("x*y + y^2", ["x", "y"], p),
-        ]
-        if q <= 27:
-            polys.append(_random_poly(rng, p, 3, 3, 2))
-            polys.append(parse_poly("x*y*z + z^3", ["x", "y", "z"], p))
-        for f in polys:
+        for f in _kernel_polys(rng, p, q):
             seen |= _check_every_power(f, q)
+    assert seen == {True, False}
+
+
+def test_is_fpure_pair_matches_pruned_power():
+    # t(q-1) <= nu_f(q) against the digit-table power f^(t(q-1)) at every
+    # integral t(q-1) from 0 to n(q-1)+1, on the kernel's polynomials with f(0) = 0
+    rng = random.Random(5)
+    seen = set()
+    for p, q in KERNEL_QS:
+        e = next(e for e in range(1, 4) if p ** e == q)
+        for f in _kernel_polys(rng, p, q):
+            if f.constant_term():
+                continue
+            for N in range(f.nvars * (q - 1) + 2):
+                fpure = is_fpure_pair(f, Fraction(N, q - 1), e)
+                assert fpure == _pruned_power_survives(f, N, q), (f, N, q)
+                seen.add(fpure)
     assert seen == {True, False}
 
 

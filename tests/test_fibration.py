@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from fedder_oracle import _pruned_power_survives
 from frobsplit.arith import binom_mod_p, is_prime
 from frobsplit.elliptic import hasse_coeff_symbolic, supersingular_report
-from frobsplit.fedder import _pruned_power_survives
 from frobsplit.fibration import (BOUNDARY_INFINITY, NODAL, SMOOTH_ORDINARY,
                                  SMOOTH_SUPERSINGULAR, cbf_iii_check, cbf_sides,
                                  classify_fibers, f_discriminant_legendre,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedder_oracle import _pruned_power_survives
 from frobsplit import fedder, gsplit, upoly
 from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError, is_prime,
                              quadratic_nonresidue)
@@ -632,6 +633,34 @@ def test_cy_diagonal_equals_full_expansion_drawn():
 
     check()
     assert verdicts == {True, False}
+
+
+@st.composite
+def _bigraded_forms(draw):
+    """(F, groups): a form of bidegree (a, b) <= the group sizes (g1, g2) at
+    p <= 11; bidegree (0, 0) is a nonzero constant."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    groups = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    degrees = tuple(draw(st.integers(0, g)) for g in groups)
+    return _forms(draw, groups, degrees, p), groups
+
+
+def test_bigraded_equals_digit_table_drawn():
+    # the level-1 loop's verdict against the digit-table power F^(p-1) mod
+    # m^[p]; seen: F^(p-1) survives, F^(p-1) dies, and F^(p-2) dies already
+    seen = set()
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_bigraded_forms())
+    def check(case):
+        F, groups = case
+        p = F.p
+        got = gfs_bigraded_hypersurface(F, groups)
+        assert got == _pruned_power_survives(F, p - 1, p), (F, groups)
+        seen.add((got, _pruned_power_survives(F, p - 2, p)))
+
+    check()
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @st.composite
