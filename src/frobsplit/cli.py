@@ -416,12 +416,16 @@ class _CommandParser(_Parser):
         return super().parse_known_args(list(args)[1:], namespace)
 
 
+# The switches every subcommand takes, each without a value.
+_SWITCHES = ("--json", "--strict", "--timings")
+
+
 def _add_flags(parser: _Parser, name: str) -> _Parser:
     """The subcommand's own flags, then --json, --strict and --timings."""
     for key in _COMMANDS[name][1]:
         option, kwargs = _FLAGS[key]
         parser.add_argument(option, dest=key, **kwargs)
-    for option in ("--json", "--strict", "--timings"):
+    for option in _SWITCHES:
         parser.add_argument(option, action="store_true")
     return parser
 
@@ -452,6 +456,46 @@ def build_parser(argv=None) -> _Parser:
     for name in _COMMANDS:
         _add_flags(sub.add_parser(name, allow_abbrev=False), name)
     return parser
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser(argv).parse_args(argv) gives, read from
+    the flag table, for an argv of the shape every documented call has: a
+    subcommand, then its own flags, each with one value, and the switches.
+    None for any other argv, which is left to argparse, the one source of
+    help, usage and error text.
+
+    The reading is exact because argparse takes a token that does not start
+    with "-" as a plain argument, and a flag without nargs takes exactly one
+    of those; a value that starts with "-" is deferred, as argparse may read
+    it as a negative number (`--e -1` must reach `_level`'s refusal) or as
+    a flag.  A repeated flag keeps its last value, as argparse's does.
+    """
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        return None
+    keys = _COMMANDS[name][1]
+    options = {_FLAGS[key][0]: key for key in keys}
+    found = dict.fromkeys(keys) | {option[2:]: False for option in _SWITCHES}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _SWITCHES:
+            found[token[2:]] = True
+            continue
+        key = options.get(token)
+        value = next(tokens, "-")  # a flag with no value is deferred too
+        if key is None or value.startswith("-"):
+            return None
+        kwargs = _FLAGS[key][1]
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        found[key] = value
+    return argparse.Namespace(command=name, **found)
 
 
 def _echo_inputs(args) -> dict:
@@ -491,9 +535,8 @@ def _render_text(obj, indent: int = 0, out=None) -> None:
 
 def run(argv=None) -> tuple[int, dict | None]:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv) or build_parser(argv).parse_args(argv)
         if not args.command:
             raise CliError("a subcommand is required (see --help)")
         started = time.perf_counter()

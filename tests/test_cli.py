@@ -3,6 +3,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -13,7 +14,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobsplit.cli import _COMMANDS, _FLAGS, CliError, build_parser, main, run
+from frobsplit.cli import (_COMMANDS, _FLAGS, _SWITCHES, CliError, _int, _read_argv,
+                           build_parser, main, run)
 from frobsplit.elliptic import (hasse_closed_symbolic, hasse_coeff_symbolic,
                                 supersingular_report)
 from frobsplit.fibration import f_discriminant_legendre
@@ -312,21 +314,33 @@ def test_gfs_bigraded_subcommand(capsys):
     assert rep["results"] == {"poly": "x*y*u", "groups": [2, 2], "split": True}
 
 
-def test_readme_examples_parse():
-    # every documented command line must be accepted by the parser
+def _readme_argvs():
     block = README.read_text().split("## Command line", 1)[1]
     block = block.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
     lines = [ln for ln in block.splitlines() if ln.startswith("frobsplit ")]
     assert len(lines) == 16
-    for line in lines:
-        argv = shlex.split(line, comments=True)[1:]
-        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv), line
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_examples_parse():
+    # every documented command line must be accepted by the parser
+    for argv in _readme_argvs():
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv), argv
 
 
 def test_every_flag_belongs_to_a_subcommand():
     # _echo_inputs and the token list below read _FLAGS, so a retired flag
     # must leave it along with its last subcommand
     assert set(_FLAGS) == {key for _, keys in _COMMANDS.values() for key in keys}
+
+
+def test_every_flag_is_one_the_reader_models():
+    # _read_argv reads a flag as one value, converted by _int (whose one
+    # refusal is ValueError) and checked against choices; a flag with
+    # action=, nargs=, default= or another type would be read wrongly
+    for key, (option, kwargs) in _FLAGS.items():
+        assert option.startswith("--") and set(kwargs) <= {"type", "choices"}, key
+        assert kwargs.get("type", _int) is _int, key
 
 
 # argv tokens for the parser comparison: every command and flag, the
@@ -378,6 +392,91 @@ def test_parser_for_argv_parses_like_the_full_parser(argv):
     # then runs that subparser on the rest of argv, so nothing it parses,
     # prints or raises can differ from the parser with every subcommand
     assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
+
+
+# values for the reader's comparison: integers good and bad (a sign, spaces,
+# a non-ASCII digit, an underscore), the choices of --degree-zero and one
+# that is not, the grammars' texts, and values that start with "-"
+_VALUE = st.sampled_from(["5", "0", "3", "+3", " 7", "-1", "٣", "1_0", "x", "", "y^2 - x^3",
+                          "x,y", "1/2@inf", "3..7", "trivial", "generic", "bogus",
+                          "ruled:g=2,d=3", "-x + y", "--p"])
+
+
+def _chunks(name):
+    """Pieces of an argv for subcommand `name`: mostly one of its own flags
+    with a value, then a switch, then any token at all."""
+    own = st.sampled_from([_FLAGS[key][0] for key in _COMMANDS[name][1]])
+    pair = st.tuples(own, _VALUE).map(list)
+    return st.one_of(pair, pair, pair, st.sampled_from(_SWITCHES).map(lambda s: [s]),
+                     _TOKEN.map(lambda t: [t]))
+
+
+_COMMAND_ARGVS = st.sampled_from(list(_COMMANDS)).flatmap(
+    lambda name: st.lists(_chunks(name), max_size=5).map(
+        lambda chunks: [name, *itertools.chain.from_iterable(chunks)]))
+
+# the shapes the reader leaves to argparse: a flag's value written with "=",
+# a value that starts with "-", a non-ASCII digit, a value outside choices,
+# "--", -h and a flag with no value
+_DEFERRED_ARGVS = [
+    ["fpt", "--p=7"], ["fpt", "--p", "-1"], ["fpt", "--p", "٣"],
+    ["kappa", "--degree-zero", "bogus"], ["kgfr", "--", "--p", "5"], ["kgfr", "-h"],
+    ["fpt", "--p", "5", "--poly"],
+]
+
+
+def test_read_argv_pins():
+    args = _read_argv(["fpt", "--emax", "3", "--p", "5", "--emax", "2", "--json"])
+    assert vars(args) == {"command": "fpt", "p": 5, "poly": None, "vars": None, "emax": 2,
+                          "json": True, "strict": False, "timings": False}
+    for argv in _DEFERRED_ARGVS + [["nosuch"], ["--json", "kgfr"], []]:
+        assert _read_argv(argv) is None, argv
+
+
+def test_read_argv_reads_like_argparse():
+    # the reader returns None or what the full parser gives, and prints
+    # nothing; the draws lean on each subcommand's own flags so that a real
+    # share of them is read rather than deferred
+    read = []
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @example(["fpt", "--emax", "3", "--emax", "2"])
+    @given(st.one_of(_COMMAND_ARGVS, st.lists(_TOKEN, max_size=6)))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _read_argv(argv)
+        assert out.getvalue() == err.getvalue() == "", argv
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+        read.append(args is not None)
+
+    check()
+    assert sum(read) >= 0.15 * len(read), (sum(read), len(read))
+
+
+_WORKLOAD_ARGVS_READ = """
+import sys
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/bench"]
+from frobsplit.cli import _read_argv
+from workloads import WORKLOADS, queries
+argvs = [q["argv"] + ["--json"] for name in WORKLOADS for seed in (1, 5, 17)
+         for q in queries(name, seed)]
+print(len(argvs), [argv for argv in argvs if _read_argv(argv) is None])
+"""
+
+
+def test_reader_serves_every_workload_and_readme_call():
+    # the fast path is worth having only if the real traffic takes it
+    for argv in _readme_argvs():
+        assert _read_argv(argv) == build_parser(argv).parse_args(argv), argv
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _WORKLOAD_ARGVS_READ, str(root)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, deferred = proc.stdout.split(" ", 1)
+    assert int(count) > 900 and deferred.strip() == "[]", proc.stdout
 
 
 # sha256 over (argv, exit or SystemExit code, stdout, stderr) of cli.run on
@@ -436,7 +535,9 @@ def test_parser_has_the_named_subcommand_or_all(monkeypatch):
         assert list(subparsers) == list(_COMMANDS)
         for name, sp in subparsers.items():
             _assert_complete(name, sp)
-    # each workload-shaped call (command first) builds one parser
+    # a workload-shaped call (command first, each flag with its value) is
+    # read from the flag table and builds no parser; help and a bad value
+    # build that subcommand's parser alone
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -444,6 +545,15 @@ def test_parser_has_the_named_subcommand_or_all(monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for name in _COMMANDS:
+        for argv in ([name, "-h"], [name, "--p", "x"]):
+            built.clear()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    run(argv)
+                except SystemExit:
+                    pass
+            assert built == [f"frobsplit {name}"], argv
     argvs = [["kgfr", "--p", "5"], ["fpt", "--p", "5", "--poly", "x^2", "--vars", "x"],
              ["gfs-p1", "--p", "5", "--divisor", "1/2@0,1/2@1,1/2@2,1/2@inf"],
              ["gfr-p1", "--p", "5", "--divisor", "1/2@inf,1/4@3+2t,1/4@3+3t"],
@@ -454,7 +564,7 @@ def test_parser_has_the_named_subcommand_or_all(monkeypatch):
         built.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(argv + ["--json"])[0] == 0, argv
-        assert built == [f"frobsplit {argv[0]}"], argv
+        assert built == [], argv
 
 
 def test_documented_polynomials_parse():
@@ -732,7 +842,7 @@ for argv in first.values():
 calls = tracer.summary()["calls"]
 print(sorted(first))
 print(sorted(name for name in calls if name.startswith("kappa.")))
-print(len(first), calls["cli.run"], calls["cli.build_parser"])
+print(len(first), calls["cli.run"], calls.get("cli.build_parser", 0))
 """
 
 
@@ -747,9 +857,9 @@ def test_benchmark_tracer_installs_and_runs():
     assert "'supersingular'" in proc.stdout and "'kgfr'" in proc.stdout, proc.stdout
     assert "'catalog'" in proc.stdout and "'kappa'" in proc.stdout, proc.stdout
     assert "'kappa.check_superadditivity'" in proc.stdout, proc.stdout
-    # cli.build_parser.calls counts runs only while each run builds one parser
+    # every query is read from the flag table: cli.build_parser is never called
     queries, runs, builds = map(int, proc.stdout.splitlines()[-1].split())
-    assert builds == runs == queries, proc.stdout
+    assert builds == 0 and runs == queries, proc.stdout
 
 
 def test_library_imports_only_the_standard_library():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedder_oracle import _DigitTable, _pruned_power_survives, nu_binary
 from frobsplit import fedder
+from frobsplit.arith import is_prime
 from frobsplit.elliptic import hasse_closed, hasse_coeff
 from frobsplit.fedder import (NuMonotonicityError, _CountLattice, _diagonal_coefficient,
                               _half_power_diagonal, _pack_terms, fpt_bounds,
@@ -277,6 +278,32 @@ def test_cusp_nu_closed_form():
         seq = fpt_bounds(parse_poly("y^2 - x^3", ["x", "y"], p), e_max)
         assert seq.values == tuple((e, _nu_from_fpt(fpt, p ** e))
                                    for e in range(1, e_max + 1)), p
+
+
+def test_diagonal_hypersurface_nu_closed_form():
+    # Hernandez, F-invariants of diagonal hypersurfaces (Proc. AMS 2015): if
+    # p = 1 mod lcm(a_i), f = sum x_i^(a_i) has fpt c = min(1, sum 1/a_i);
+    # (q - 1) * c is then an integer, so nu(q) = ceil(c * q) - 1 = (q - 1) * c.
+    # Levels run to q <= 3000, and to q <= 400 for the four-variable cubic
+    # sum, whose nu(q) = q - 1 takes 11 s at q = 7^4
+    cases = 0
+    for exps in [(2, 3), (2, 4), (3, 4), (2, 5), (3, 3), (2, 3, 4), (4, 4, 4), (2, 2, 3),
+                 (3, 6), (5, 5), (2, 6), (4, 6), (3, 3, 3, 3), (2, 3, 7)]:
+        n, step = len(exps), math.lcm(*exps)
+        c = min(Fraction(1), sum(Fraction(1, a) for a in exps))
+        primes = [p for p in range(step + 1, 3000, step) if is_prime(p)]
+        for p in primes[:3]:
+            f = MPoly(n, p, {tuple(a * (i == j) for j in range(n)): 1
+                             for i, a in enumerate(exps)})
+            e_max = 1
+            while p ** (e_max + 1) <= (400 if n == 4 else 3000):
+                e_max += 1
+            seq = fpt_bounds(f, e_max)
+            assert seq.values == tuple((e, (p ** e - 1) * c)
+                                       for e in range(1, e_max + 1)), (exps, p)
+            assert seq.fpt_lower <= c <= seq.fpt_upper, (exps, p)
+            cases += e_max
+    assert cases == 106
 
 
 def _cone_nu(ordinary, q, p):
