@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .arith import ZpViolationError, is_prime, parse_int
@@ -512,6 +513,43 @@ def _contains_unknown(obj) -> bool:
     return False
 
 
+def _json_text(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2, default=str), byte for byte, for obj nested
+    under the indent `pad`.
+
+    With an indent set, json.dumps runs CPython's pure-Python encoder, which
+    tests every value against every type it knows.  This writer serves the
+    exact types reports are made of (dicts with str keys, lists, str, int,
+    bool, None) and hands any other value, tuples, floats, non-str keys and
+    subclasses among them, to json.dumps itself, re-indented to its depth:
+    an encoded string holds no raw newline.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in obj.items() if type(k) is str]
+        if len(items) == len(obj):  # else a key is not a str: json.dumps below
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    elif kind is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    elif obj is None:
+        return "null"
+    elif kind is bool:
+        return "true" if obj else "false"
+    return json.dumps(obj, indent=2, default=str).replace("\n", "\n" + pad)
+
+
 def _render_text(obj, indent: int = 0, out=None) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -553,7 +591,7 @@ def run(argv=None) -> tuple[int, dict | None]:
         "timings_ms": elapsed_ms if args.timings else None,
     }
     if args.json:
-        print(json.dumps(report, indent=2, default=str))
+        print(_json_text(report))
     else:
         _render_text(report)
     if args.strict and _contains_unknown(report["results"]):

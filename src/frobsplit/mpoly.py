@@ -13,9 +13,13 @@ from __future__ import annotations
 import re
 from functools import reduce
 from math import comb
+from operator import add
 from typing import Mapping, Sequence
 
 from .arith import AnyFieldElement, FieldElement, _check_modulus, read_int
+
+
+_set = object.__setattr__  # MPoly's own __setattr__ refuses every write
 
 
 class MPoly:
@@ -25,8 +29,8 @@ class MPoly:
         _check_modulus(p)
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "p", p)
+        _set(self, "nvars", nvars)
+        _set(self, "p", p)
         cleaned: dict[tuple, int] = {}
         if terms:
             for exps, c in terms.items():
@@ -40,10 +44,35 @@ class MPoly:
                     cleaned[exps] = c
                 elif exps in cleaned:
                     del cleaned[exps]
-        object.__setattr__(self, "terms", cleaned)
+        _set(self, "terms", cleaned)
 
     def __setattr__(self, name, val):
         raise AttributeError("MPoly is immutable")
+
+    @classmethod
+    def _raw(cls, nvars: int, p: int, terms: dict) -> "MPoly":
+        """An MPoly around `terms` as given, with none of __init__'s checks:
+        for arithmetic results, whose keys already have arity nvars and whose
+        values already lie in [1, p)."""
+        out = object.__new__(cls)
+        _set(out, "nvars", nvars)
+        _set(out, "p", p)
+        _set(out, "terms", terms)
+        return out
+
+    @classmethod
+    def _raw_constant(cls, c: int, nvars: int, p: int) -> "MPoly":
+        c %= p
+        return cls._raw(nvars, p, {(0,) * nvars: c} if c else {})
+
+    def _coerce(self, other):
+        """`other` as an MPoly of self's ring: an int is the constant it is mod p."""
+        if isinstance(other, int):
+            return MPoly._raw_constant(other, self.nvars, self.p)
+        if isinstance(other, MPoly):
+            self._check_compatible(other)
+            return other
+        return None
 
     def __reduce__(self):  # pickle and copy call the constructor, not __setattr__
         return type(self), (self.nvars, self.p, self.terms)
@@ -78,11 +107,9 @@ class MPoly:
             raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = MPoly.constant(other, self.nvars, self.p)
-        if not isinstance(other, MPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check_compatible(other)
         terms = dict(self.terms)
         p = self.p
         for exps, c in other.terms.items():
@@ -91,23 +118,17 @@ class MPoly:
                 terms[exps] = v
             elif exps in terms:
                 del terms[exps]
-        out = MPoly.zero(self.nvars, self.p)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return MPoly._raw(self.nvars, p, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.p
-        terms = {e: p - c for e, c in self.terms.items()}
-        out = MPoly.zero(self.nvars, self.p)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return MPoly._raw(self.nvars, p, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MPoly.constant(other, self.nvars, self.p)
-        if not isinstance(other, MPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -115,43 +136,51 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = MPoly.constant(other, self.nvars, self.p)
-        if not isinstance(other, MPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check_compatible(other)
         p = self.p
-        acc: dict[tuple, int] = {}
         # iterate the smaller factor outside
         small, big = (self.terms, other.terms)
         if len(small) > len(big):
             small, big = big, small
+        if len(small) == 1:
+            # a monomial c*x^e shifts the other factor by e and scales it by
+            # c: the keys stay distinct, and c*c' is a unit mod the prime p
+            (e1, c1), = small.items()
+            acc = {tuple(map(add, e1, e2)): c1 * c2 % p for e2, c2 in big.items()}
+            return MPoly._raw(self.nvars, p, acc)
+        acc: dict[tuple, int] = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 v = (acc.get(key, 0) + c1 * c2) % p
                 if v:
                     acc[key] = v
                 elif key in acc:
                     del acc[key]
-        out = MPoly.zero(self.nvars, self.p)
-        object.__setattr__(out, "terms", acc)
-        return out
+        return MPoly._raw(self.nvars, p, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "MPoly":
         if exp < 0:
             raise ValueError("negative exponent")
-        result = MPoly.one(self.nvars, self.p)
-        base = self
-        while exp:
+        n, p = self.nvars, self.p
+        if not exp:
+            return MPoly._raw_constant(1, n, p)
+        if len(self.terms) <= 1:
+            # (c*x^e)^k = c^k*x^(k*e), c^k a unit mod p; and 0^k = 0
+            return MPoly._raw(n, p, {tuple(exp * a for a in e): pow(c, exp, p)
+                                     for e, c in self.terms.items()})
+        result, base = None, self
+        while True:
             if exp & 1:
-                result = result * base
+                result = base if result is None else result * base
             exp >>= 1
-            if exp:
-                base = base * base
-        return result
+            if not exp:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -204,10 +233,8 @@ class MPoly:
         if i < 0:
             raise ValueError("twist order must be nonnegative")
         s = self.p ** i
-        terms = {tuple(e * s for e in exps): c for exps, c in self.terms.items()}
-        out = MPoly.zero(self.nvars, self.p)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return MPoly._raw(self.nvars, self.p,
+                          {tuple(e * s for e in exps): c for exps, c in self.terms.items()})
 
     def power_qm1(self, e: int) -> "MPoly":
         """f^(p^e - 1) as the product of Frobenius twists of f^(p-1)."""
@@ -246,7 +273,8 @@ MAX_POWER_TERMS = 5000
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # ASCII digits only, as in a point: int() would also read non-ASCII digits
 _DIGITS_RE = re.compile(r"[0-9]+")
-_TOKEN_RE = re.compile(rf"\s*({_DIGITS_RE.pattern}|{_NAME_RE.pattern}|\*|\+|\-|\^|\(|\))")
+# a token or, in group 2, a character that starts none
+_TOKEN_RE = re.compile(rf"\s*(?:({_DIGITS_RE.pattern}|{_NAME_RE.pattern}|[*+\-^()])|(\S))")
 
 
 class PolyParseError(ValueError):
@@ -259,29 +287,28 @@ class _Parser:
     def __init__(self, text: str, names: Sequence[str], p: int):
         self.tokens = self._tokenize(text)
         self.pos = 0
-        self.names = {name: i for i, name in enumerate(names)}
+        zero = (0,) * len(names)
+        # each name's exponent vector, the variable's one term
+        self.names = {name: zero[:i] + (1,) + zero[i + 1:] for i, name in enumerate(names)}
         self.nvars = len(names)
         self.p = p
 
     @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise PolyParseError(f"bad character at {text[pos:]!r}")
-                break
-            tokens.append(m.group(1))
-            pos = m.end()
+    def _tokenize(text: str) -> list[str | None]:
+        """The tokens, then None for the end of input."""
+        pairs = _TOKEN_RE.findall(text)
+        tokens = [tok for tok, _ in pairs]
+        if "" in tokens:
+            bad = next(m for m in _TOKEN_RE.finditer(text) if m.group(2))
+            raise PolyParseError(f"bad character at {text[bad.start():]!r}")
+        tokens.append(None)
         return tokens
 
     def _peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def _next(self) -> str:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise PolyParseError("unexpected end of input")
         self.pos += 1
@@ -351,10 +378,11 @@ class _Parser:
             return inner
         if tok == "-":
             return -self._factor()
+        # parse_poly has checked p: the leaves are built unchecked
         if _DIGITS_RE.fullmatch(tok):
-            return MPoly.constant(self._int(tok), self.nvars, self.p)
+            return MPoly._raw_constant(self._int(tok), self.nvars, self.p)
         if tok in self.names:
-            return MPoly.variable(self.names[tok], self.nvars, self.p)
+            return MPoly._raw(self.nvars, self.p, {self.names[tok]: 1})
         raise PolyParseError(f"unknown variable {tok!r}")
 
 
@@ -367,6 +395,7 @@ def parse_poly(text: str, names: Sequence[str], p: int) -> MPoly:
             raise PolyParseError(f"bad variable name {name!r}")
         if name in names[:i]:
             raise PolyParseError(f"variable {name!r} declared twice")
+    _check_modulus(p)
     return _Parser(text, names, p).parse()
 
 

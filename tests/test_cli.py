@@ -9,13 +9,16 @@ import os
 import shlex
 import subprocess
 import sys
+from enum import IntEnum
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobsplit.cli import (_COMMANDS, _FLAGS, _SWITCHES, CliError, _int, _read_argv,
-                           build_parser, main, run)
+from frobsplit.cli import (_COMMANDS, _FLAGS, _SWITCHES, CliError, _int, _json_text,
+                           _read_argv, build_parser, main, run)
 from frobsplit.elliptic import (hasse_closed_symbolic, hasse_coeff_symbolic,
                                 supersingular_report)
 from frobsplit.fibration import f_discriminant_legendre
@@ -748,6 +751,82 @@ def test_fibration_json_pinned(capsys):
         assert main(command.split()) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# sha256 of stdout for report shapes no benchmark workload sends, taken from
+# json.dumps(report, indent=2, default=str) before the direct writer served
+# --json: the writer must not change a byte of them
+_REPORT_SHAPES_SHA256 = {
+    "catalog --json":
+        "cf4eee8d785db9df836759c6bf441e431ec43dc3a5ed1cfea656124098c0f6b1",
+    "kappa --case ruled:g=2,d=3 --json":
+        "ef64fe06a67406250ed3cefee4850e28f126464c8fdbdd98f04ae2b42d8db1ea",
+    "hasse --p 7 --lambda 3 --json":
+        "dafc492a832f23997b3df5adc631d733a36d7eed7e29619d24beeab03013b813",
+    "fdisc --p 5 --json":
+        "f3cdff2280bdf5c4d9abaea6c3ec623b37b56286e386bfcb9918ebf0036016c6",
+    "cover-check --p 5 --cover legendre --lambda 2 --divisor 1/2@0,1/2@1,1/2@2,1/2@inf "
+    "--e 1 --json":
+        "a2abc33113691508511121047880a7fe39d4d158a57a8639c2433dab159e74b3",
+    "gfs-bigraded --p 5 --poly x^2*u+y^2*v --vars x,y,u,v --groups 2,2 --json":
+        "b9c4bfee833ff393440dff6ceab0fbe2d9e37c2ff4747ac57726d828c137bfe8",
+}
+
+
+def test_report_shapes_json_pinned(capsys):
+    for command, digest in _REPORT_SHAPES_SHA256.items():
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+# every kind of value json.dumps(default=str) takes: the writer's own types,
+# and those it hands back to json.dumps (floats, tuples, a NamedTuple,
+# Fraction and other subclasses, dicts with non-str keys)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+    st.floats(), st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0]),
+    st.fractions(), st.sampled_from([_Level.ONE]),
+    st.text(), st.text(st.characters(max_codepoint=0x7F)),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r", "\u00e9\u2028\U0001d11e"]))
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.builds(_Pair, inner, inner),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    st.dictionaries(_JSON_KEYS, inner, max_size=4)), max_leaves=24)
+
+
+def _deep(depth):
+    obj = []
+    for i in range(depth):
+        obj = {"level": i, "inner": [obj, {}, []]}
+    return obj
+
+
+def test_json_writer_matches_json_dumps():
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_JSON_VALUES)
+    @example(_deep(60))
+    @example({"a": [1, True, 0, False, None, 10 ** 40, -(10 ** 40)], "b": {}, "c": [],
+              "d": (1, [2.5, {1: "y"}]), "e": _Pair(Fraction(1, 3), [float("nan"), -0.0]),
+              "f": {1: 1, False: 0, None: [], 2.5: {}, float("inf"): -0.0, "s": ()},
+              "g": ['"\\', "\x00\x1f", "\u00e9\u2028\U0001d11e"], "\u00e9\n": _Level.ONE})
+    def check(obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, default=str)
+
+    check()
 
 
 # sha256 over (argv, exit code, stdout, stderr) of cli.run on every query of

@@ -385,6 +385,11 @@ def test_parse_errors():
         parse_poly("(x + 1", ["x"], 5)
     with pytest.raises(PolyParseError):
         parse_poly("x + ", ["x"], 5)
+    # the modulus is checked before any token is read, so an empty text
+    # gets the same message as any other
+    for text in ("", "x", "x + "):
+        with pytest.raises(ValueError, match="modulus must be an odd prime >= 3, got 4"):
+            parse_poly(text, ["x"], 4)
     # a repeated name, or one that no token can spell, is refused up front
     for names in (["x", "x"], ["x", "1"], ["x", "y z"], ["x", ""], ["x", "y-1"]):
         with pytest.raises(PolyParseError, match="variable"):
@@ -450,6 +455,59 @@ def test_format_parse_roundtrip_drawn():
     def check(case):
         f, names = case
         assert parse_poly(format_poly(f, names), names, f.p) == f
+
+    check()
+
+
+def _schoolbook(f, g):
+    """f*g, every pair of terms through the checked constructor."""
+    acc = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return MPoly(f.nvars, f.p, acc)
+
+
+def _well_formed(f):
+    """Keys are exponent tuples of f's arity, coefficients lie in [1, p)."""
+    return (all(type(e) is tuple and len(e) == f.nvars and all(type(a) is int and a >= 0
+                                                               for a in e)
+                for e in f.terms)
+            and all(type(c) is int and 1 <= c < f.p for c in f.terms.values()))
+
+
+@st.composite
+def _monomial_cases(draw):
+    g, _ = draw(_polys())
+    p, n = g.p, g.nvars
+    exps = draw(st.tuples(*[st.integers(0, 6)] * n))
+    c = draw(st.integers(-3 * p, 3 * p) | st.sampled_from([0, p, -p, 3 * p]))  # may vanish
+    k = draw(st.sampled_from([0, 1, 2, 3 * p - 1, 3 * p, 3 * p + 1]) | st.integers(0, 3 * p + 1))
+    return MPoly(n, p, {exps: c}), c, g, k
+
+
+def test_monomial_products_and_powers_match_schoolbook():
+    # a factor of at most one term is multiplied by a shift and raised by
+    # scaling its exponents; multi-term powers by squaring
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_monomial_cases())
+    def check(case):
+        m, c, g, k = case
+        n, p = g.nvars, g.p
+        const = MPoly.constant(c, n, p)
+        for want, results in ((_schoolbook(m, g), (m * g, g * m)),
+                              (_schoolbook(const, g), (g * c, c * g, g * const, const * g))):
+            for got in results:
+                assert got == want and _well_formed(got), (m, c, g, got)
+        want = MPoly.one(n, p)
+        for _ in range(k):
+            want = _schoolbook(want, m)
+        assert m ** k == want and _well_formed(m ** k), (m, k)
+        want = MPoly.one(n, p)
+        for j in range(4):
+            assert g ** j == want and _well_formed(g ** j), (g, j)
+            want = _schoolbook(want, g)
 
     check()
 
