@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 
 class ZpViolationError(ValueError):
@@ -98,10 +98,11 @@ def _inverse(a: int, b: int, p: int) -> tuple[int, int]:
     return a * inv, -b * inv
 
 
-def _square_roots(zs: Iterable[tuple[int, int]], p: int) -> list[tuple[int, int] | None]:
+def _square_roots(zs: Iterable[tuple[int, int]], p: int) -> Iterator[tuple[int, int] | None]:
     """A reduced square root (x, y) of each reduced z = (a, b) = a + b*t in
     F_{p^2}, or None where z is not a square in F_{p^2}; one table of
-    squares mod p serves the whole batch.
+    squares mod p serves the whole batch.  The roots are yielded as zs is
+    read, so zs may be a queue that grows from the roots already taken.
 
     For b = 0, a is x^2 or, when it is not a square mod p, n*y^2 = (y*t)^2,
     since a/n is then a square.  For b != 0, (x + y*t)^2 = z means
@@ -114,18 +115,16 @@ def _square_roots(zs: Iterable[tuple[int, int]], p: int) -> list[tuple[int, int]
     n = quadratic_nonresidue(p)
     half, inv_n = (p + 1) // 2, pow(n, -1, p)
     root_of = {x * x % p: x for x in range(half)}
-    roots: list[tuple[int, int] | None] = []
     for a, b in zs:
         if b == 0:
-            roots.append((root_of[a], 0) if a in root_of else (0, root_of[a * inv_n % p]))
+            yield (root_of[a], 0) if a in root_of else (0, root_of[a * inv_n % p])
             continue
         c = root_of.get((a * a - n * b * b) % p)
         if c is None:
-            roots.append(None)
+            yield None
             continue
         x = root_of.get((a + c) * half % p) or root_of[(a - c) * half % p]
-        roots.append((x, b * half * pow(x, -1, p) % p))
-    return roots
+        yield x, b * half * pow(x, -1, p) % p
 
 
 class _Element:

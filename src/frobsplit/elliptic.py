@@ -12,8 +12,10 @@ Horner's rule on field elements, the extraction builds them by Pascal's rule
 and evaluates them on int pairs with `upoly.univ_eval`.  `hasse` reports
 their agreement at its lambda; the tests compare the two polynomials.
 
-The root locus comes from a half-degree polynomial E read off the Legendre
-polynomial, H_p(1/2 + mu) = mu^(m mod 2) * E(mu^2) (`supersingular_report`).
+The root locus Lambda_p is walked, not rooted: from one supersingular lambda,
+a CM curve's, Landen's 2-isogeny step and the symmetries lambda -> 1 - lambda,
+1/lambda reach all (p-1)/2 of them (`supersingular_report`).  H_p is only
+evaluated, once, to check the start.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import lru_cache
 from typing import IO, NamedTuple, Union
 
 from .arith import (AnyFieldElement, ExtFieldElement, FieldElement, _check_modulus,
-                    _factorials, _square_roots, legendre_symbol)
-from .upoly import univ_eval, univ_roots
+                    _factorials, _square_roots, _times, legendre_symbol)
+from .upoly import _udiv, univ_eval
 
 LambdaLike = Union[int, FieldElement, ExtFieldElement]
 
@@ -145,7 +147,9 @@ class LegendreCurve(_LegendreCurveFields):
 class SupersingularReport(NamedTuple):
     prime: int
     poly: tuple[int, ...]            # H_p, degree (p-1)/2 in lambda, as c[0..m]
-    roots: tuple[tuple[tuple[int, int], int], ...]  # Lambda_p over F_{p^2}, as in univ_roots
+    # Lambda_p over F_{p^2}: ((a, b), multiplicity) for lambda = a + b*t, F_p
+    # roots ascending, then conjugate pairs by (min(b, p - b), a, b)
+    roots: tuple[tuple[tuple[int, int], int], ...]
     squarefree: bool
 
     @property
@@ -153,71 +157,132 @@ class SupersingularReport(NamedTuple):
         return sum(m for _, m in self.roots)
 
 
-def _half_degree(p: int) -> list[int]:
-    """E of `supersingular_report` as c[0..floor(m/2)], in O(p): the
-    coefficient of s^((m - 2k - eps)/2) is (-1)^k C(m, k) C(2m - 2k, m) 4^-k
-    = (-1/4)^k (2m - 2k)! / (k! (m - k)! (m - 2k)!), as both tops are below p."""
-    m = (p - 1) // 2
-    fact, inv_fact = _factorials(p)
-    minus_quarter = pow(-4, -1, p)
-    return [pow(minus_quarter, k, p) * fact[2 * m - 2 * k] * inv_fact[k]
-            * inv_fact[m - k] * inv_fact[m - 2 * k] % p for k in range(m // 2, -1, -1)]
+# (D, j) for the nine imaginary quadratic orders of class number one
+_CM_J = ((-3, 0), (-4, 1728), (-7, -3375), (-8, 8000), (-11, -32768), (-19, -884736),
+         (-43, -884736000), (-67, -147197952000), (-163, -262537412640768000))
+
+
+def _lambda_of_j(j: int, p: int) -> tuple[int, int] | None:
+    """lambda = (e3 - e1)/(e2 - e1) of a curve over F_p, p >= 5, with
+    j-invariant j, from the roots e1 in F_p and e2, e3 of its cubic; None
+    when the cubic has no root in F_p.
+
+    The curve is y^2 = x^3 + A*x + B with A = 3k, B = 2k(1728 - j),
+    k = j(1728 - j), or x^3 + 1 at j = 0 and x^3 + x at j = 1728.  As
+    x^3 + A*x + B = (x - e1)(x^2 + e1*x + A + e1^2), e2, e3 = (-e1 +- r)/2
+    with r^2 = -3e1^2 - 4A, so lambda = (3e1 + r)/(3e1 - r).
+    """
+    j %= p
+    if j == 0:
+        a, b = 0, 1
+    elif j == 1728 % p:
+        a, b = 1, 0
+    else:
+        k = j * (1728 - j)
+        a, b = 3 * k % p, 2 * k * (1728 - j) % p
+    e1 = next((x for x in range(p) if (x * x * x + a * x + b) % p == 0), None)
+    if e1 is None:
+        return None
+    x, y = next(_square_roots([((-3 * e1 * e1 - 4 * a) % p, 0)], p))
+    return _udiv(((3 * e1 + x) % p, y), ((3 * e1 - x) % p, -y % p), p)
+
+
+def _supersingular_start(p: int, hp: tuple[int, ...]) -> tuple[int, int] | None:
+    """One supersingular lambda: from the CM curve of the first D in `_CM_J`
+    inert at p, else the first j = 0, 1, 2, ... whose lambda is a root of hp."""
+    if p == 3:
+        return 2, 0  # H_3 = lambda + 1; every curve of `_lambda_of_j` is singular mod 3
+    for d, j in _CM_J:
+        if legendre_symbol(d, p) == -1:
+            return _lambda_of_j(j, p)
+    for j in range(p):  # every order of `_CM_J` splits at p
+        lam = _lambda_of_j(j, p)
+        if lam is not None and univ_eval(hp, lam, p) == (0, 0):
+            return lam
+    return None
+
+
+def _neighbours(lam: tuple[int, int], s: tuple[int, int], p: int) -> list[tuple[int, int]]:
+    """The Landen image ((1 - s)/(1 + s))^2 of lam = s^2, then 1 - lam and 1/lam."""
+    a, b = lam
+    x, y = s
+    u, v = _udiv(((1 - x) % p, -y % p), ((1 + x) % p, y), p)
+    w, z = _times(u, v, u, v, p)
+    return [(w % p, z % p), ((1 - a) % p, -b % p), _udiv((1, 0), lam, p)]
 
 
 @lru_cache(maxsize=None)
 def supersingular_report(p: int) -> SupersingularReport:
     """H_p, its F_{p^2} root locus Lambda_p, and the squarefree flag.
 
-    The roots come from a polynomial of half the degree.  With m = (p-1)/2,
-    H_p(lambda) = (-1)^m P_m(1 - 2*lambda) mod p, P_m the Legendre
-    polynomial (Brillhart and Morton, J. Number Theory 106 (2004)): by
-    Murphy's formula P_m(1 - 2*lambda) = sum_i C(m, i) C(m+i, i) (-lambda)^i,
-    and C(m+i, i) = (-1)^i C(m, i) mod p because m = -1/2 mod p.  P_m has
-    the parity of m, so G(mu) = H_p(1/2 + mu) = P_m(2*mu) and, with
-    P_m(x) = 2^-m sum_k (-1)^k C(m, k) C(2m - 2k, m) x^(m - 2k),
-    G(mu) = mu^eps * E(mu^2), eps = m mod 2, deg E = floor(m/2)
-    (`_half_degree`).  The O(p) check H_p(3/2) = E(1), at mu = 1, ties E to
-    the closed form reported as `poly`.
+    Lambda_p is found by walking 2-isogenies, with no polynomial rooted.
+    E_lambda: y^2 = x(x-1)(x-lambda) is supersingular iff H_p(lambda) = 0,
+    and every such lambda lies in F_{p^2} (Deuring).
 
-    At mu != 0 the factor mu^2 - s of E(mu^2), s = mu^2, has the simple root
-    mu (p is odd), so a root lam = 1/2 + mu of H_p in F_{p^2} has the
-    multiplicity of s in E, and lam = 1/2 has eps + 2 * mult_E(0).
-    Conversely each root s of E in F_{p^2} that is a square there gives the
-    two roots 1/2 +- sqrt(s); the others give roots outside F_{p^2} and are
-    dropped.
+    The start.  By Deuring's criterion, a curve with complex multiplication
+    by an order of Q(sqrt(D)) has supersingular reduction at a prime p that
+    is inert there.  Of the nine class-number-one discriminants (`_CM_J`),
+    the first with (D/p) = -1 gives an integer j, and the curve
+    y^2 = x^3 + 3j(1728 - j)x + 2j(1728 - j)^2 has j-invariant j and
+    discriminant -2^12 3^6 j^2 (1728 - j)^3, nonzero mod p for j != 0, 1728
+    (x^3 + 1 and x^3 + x serve there).  Over F_p its trace is 0, so it has
+    p + 1 points, an even count, and its cubic a root e1 in F_p: a scan
+    finds e1, one square root the other two roots, and lambda0 follows
+    (`_lambda_of_j`).  At the primes where all nine orders split (15073,
+    18313, 38833, ..., all 1 mod 24) the start is the first j in F_p whose
+    lambda is a root of H_p; some j in F_p is supersingular, and its trace
+    0 gives e1 again.  At p = 3, lambda0 = 2.
 
-    Every supersingular lam lies in F_{p^2} (Deuring), so the multiplicities
-    must add up to m; then H_p splits over F_{p^2}, and it is squarefree iff
-    every multiplicity is 1.  The roots are listed in `univ_roots`' order:
-    F_p roots ascending, then conjugate pairs by (b, a).
+    The walk.  With s^2 = lambda, the 2-isogeny with kernel (0, 0) lands
+    on E_lambda' with lambda' = ((1 - s)/(1 + s))^2 (Landen's step), and
+    lambda -> 1 - lambda, 1/lambda reorder the 2-torsion, reaching the
+    other two kernels and all six lambda over one j.  Supersingularity is
+    an isogeny invariant and the supersingular 2-isogeny graph is connected
+    (Mestre, La methode des graphes, 1986), so the closure of {lambda0}
+    under the three maps is all of Lambda_p.
+
+    Every supersingular lambda is a square in F_{p^2}.  Over F_{p^2} the
+    trace t of E_lambda is one of 0, +-p, +-2p; its 2-torsion is rational,
+    so 4 divides p^2 + 1 - t, which leaves t = +-2p.  Then (pi -+ p)^2 = 0
+    for Frobenius pi, End(E) has no zero divisors, pi = +-p, and
+    E_lambda(F_{p^2}) = E[p -+ 1], with the twist by a non-square d at the
+    other sign.  One of p - 1, p + 1 is 0 mod 4, so one of the two curves
+    has all of E[4] rational and each 2-torsion point twice a rational
+    point.  By 2-descent, (0, 0) is twice a rational point of
+    y^2 = x(x - d)(x - d*lambda) only if -d is a square, which it is not;
+    so the curve is E_lambda, and there (0, 0) halves only if -1 and
+    -lambda are squares.  As -1 is one in F_{p^2}, so is lambda.  A missing
+    root raises `RuntimeError`.
+
+    Two checks at run time: H_p(lambda0) = 0, in O(p) by `univ_eval`, and
+    exactly m = (p-1)/2 distinct lambda, as Deuring's count requires.  With
+    both, the m lambda are roots of H_p, of degree m, so they are all its
+    roots, each simple (as Igusa proved for every p): H_p is squarefree.
     """
     hp = hasse_closed_symbolic(p)
     m = (p - 1) // 2
-    eps, half = m % 2, (p + 1) // 2
-    e_coeffs = _half_degree(p)
-    if univ_eval(hp, (3 * half % p, 0), p)[0] != sum(e_coeffs) % p:
+    lam0 = _supersingular_start(p, hp)
+    if lam0 is None or univ_eval(hp, lam0, p) != (0, 0):
+        raise RuntimeError(f"the start lambda {lam0} is not a root of H_p at p = {p}")
+    walk, seen = [lam0], {lam0}
+    # the queue grows while its square roots are drawn: one table of squares
+    for lam, s in zip(walk, _square_roots(walk, p)):
+        if s is None:
+            raise RuntimeError(f"lambda = {lam} has no square root in F_{{p^2}} at p = {p}")
+        for nxt in _neighbours(lam, s, p):
+            if nxt not in seen:
+                seen.add(nxt)
+                walk.append(nxt)
+    if len(walk) != m:
         raise RuntimeError(
-            f"H_p(3/2) != E(1) at p = {p}: the half-degree polynomial does not "
-            "match H_p")
-    mult = {(half, 0): 1} if eps else {}
-    e_roots = univ_roots(e_coeffs, p)
-    for (_, k), r in zip(e_roots, _square_roots([s for s, _ in e_roots], p)):
-        if r is None:
-            continue  # 1/2 +- sqrt(s) lie outside F_{p^2}
-        x, y = r
-        for lam in (((half + x) % p, y), ((half - x) % p, -y % p)):
-            mult[lam] = mult.get(lam, 0) + k  # s = 0 adds 2k at lam = 1/2
-    if sum(mult.values()) != m:
-        raise RuntimeError(
-            f"H_p at p = {p} has {sum(mult.values())} roots in F_{{p^2}} with "
-            f"multiplicity, not all {m} as Deuring's theorem says")
-    roots = tuple(sorted(mult.items(), key=lambda item: (
-        item[0][1] != 0, min(item[0][1], p - item[0][1]), item[0])))
+            f"the walk at p = {p} finds {len(walk)} supersingular lambda, not "
+            f"the {m} of Deuring's count")
+    walk.sort(key=lambda lam: (lam[1] != 0, min(lam[1], p - lam[1]), lam))
     return SupersingularReport(
         prime=p,
         poly=hp,
-        roots=roots,
-        squarefree=all(k == 1 for _, k in roots),
+        roots=tuple((lam, 1) for lam in walk),
+        squarefree=True,
     )
 
 

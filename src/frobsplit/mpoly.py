@@ -37,9 +37,13 @@ class MPoly:
                 exps = tuple(exps)
                 if len(exps) != nvars:
                     raise ValueError(f"exponent vector {exps} has wrong arity")
+                if not all(isinstance(e, int) for e in exps):
+                    raise ValueError(f"exponent vector {exps} has a non-integer entry")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = (cleaned.get(exps, 0) + int(c)) % p
+                if not isinstance(c, int):
+                    raise ValueError(f"coefficient {c!r} is not an integer")
+                c = (cleaned.get(exps, 0) + c) % p
                 if c:
                     cleaned[exps] = c
                 elif exps in cleaned:

@@ -684,12 +684,15 @@ def test_text_mode_renders(capsys):
 # sha256 of `supersingular --p P --json` stdout, taken from the full-degree
 # root finder (re-taken at schema version 2, which changed only that line), and
 # at 4001, where E has degree 1000, from the Taylor shift of H_p by 1/2: a
-# change of root finder must not reorder or change the roots
+# change of root finder must not reorder or change the roots.  15073, the
+# first prime at which every class-number-one order splits, takes the walk's
+# j-scan start; its digest is the gcd route's on the half-degree polynomial
 _SUPERSINGULAR_SHA256 = {
     101: "b13d2f86ee2d4b0b9c5dfcb33b120f5420fa87338f24780561811068942326a3",
     199: "71c2d4771ee7182978261bed0d9c5811cb32e8acb3c9a35448954873c97b6fdd",
     1009: "ac2919b8cd4992a12b7b9d92957bc7280df0cbd9550a6ecd254dec5979970fb9",
     4001: "a5adb7f286f055b889784e373cd81f76c6b2841968e4acc5cbfb8f02886e0a15",
+    15073: "83220628e3dfaf1b0c1d4b51ebeae769b270f8fde20ccca4152db238a8feb90a",
 }
 
 

@@ -1,19 +1,21 @@
 import io
+from functools import lru_cache
 
 import pytest
 
 from frobsplit import elliptic
 from frobsplit.arith import (ExtFieldElement, FieldElement, _square_roots,
-                             _times, binom_mod_p, is_prime)
+                             _times, binom_mod_p, is_prime, legendre_symbol)
 from frobsplit.cli import run
-from frobsplit.elliptic import (CurveKgfrVerdict, LegendreCurve, _half_degree,
-                                classify_curve_kgfr, count_points,
+from frobsplit.elliptic import (_CM_J, CurveKgfrVerdict, LegendreCurve,
+                                _supersingular_start, classify_curve_kgfr, count_points,
                                 hasse_closed, hasse_coeff,
                                 hasse_closed_symbolic, hasse_coeff_symbolic,
                                 is_supersingular_by_count,
                                 supersingular_report, write_hasse_table)
 from frobsplit.fibration import f_discriminant_legendre
-from frobsplit.upoly import univ_eval, univ_roots, univ_squarefree
+from frobsplit.upoly import univ_eval, univ_squarefree
+from upoly_oracle import univ_roots
 
 
 def test_hasse_examples():
@@ -82,14 +84,52 @@ def test_hasse_closed_symbolic_against_lucas_binomials():
 _ROOT_PRIMES = _odd_primes(3, 400) + [1009]
 
 
-def test_half_degree_roots_equal_univ_roots_on_h_p():
+@lru_cache(maxsize=None)
+def _oracle_roots(p):
+    """The gcd route's roots of the extracted H_p, in the report's order."""
+    return tuple(univ_roots(hasse_coeff_symbolic(p), p))
+
+
+def test_walk_roots_equal_univ_roots_on_h_p():
     # the oracle is univ_roots and univ_squarefree on H_p itself, at full degree
-    assert {p % 4 for p in _ROOT_PRIMES} == {1, 3}   # eps = 0 and eps = 1
+    assert {p % 4 for p in _ROOT_PRIMES} == {1, 3}
     for p in _ROOT_PRIMES:
         rep = supersingular_report(p)
-        assert rep.roots == tuple(univ_roots(hasse_coeff_symbolic(p), p)), p
+        assert rep.roots == _oracle_roots(p), p
         if p < 400:
             assert rep.squarefree == univ_squarefree(rep.poly, p), p
+
+
+def _walk_from(monkeypatch, table, p):
+    """The report at p with `_CM_J` replaced by table, and its start."""
+    monkeypatch.setattr(elliptic, "_CM_J", table)
+    supersingular_report.cache_clear()
+    try:
+        return supersingular_report(p), _supersingular_start(p, hasse_closed_symbolic(p))
+    finally:
+        supersingular_report.cache_clear()
+
+
+def test_each_cm_start_walks_to_the_oracle_roots(monkeypatch):
+    # each (D, j) row alone, at every prime 5 <= p < 400 inert in Q(sqrt(D)):
+    # its curve's lambda is a root of H_p and the walk from it is the locus
+    assert len(_CM_J) == 9
+    for d, j in _CM_J:
+        primes = [p for p in _odd_primes(5, 400) if legendre_symbol(d, p) == -1]
+        assert primes, d
+        for p in primes:
+            rep, start = _walk_from(monkeypatch, ((d, j),), p)
+            assert univ_eval(hasse_coeff_symbolic(p), start, p) == (0, 0), (d, p)
+            assert rep.roots == _oracle_roots(p), (d, p)
+
+
+def test_fallback_start_walks_to_the_oracle_roots(monkeypatch):
+    # with no CM row the start is the first supersingular j in F_p, as at
+    # the primes where all nine orders split (the first is 15073)
+    for p in _odd_primes(3, 400):
+        rep, start = _walk_from(monkeypatch, (), p)
+        assert univ_eval(hasse_coeff_symbolic(p), start, p) == (0, 0), p
+        assert rep.roots == _oracle_roots(p), p
 
 
 def _shift_half(dense, p):
@@ -110,16 +150,6 @@ def test_shift_half_is_mu_eps_times_a_polynomial_in_mu_squared():
         # and it is the Taylor shift: G(mu) = H_p(1/2 + mu)
         for a, b in ((0, 0), (3, 0), (p - 2, 5), (1, 1)):
             assert univ_eval(shifted, (a, b), p) == univ_eval(hp, ((a + half) % p, b), p), p
-
-
-def test_half_degree_is_the_shift_of_h_p():
-    # the Legendre-polynomial coefficients against the Taylor shift of the
-    # extracted H_p, coefficient by coefficient
-    primes = _odd_primes(3, 1000) + [1009]
-    assert {p % 4 for p in primes} == {1, 3}   # eps = 0 and eps = 1
-    for p in primes:
-        m = (p - 1) // 2
-        assert _half_degree(p) == _shift_half(hasse_coeff_symbolic(p), p)[m % 2::2], p
 
 
 def _class_number(d):
@@ -182,30 +212,30 @@ def test_square_roots_exhaustive():
                 assert r is None, (p, z, r)
 
 
-def _poly_of_mu_squared(e_coeffs, p):
-    """E((lambda - 1/2)^2) as c[0..2 deg E] in lambda."""
-    g = []
-    for c in reversed(e_coeffs):   # g <- g * (lambda - 1/2)^2 + c
-        for _ in range(2):
-            g = [(lo - (p + 1) // 2 * hi) % p for lo, hi in zip([0] + g, g + [0])]
-        g = [(g[0] + c) % p] + g[1:] if g else [c]
-    return tuple(g)
-
-
 def test_supersingular_report_refuses_a_broken_polynomial(monkeypatch):
-    # p = 13, m = 6: a planted H_p with one coefficient off fails
-    # H_p(3/2) = E(1) against the true E; a planted E = s^3 - 2, irreducible
-    # over F_13, with the H_p it gives, passes that check and has its roots
-    # outside F_{p^2}
+    # each run-time check fires: at p = 13 the start comes from j = -3375
+    # (D = -7), a planted H_p with one coefficient off does not vanish there;
+    # a planted step that never yields one root leaves the walk one short
+    # of Deuring's count; planted square roots that miss every lambda off
+    # F_p, which at p = 13 = 1 mod 4 is every lambda, stop it
     true_hp = hasse_closed_symbolic(13)
     broken = (true_hp[0], (true_hp[1] + 1) % 13) + true_hp[2:]
-    e_coeffs = [11, 0, 0, 1]
-    for planted, match in (({"hasse_closed_symbolic": lambda p: broken}, r"E\(1\)"),
-                           ({"hasse_closed_symbolic": lambda p: _poly_of_mu_squared(e_coeffs, p),
-                             "_half_degree": lambda p: e_coeffs}, "Deuring")):
+    start = _supersingular_start(13, true_hp)
+    lost = next(lam for lam, _ in supersingular_report(13).roots if lam != start)
+    step = elliptic._neighbours
+
+    def lossy_step(lam, s, p):
+        return [nxt for nxt in step(lam, s, p) if nxt != lost]
+
+    def no_roots_off_fp(zs, p):
+        for z in zs:
+            yield next(_square_roots([z], p)) if z[1] == 0 else None
+
+    for name, fake, match in (("hasse_closed_symbolic", lambda p: broken, "not a root of H_p"),
+                              ("_neighbours", lossy_step, "finds 5 supersingular lambda, not the 6"),
+                              ("_square_roots", no_roots_off_fp, "no square root")):
         with monkeypatch.context() as patch:
-            for name, fake in planted.items():
-                patch.setattr(elliptic, name, fake)
+            patch.setattr(elliptic, name, fake)
             supersingular_report.cache_clear()
             try:
                 with pytest.raises(RuntimeError, match=match):

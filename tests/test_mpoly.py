@@ -1,17 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobsplit import elliptic
+from frobsplit import cli
 from frobsplit.arith import (ExtFieldElement, is_prime, legendre_symbol,
                              quadratic_nonresidue)
 from frobsplit.cli import run
-from frobsplit.elliptic import supersingular_report
+from frobsplit.elliptic import SupersingularReport, hasse_closed_symbolic, supersingular_report
 from frobsplit.mpoly import MAX_POWER_TERMS, MPoly, PolyParseError, format_poly, parse_poly
-from frobsplit.upoly import (_norm_character, _Residues, univ_eval, univ_roots,
-                             univ_squarefree)
+from frobsplit.upoly import univ_eval, univ_squarefree
+from upoly_oracle import _norm_character, _Residues, univ_roots
 
 
 def _random_sparse(rng, nvars, p, max_exp=4, max_terms=4):
@@ -38,6 +39,15 @@ def test_arity_and_modulus_mismatch():
         f + g
     with pytest.raises(ValueError):
         f * h
+
+
+def test_constructor_refuses_non_integer_coefficients_and_exponents():
+    # int() would read 1/2 as 0 and 2.7 as 2, and a float exponent would stay a key
+    for terms, match in (({(0,): Fraction(1, 2)}, "coefficient"), ({(0,): 2.7}, "coefficient"),
+                         ({(1.5,): 1}, "non-integer"), ({(2, 1.0): 1}, "non-integer")):
+        with pytest.raises(ValueError, match=match):
+            MPoly(len(next(iter(terms))), 5, terms)
+    assert MPoly(1, 5, {(1,): 7, (0,): -1}).terms == {(1,): 2, (0,): 4}
 
 
 def test_coeff_examples():
@@ -278,23 +288,29 @@ def test_univ_eval_equals_element_horner_drawn():
 
 def test_supersingular_output_equals_scan(monkeypatch, capsys):
     # H_p at every prime < 100 and at the benchmark's primes 101..199: the
-    # supersingular report prints the same bytes with the scan as root finder
+    # supersingular command prints the same bytes from a report whose roots
+    # are the scan's on H_p, with no walk
     primes = [p for p in range(3, 100) if is_prime(p)] + [101, 127, 151, 173, 199]
 
+    def scanned_report(p):
+        hp = hasse_closed_symbolic(p)
+        roots = tuple(_scan_roots(hp, p))
+        return SupersingularReport(p, hp, roots, all(k == 1 for _, k in roots))
+
     def printed():
-        supersingular_report.cache_clear()
         outs = []
         for p in primes:
             assert run(["supersingular", "--p", str(p), "--json"])[0] == 0
             outs.append(capsys.readouterr().out)
         return outs
 
+    supersingular_report.cache_clear()
     try:
         got = printed()
-        monkeypatch.setattr(elliptic, "univ_roots", _scan_roots)
-        assert printed() == got
     finally:
         supersingular_report.cache_clear()
+    monkeypatch.setattr(cli, "supersingular_report", scanned_report)
+    assert printed() == got
 
 
 def test_univ_roots_against_sympy_factorisation():
