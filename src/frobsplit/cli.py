@@ -9,13 +9,14 @@ across runs.  Exit codes: 0 success, 1 input error, 2 Unknown verdict under
 
 from __future__ import annotations
 
-import argparse
+import importlib.util
 import json
 import math
 import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .arith import ZpViolationError, is_prime, parse_int
@@ -24,14 +25,35 @@ from .elliptic import (hasse_closed, hasse_coeff, supersingular_report,
 from .fedder import fpt_bounds, nu
 from .fibration import (DEFAULT_BIGRADED_PMAX, cbf_sides, f_discriminant_legendre,
                         is_kgfr_legendre, prime_scan)
-from .gsplit import (DEFAULT_EMAX, DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
+from .gsplit import (DEFAULT_EMAX, P1Divisor, P1Point, gfr_p1_bounded,
                      gfs_bigraded_hypersurface, gfs_cy_hypersurface, gfs_p1,
-                     parse_divisor, parse_point, pushforward_splitting_check)
-from .kappa import (CATALOG, CurveSectionGrowth, case_params, check_superadditivity,
-                    kappa_estimate, match_expectation)
+                     parse_divisor, parse_point)
 from .mpoly import MPoly, PolyParseError, format_poly, parse_poly
 
 SCHEMA_VERSION = "2"
+
+
+def _deferred(name: str):
+    """frobsplit.<name>, whose code runs on its first attribute read.
+
+    importlib's LazyLoader puts the module in sys.modules and on the
+    package now, as an import does, so every later import or lookup of it
+    finds this one; a module already imported is returned as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+# the subcommands kappa, catalog and cover-check alone use these
+kappa = _deferred("kappa")
+cover = _deferred("cover")
 
 
 def _opt(value, default):
@@ -75,11 +97,6 @@ def _printed_level(level: int, key: str, p: int) -> int:
         raise CliError(f"{_FLAGS[key][0]} {level} gives q = {p}^{level}, of more than "
                        f"{limit} digits, the most that are printed")
     return level
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on input errors, not argparse's 2
-        raise CliError(message)
 
 
 def _require_prime(p: int) -> int:
@@ -243,20 +260,20 @@ def _cmd_gfs_bigraded(args) -> dict:
 def _cmd_cover_check(args) -> dict:
     p = _require_prime(args.p)
     if args.cover == "squaring":
-        cover = DoubleCover.squaring_map(p)
+        double_cover = cover.DoubleCover.squaring_map(p)
     elif args.cover == "legendre":
         if args.lam is None:
             raise CliError("--lambda is required for the legendre cover")
         lam = parse_point(args.lam, p).value
         if lam is None or lam[1]:
             raise CliError(f"lambda must lie in F_{p} for the legendre cover, got {args.lam!r}")
-        cover = DoubleCover.legendre(lam[0], p)
+        double_cover = cover.DoubleCover.legendre(lam[0], p)
     else:
         raise CliError("--cover must be 'squaring' or 'legendre'")
     B = _divisor_from_args(args)
-    rep = pushforward_splitting_check(cover, B, _level(args, "e", 1, floor=1))
+    rep = cover.pushforward_splitting_check(double_cover, B, _level(args, "e", 1, floor=1))
     return {
-        "cover": cover.name,
+        "cover": double_cover.name,
         "divisor": _divisor_payload(B),
         "agree": rep.agree,
         "source_gfs": rep.source_gfs,
@@ -304,11 +321,11 @@ def _cmd_kappa(args) -> dict:
         if any(v is not None for v in (args.genus, args.degree, args.degree_zero)):
             raise CliError("--case does not take --genus, --degree or --degree-zero")
         case_id, params = _parse_case(args.case)
-        return check_superadditivity(case_id, m_max, **params).to_dict()
+        return kappa.check_superadditivity(case_id, m_max, **params).to_dict()
     if args.genus is None or args.degree is None:
         raise CliError("kappa needs --case or both --genus and --degree")
-    src = CurveSectionGrowth(args.genus, args.degree, args.degree_zero)
-    res = kappa_estimate(src, m_max)
+    src = kappa.CurveSectionGrowth(args.genus, args.degree, args.degree_zero)
+    res = kappa.kappa_estimate(src, m_max)
     return {
         "genus": args.genus,
         "degree": args.degree,
@@ -341,19 +358,19 @@ def _parse_case(text: str) -> tuple[str, dict]:
 
 
 def _cmd_catalog(args) -> dict:
-    rows = CATALOG
+    rows = kappa.CATALOG
     if args.case:
         case_id, params = _parse_case(args.case)
-        case_params(case_id, params)  # refuse bad keys first: 1 would match True
-        rows = [row for row in CATALOG
+        kappa.case_params(case_id, params)  # refuse bad keys first: 1 would match True
+        rows = [row for row in kappa.CATALOG
                 if row[0] == case_id
                 and all(row[1].get(k) == v for k, v in params.items())]
         if not rows:
             rows = [(case_id, params, {}, "ad-hoc")]
     results = []
     for case_id, params, expected, basis in rows:
-        rep = check_superadditivity(case_id, **params)
-        ok, problems = match_expectation(rep, expected)
+        rep = kappa.check_superadditivity(case_id, **params)
+        ok, problems = kappa.match_expectation(rep, expected)
         results.append({
             "case": case_id,
             "params": {k: str(v) for k, v in sorted(params.items())},
@@ -408,20 +425,11 @@ _COMMANDS = {
 }
 
 
-class _CommandParser(_Parser):
-    """One subcommand's parser, for an argv that starts with its name: the
-    name is dropped before parsing and set as `command`, as the subparsers
-    action of the full parser sets it."""
-
-    def parse_known_args(self, args, namespace=None):
-        return super().parse_known_args(list(args)[1:], namespace)
-
-
 # The switches every subcommand takes, each without a value.
 _SWITCHES = ("--json", "--strict", "--timings")
 
 
-def _add_flags(parser: _Parser, name: str) -> _Parser:
+def _add_flags(parser, name: str):
     """The subcommand's own flags, then --json, --strict and --timings."""
     for key in _COMMANDS[name][1]:
         option, kwargs = _FLAGS[key]
@@ -431,9 +439,11 @@ def _add_flags(parser: _Parser, name: str) -> _Parser:
     return parser
 
 
-def build_parser(argv=None) -> _Parser:
-    """The frobsplit parser for argv: argv[0]'s subcommand alone if argv[0]
-    is one; otherwise (argv None too) the full parser with all of them.
+def build_parser(argv=None):
+    """The frobsplit argparse parser for argv: argv[0]'s subcommand alone if
+    argv[0] is one; otherwise (argv None too) the full parser with all of
+    them.  argparse is imported here, as only help, usage and errors need
+    it: every documented call is read by _read_argv.
 
     Parsing argv gives the same namespace, message, exit code and output
     either way.  The full parser's top level takes only -h and --version,
@@ -444,6 +454,20 @@ def build_parser(argv=None) -> _Parser:
     subparser, with its prog, on argv[1:].  Every output that lists all the
     subcommands needs an argv[0] that is not one, and then has them all.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit 1 on input errors, not argparse's 2
+            raise CliError(message)
+
+    class _CommandParser(_Parser):
+        """One subcommand's parser, for an argv that starts with its name:
+        the name is dropped before parsing and set as `command`, as the
+        subparsers action of the full parser sets it."""
+
+        def parse_known_args(self, args, namespace=None):
+            return super().parse_known_args(list(args)[1:], namespace)
+
     # no abbreviations: a prefix of a flag the subcommand lacks must not
     # silently become a longer flag it has (--e for --emax)
     if argv and argv[0] in _COMMANDS:
@@ -459,12 +483,12 @@ def build_parser(argv=None) -> _Parser:
     return parser
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace build_parser(argv).parse_args(argv) gives, read from
-    the flag table, for an argv of the shape every documented call has: a
-    subcommand, then its own flags, each with one value, and the switches.
-    None for any other argv, which is left to argparse, the one source of
-    help, usage and error text.
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of the namespace build_parser(argv).parse_args(argv)
+    gives, read from the flag table, for an argv of the shape every
+    documented call has: a subcommand, then its own flags, each with one
+    value, and the switches.  None for any other argv, which is left to
+    argparse, the one source of help, usage and error text.
 
     The reading is exact because argparse takes a token that does not start
     with "-" as a plain argument, and a flag without nargs takes exactly one
@@ -496,7 +520,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         found[key] = value
-    return argparse.Namespace(command=name, **found)
+    return SimpleNamespace(command=name, **found)
 
 
 def _echo_inputs(args) -> dict:

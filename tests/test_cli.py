@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -473,7 +474,7 @@ print(len(argvs), [argv for argv in argvs if _read_argv(argv) is None])
 def test_reader_serves_every_workload_and_readme_call():
     # the fast path is worth having only if the real traffic takes it
     for argv in _readme_argvs():
-        assert _read_argv(argv) == build_parser(argv).parse_args(argv), argv
+        assert vars(_read_argv(argv)) == vars(build_parser(argv).parse_args(argv)), argv
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", _WORKLOAD_ARGVS_READ, str(root)],
                           capture_output=True, text=True, timeout=120)
@@ -871,28 +872,101 @@ def test_workload_outputs_pinned():
 
 
 _IMPORT_CLI = """
-import sys
+import contextlib, io, json, sys, types
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/bench"]
 before = set(sys.modules)
-import frobsplit.cli
-print(frobsplit.cli.__file__)
-print(" ".join(sorted(set(sys.modules) - before)))
+stages = {}
+
+
+def stage(label):
+    # the modules new since `before`, those of kappa and cover whose code has
+    # run (type() reads no attribute, so a deferred module stays so), and
+    # those the package binds as the one in sys.modules
+    package = vars(sys.modules["frobsplit"])
+    found = {name: sys.modules.get("frobsplit." + name) for name in ("kappa", "cover")}
+    stages[label] = (sorted(set(sys.modules) - before),
+                     [name for name, mod in found.items() if type(mod) is types.ModuleType],
+                     [name for name, mod in found.items() if mod and package.get(name) is mod])
+
+
+import frobsplit
+stage("package")
+import frobsplit.cli as cli
+stage("cli")
+from workloads import WORKLOADS, queries
+first = {}
+for name in WORKLOADS:
+    for q in queries(name, 1):
+        first.setdefault(q["kind"], q["argv"])
+for argv in first.values():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, _ = cli.run(argv + ["--json"])
+    assert code == 0, argv
+stage("queries")
+print(json.dumps({"file": cli.__file__, "kinds": sorted(first), "stages": stages}))
 """
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     # a fresh `frobsplit` call pays for every module the CLI import loads:
-    # dataclasses brings inspect (and ast, dis, tokenize) along, and csv is
-    # needed only where --out writes a file; the modules new after the
-    # import are compared, so what site loads first does not matter
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI], capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    # dataclasses brings inspect (and ast, dis, tokenize) along, csv is
+    # needed only where --out writes a file, argparse (with gettext) only
+    # for help, usage and errors, and the kappa and cover modules only for
+    # kappa, catalog and cover-check, so those two are in sys.modules but
+    # not yet run.  The same holds after one query of each workload kind.
+    # The modules new after the import are compared, so what site loads
+    # first does not matter; `import frobsplit` alone runs no submodule
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI, str(root)], capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    path, new = proc.stdout.splitlines()
-    assert Path(path).parent == src / "frobsplit", path
-    new = set(new.split())
-    assert "frobsplit.cli" in new, new
-    assert not new & {"dataclasses", "inspect", "csv"}, sorted(new)
+    found = json.loads(proc.stdout)
+    assert Path(found["file"]).parent == root / "src" / "frobsplit", found["file"]
+    assert {"supersingular", "kgfr"} <= set(found["kinds"]), found["kinds"]
+    new, ran, _ = found["stages"]["package"]
+    assert not [name for name in new if name.startswith("frobsplit.")] and not ran, new
+    for stage in ("cli", "queries"):
+        new, ran, bound = found["stages"][stage]
+        assert "frobsplit.cli" in new, (stage, new)
+        assert not set(new) & {"dataclasses", "inspect", "csv", "argparse", "gettext"}, \
+            (stage, new)
+        assert ran == [] and bound == ["kappa", "cover"], (stage, ran, bound)
+
+
+# one call for each piece the CLI import defers: the kappa module (kappa,
+# catalog), the cover module (cover-check) and argparse (help, an error)
+_DEFERRED_CALLS = [
+    ["kappa", "--case", "ruled:g=2,d=3", "--json"],
+    ["catalog", "--case", "product:ordinary=false"],
+    ["cover-check", "--p", "5", "--cover", "legendre", "--lambda", "2",
+     "--divisor", "1/2@0,1/2@1,1/2@2,1/2@inf", "--json"],
+    ["--help"],
+    ["fpt", "--p", "x"],
+]
+
+
+def test_deferred_pieces_work_from_a_fresh_interpreter(monkeypatch):
+    # each call is the first use of its piece in a fresh interpreter, which
+    # must print what the same call prints here and exit with its code
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = "import sys; from frobsplit.cli import main; sys.exit(main(sys.argv[1:]))"
+    codes = []
+    for argv in _DEFERRED_CALLS:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=120, env=env)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (code, out.getvalue(), err.getvalue()), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 1], codes
 
 
 def test_run_returns_report():
@@ -968,3 +1042,49 @@ def test_library_imports_only_the_standard_library():
                 assert top == "__future__" or top in sys.stdlib_module_names, (path.name, top)
     assert internal["upoly"] == {"arith"}, internal["upoly"]
     assert "mpoly" not in internal["elliptic"], internal["elliptic"]
+    assert internal["cover"] == {"arith", "upoly", "gsplit"}, internal["cover"]
+    # kappa, cover and argparse stay out of start-up: no module imports
+    # them where its own code runs, that is outside every function body;
+    # the CLI reaches the first two through its _deferred helper alone
+    for path in files:
+        tops = set(_module_level_imports(ast.parse(path.read_text(), str(path))))
+        assert not tops & {"kappa", "cover", "argparse"}, (path.name, tops)
+
+
+def _module_level_imports(tree):
+    """The first component of every module an import outside all function
+    bodies names; `from . import x` names x."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_package_namespace_resolves_every_public_name():
+    # `import frobsplit` runs no submodule: each name of __all__ is looked up
+    # in its defining module on first use, and star-import and dir() see it
+    import frobsplit
+    star: dict = {}
+    exec("from frobsplit import *", star)
+    listed = dir(frobsplit)
+    assert len(frobsplit.__all__) == len(set(frobsplit.__all__)) == 46
+    for name in frobsplit.__all__:
+        obj = getattr(frobsplit, name)
+        home = frobsplit if name == "__version__" else sys.modules[obj.__module__]
+        assert home.__name__.split(".")[0] == "frobsplit", name
+        assert vars(home)[name] is obj, name
+        assert star[name] is obj, name
+        assert name in listed, name
+    with pytest.raises(AttributeError) as info:
+        frobsplit.no_such_name
+    assert str(info.value) == "module 'frobsplit' has no attribute 'no_such_name'"

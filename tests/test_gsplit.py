@@ -12,12 +12,12 @@ from fedder_oracle import _pruned_power_survives
 from frobsplit import fedder, gsplit, upoly
 from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError, is_prime,
                              quadratic_nonresidue)
+from frobsplit.cover import DoubleCover, _routes_agree, pushforward_splitting_check
 from frobsplit.elliptic import hasse_closed
 from frobsplit.fedder import _CountLattice, _diagonal_coefficient, _half_power_diagonal
-from frobsplit.gsplit import (DoubleCover, P1Divisor, P1Point, gfr_p1_bounded,
-                              gfs_bigraded_hypersurface, gfs_cy_hypersurface,
-                              gfs_p1, gfs_p1_level, parse_divisor, parse_point,
-                              pushforward_splitting_check)
+from frobsplit.gsplit import (P1Divisor, P1Point, gfr_p1_bounded, gfs_bigraded_hypersurface,
+                              gfs_cy_hypersurface, gfs_p1, gfs_p1_level, parse_divisor,
+                              parse_point)
 from frobsplit.mpoly import MPoly, parse_poly
 
 
@@ -876,7 +876,7 @@ def test_branch_values_equal_the_polynomial_route():
 # F_p becomes a FieldElement, any other an ExtFieldElement, and the field
 # arithmetic keeps FieldElement exactly while no F_{p^2} coefficient meets
 # it.  They take the kernel's signatures, so they can stand in for it in
-# gsplit.
+# gsplit and cover.
 
 def _obj_coeff(pair, p):
     a, b = pair
@@ -970,7 +970,7 @@ def _cartier_pick(poly, q, p, e):
 
 
 def _loop_routes_agree(lhs_core, g_y, q, p, e, degree_range):
-    """gsplit._routes_agree as a scan: shift both products by x^i, apply the
+    """cover._routes_agree as a scan: shift both products by x^i, apply the
     level-e selector to each and compare, for every i until one differs."""
     tested = 0
     for i in range(degree_range):
@@ -982,16 +982,19 @@ def _loop_routes_agree(lhs_core, g_y, q, p, e, degree_range):
     return True, tested
 
 
-_OBJECT_KERNEL = {"_umul": _obj_umul, "_upow_frobenius": _obj_upow_frobenius,
-                  "_boundary_poly": _obj_boundary_poly}
+# every binding of an integer kernel that gsplit and cover call
+_OBJECT_KERNEL = {"frobsplit.gsplit._boundary_poly": _obj_boundary_poly,
+                  "frobsplit.cover._boundary_poly": _obj_boundary_poly,
+                  "frobsplit.cover._umul": _obj_umul,
+                  "frobsplit.cover._upow_frobenius": _obj_upow_frobenius}
 
 
 @contextlib.contextmanager
 def _object_kernel():
-    """gsplit with the field-object kernel in place of the integer one."""
+    """gsplit and cover with the field-object kernel in place of the integer one."""
     with pytest.MonkeyPatch.context() as mp:
-        for name, fn in _OBJECT_KERNEL.items():
-            mp.setattr(gsplit, name, fn)
+        for target, fn in _OBJECT_KERNEL.items():
+            mp.setattr(target, fn)
         yield
 
 
@@ -1162,7 +1165,7 @@ def test_pushforward_equals_scan_drawn():
             return _loop_routes_agree(lhs, rhs, q, cover.prime, e, degree_range)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gsplit, "_routes_agree", scan)
+            mp.setattr("frobsplit.cover._routes_agree", scan)
             assert pushforward_splitting_check(cover, B, e) == got, (cover, B, e)
 
     check()
@@ -1191,11 +1194,11 @@ def test_routes_agree_at_a_large_level():
     # decided from the residue classes mod q, not by scanning 2q monomials
     q = 3 ** 30
     same = {0: (1, 0), q + 4: (2, 1)}
-    assert gsplit._routes_agree(same, dict(same), q, 2 * q) == (True, 2 * q)
+    assert _routes_agree(same, dict(same), q, 2 * q) == (True, 2 * q)
     # classes 4 and 5 differ; the first bad monomial is x^i, i = q - 1 - 5
     other = {0: (1, 0), q + 4: (2, 2), 5: (1, 0)}
-    assert gsplit._routes_agree(same, other, q, 2 * q) == (False, q - 5)
-    assert gsplit._routes_agree(same, other, q, q - 6) == (True, q - 6)
+    assert _routes_agree(same, other, q, 2 * q) == (False, q - 5)
+    assert _routes_agree(same, other, q, q - 6) == (True, q - 6)
 
 
 def test_routes_agree_equals_scan_drawn():
@@ -1205,7 +1208,7 @@ def test_routes_agree_equals_scan_drawn():
     @given(_route_products())
     def check(case):
         lhs, rhs, q, p, e, degree_range = case
-        got = gsplit._routes_agree(lhs, rhs, q, degree_range)
+        got = _routes_agree(lhs, rhs, q, degree_range)
         assert got == _loop_routes_agree(lhs, rhs, q, p, e, degree_range), case
         outcomes.add((got[0], lhs == rhs))
 

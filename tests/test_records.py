@@ -13,14 +13,14 @@ import pickle
 import pytest
 
 from frobsplit.arith import FieldElement
+from frobsplit.cover import CoverCheckReport, DoubleCover, pushforward_splitting_check
 from frobsplit.elliptic import (CurveKgfrVerdict, LegendreCurve, SupersingularReport,
                                 classify_curve_kgfr, supersingular_report)
 from frobsplit.fedder import NuSequence, fpt_bounds
 from frobsplit.fibration import (CbfSides, FDiscriminantReport, KgfrVerdict, ScanReport,
                                  ScanRow, cbf_sides, f_discriminant_legendre,
                                  is_kgfr_legendre, prime_scan)
-from frobsplit.gsplit import (CoverCheckReport, DoubleCover, GfsVerdict, P1Point,
-                              parse_divisor, pushforward_splitting_check)
+from frobsplit.gsplit import GfsVerdict, P1Point, parse_divisor
 from frobsplit.kappa import (CurveSectionGrowth, H0Interval, KappaResult,
                              RuledAnticanonical, SuperadditivityReport,
                              check_superadditivity, kappa_estimate)
