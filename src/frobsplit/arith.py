@@ -303,7 +303,8 @@ AnyFieldElement = Union[FieldElement, ExtFieldElement]
 
 def require_p_free(q: Fraction, p: int) -> Fraction:
     """Raise ZpViolationError unless the denominator of q is prime to p."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator % p == 0:
         raise ZpViolationError(
             f"denominator of {q} is divisible by the working prime {p}")
@@ -347,10 +348,7 @@ def splitting_level(coeffs: Iterable[Fraction], p: int) -> int:
     the denominators must be prime to p.
     """
     _check_modulus(p)
-    a = 1
-    for c in coeffs:
-        c = require_p_free(Fraction(c), p)
-        a = math.lcm(a, c.denominator)
+    a = math.lcm(*[require_p_free(c, p).denominator for c in coeffs])
     if a == 1:
         return 1
     e, r = 1, p % a

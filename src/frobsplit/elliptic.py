@@ -162,24 +162,24 @@ _CM_J = ((-3, 0), (-4, 1728), (-7, -3375), (-8, 8000), (-11, -32768), (-19, -884
          (-43, -884736000), (-67, -147197952000), (-163, -262537412640768000))
 
 
-def _lambda_of_j(j: int, p: int) -> tuple[int, int] | None:
-    """lambda = (e3 - e1)/(e2 - e1) of a curve over F_p, p >= 5, with
-    j-invariant j, from the roots e1 in F_p and e2, e3 of its cubic; None
-    when the cubic has no root in F_p.
+def _weierstrass(j: int, p: int) -> tuple[int, int]:
+    """(A, B) of y^2 = x^3 + A*x + B over F_p, p >= 5, with j-invariant j:
+    A = 3k, B = 2k(1728 - j), k = j(1728 - j); x^3 + 1 at j = 0, x^3 + x at 1728."""
+    j %= p
+    if j in (0, 1728 % p):
+        return (0, 1) if j == 0 else (1, 0)
+    k = j * (1728 - j)
+    return 3 * k % p, 2 * k * (1728 - j) % p
 
-    The curve is y^2 = x^3 + A*x + B with A = 3k, B = 2k(1728 - j),
-    k = j(1728 - j), or x^3 + 1 at j = 0 and x^3 + x at j = 1728.  As
-    x^3 + A*x + B = (x - e1)(x^2 + e1*x + A + e1^2), e2, e3 = (-e1 +- r)/2
+
+def _lambda_of_j(j: int, p: int) -> tuple[int, int] | None:
+    """lambda = (e3 - e1)/(e2 - e1) of `_weierstrass`'s curve, from the roots
+    e1 in F_p and e2, e3 of its cubic; None when the cubic has no root in F_p.
+
+    As x^3 + A*x + B = (x - e1)(x^2 + e1*x + A + e1^2), e2, e3 = (-e1 +- r)/2
     with r^2 = -3e1^2 - 4A, so lambda = (3e1 + r)/(3e1 - r).
     """
-    j %= p
-    if j == 0:
-        a, b = 0, 1
-    elif j == 1728 % p:
-        a, b = 1, 0
-    else:
-        k = j * (1728 - j)
-        a, b = 3 * k % p, 2 * k * (1728 - j) % p
+    a, b = _weierstrass(j, p)
     e1 = next((x for x in range(p) if (x * x * x + a * x + b) % p == 0), None)
     if e1 is None:
         return None
@@ -187,15 +187,44 @@ def _lambda_of_j(j: int, p: int) -> tuple[int, int] | None:
     return _udiv(((3 * e1 + x) % p, y), ((3 * e1 - x) % p, -y % p), p)
 
 
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a*x + b over F_p, affine; None is the point at infinity."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    m = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) if x1 == x2 else (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = (m * m - x1 - x2) % p
+    return x3, (m * (x1 - x3) - y1) % p
+
+
 def _supersingular_start(p: int, hp: tuple[int, ...]) -> tuple[int, int] | None:
     """One supersingular lambda: from the CM curve of the first D in `_CM_J`
-    inert at p, else the first j = 0, 1, 2, ... whose lambda is a root of hp."""
+    inert at p, else the first j = 0, 1, 2, ... whose lambda is a root of hp.
+
+    The j-scan skips, in O(log p), each j whose curve has [p + 1]P != O, P
+    its first affine point with y != 0 (y from one table of squares), before
+    the O(p) root scan of `_lambda_of_j` and the O(p) value of hp, which
+    stays the deciding check.  The skip is sound for p >= 5: a supersingular
+    curve over F_p has trace 0 mod p, of size at most 2 sqrt(p) < p (Hasse),
+    so it has p + 1 points, and [p + 1]P = O for each of them (Lagrange).
+    """
     if p == 3:
         return 2, 0  # H_3 = lambda + 1; every curve of `_lambda_of_j` is singular mod 3
     for d, j in _CM_J:
         if legendre_symbol(d, p) == -1:
             return _lambda_of_j(j, p)
+    squares = {y * y % p: y for y in range(1, (p + 1) // 2)}
     for j in range(p):  # every order of `_CM_J` splits at p
+        a, b = _weierstrass(j, p)
+        P = next(((x, squares[v]) for x in range(p)
+                  if (v := (x * x * x + a * x + b) % p) in squares), None)
+        R = None
+        for bit in bin(p + 1)[2:] if P else "":
+            R = _ec_add(_ec_add(R, R, a, p), P if bit == "1" else None, a, p)
+        if R is not None:
+            continue
         lam = _lambda_of_j(j, p)
         if lam is not None and univ_eval(hp, lam, p) == (0, 0):
             return lam

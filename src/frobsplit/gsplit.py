@@ -14,6 +14,8 @@ coeff_{x^(q-1-j)}(g) is nonzero.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -22,7 +24,7 @@ from .arith import (AnyFieldElement, ExtFieldElement, FieldElement,
                     _check_modulus, read_int, require_p_free, splitting_level)
 from .fedder import _diagonal_coefficient, _nu_levels
 from .mpoly import MPoly
-from .upoly import _boundary_poly, _udiv
+from .upoly import _boundary_poly, _udiv, _umul
 
 DEFAULT_EMAX = 2
 _ALL = "all"  # every finite perturbation centre fails (_perturbed_level)
@@ -115,11 +117,9 @@ class P1Divisor:
                 raise TypeError("divisor entries need P1Point keys")
             if point.value is not None and not all(0 <= x < prime for x in point.value):
                 raise ValueError(f"point coordinates {point.value} outside [0, {prime})")
-            c = require_p_free(Fraction(c), prime)
-            c = acc.get(point, Fraction(0)) + c
-            if c:
-                acc[point] = c
-            elif point in acc:
+            c = require_p_free(c, prime)
+            acc[point] = acc[point] + c if point in acc else c
+            if not acc[point]:
                 del acc[point]
         object.__setattr__(self, "entries", acc)
 
@@ -138,7 +138,9 @@ class P1Divisor:
 
     @property
     def degree(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        cs = self.entries.values()
+        den = math.lcm(*[c.denominator for c in cs])
+        return Fraction(sum(c.numerator * (den // c.denominator) for c in cs), den)
 
     def support(self) -> list[P1Point]:
         return sorted(self.entries, key=P1Point.sort_key)
@@ -147,7 +149,7 @@ class P1Divisor:
         return [(pt, self.entries[pt]) for pt in self.support()]
 
     def add_point(self, point: P1Point, c: Fraction) -> "P1Divisor":
-        return P1Divisor(self.prime, list(self.entries.items()) + [(point, Fraction(c))])
+        return P1Divisor(self.prime, list(self.entries.items()) + [(point, c)])
 
     def __add__(self, other: "P1Divisor") -> "P1Divisor":
         if self.prime != other.prime:
@@ -254,15 +256,15 @@ def _level_data(B: P1Divisor, e: int):
     finite_parts = []
     n_inf = 0
     for point, c in B.sorted_entries():
-        if c < 0 or c > 1:
+        if c.numerator < 0 or c.numerator > c.denominator:
             raise ValueError(f"coefficient {c} at {point} outside [0, 1]")
-        n = c * (q - 1)
-        if n.denominator != 1:
+        n, r = divmod(c.numerator * (q - 1), c.denominator)
+        if r:
             raise ValueError(f"(p^e - 1)*B is not integral at level e = {e}")
         if point.is_infinity:
-            n_inf = int(n)
+            n_inf = n
         else:
-            finite_parts.append((point.value, int(n)))
+            finite_parts.append((point.value, n))
     return q, finite_parts, n_inf
 
 
@@ -274,19 +276,20 @@ def gfs_p1_level(B: P1Divisor, e: int) -> tuple[bool, Optional[int]]:
     A negative degree budget means no admissible sections and returns False.
     """
     q, finite_parts, n_inf = _level_data(B, e)
-    return _window_split(q, finite_parts, n_inf, B.prime)
+    return _window_split(q, sum(n for _, n in finite_parts), n_inf,
+                         lambda: _boundary_poly(finite_parts, B.prime))
 
 
-def _window_split(q: int, finite_parts, n_inf: int, p: int) -> tuple[bool, Optional[int]]:
-    """gfs_p1_level on _level_data's output."""
-    S = sum(n for _, n in finite_parts)
+def _window_split(q: int, S: int, n_inf: int, boundary) -> tuple[bool, Optional[int]]:
+    """gfs_p1_level on a boundary of finite degree S: boundary() builds its
+    polynomial g, called only when the window needs its coefficients."""
     D = 2 * (q - 1) - n_inf - S
     if D < 0:
         return False, None
     if S <= q - 1:
         # g is monic of degree S and x^S lies in the window: instant certificate
         return True, q - 1 - S
-    g = _boundary_poly(finite_parts, p)
+    g = boundary()
     for k in range(min(q - 1, S), max(0, q - 1 - D) - 1, -1):
         if k in g:
             return True, q - 1 - k
@@ -302,7 +305,7 @@ def gfs_p1(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
     or No with the list of levels tried; Unknown if no level is <= e_max.
     """
     for _, c in B.sorted_entries():
-        if c < 0 or c > 1:
+        if c.numerator < 0 or c.numerator > c.denominator:
             return GfsVerdict(CERTIFIED_NO, reason=f"coefficient {c} outside [0, 1]")
     if B.degree > 2:
         return GfsVerdict(CERTIFIED_NO, reason="deg B > 2: not sub-log-canonical")
@@ -324,22 +327,22 @@ def _centre_at(i: int, p: int) -> P1Point:
     return P1Point((a, b) if i else None)
 
 
-def _perturbed_level(q: int, finite_parts, n_inf: int, p: int):
-    """Single-point perturbations B + (s)/(q-1) at one level, on _level_data's
-    output: (the finite centres s that fail, whether s = inf splits).
+def _perturbed_level(q: int, S: int, n_inf: int, p: int, boundary):
+    """Single-point perturbations B + (s)/(q-1) at one level, for a boundary
+    of finite degree S whose polynomial g boundary() builds, as in
+    _window_split: (the finite centres s that fail, whether s = inf splits).
 
     The failing finite centres are none (None), all (_ALL), or one, returned
     as its index in _centre_at.  Both perturbations raise the degree by one,
     so they share the window; inf leaves g as it is, so it splits iff g has
     a term in the window.
     """
-    S = sum(n for _, n in finite_parts)
     D = 2 * (q - 1) - n_inf - S - 1
     if D < 0:
         return _ALL, False
     if S + 1 <= q - 1:
         return None, True
-    g = _boundary_poly(finite_parts, p)
+    g = boundary()
     window = range(max(0, q - 1 - D), q)
     inf_ok = any(k in g for k in window)
     roots = set()
@@ -384,9 +387,9 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
     """
     p = B.prime
     for point, c in B.sorted_entries():
-        if c >= 1:
+        if c.numerator >= c.denominator:
             return GfsVerdict(CERTIFIED_NO, reason=f"coefficient {c} at {point} is >= 1")
-        if c < 0:
+        if c.numerator < 0:
             return GfsVerdict(CERTIFIED_NO, reason=f"coefficient {c} at {point} is negative")
     if B.degree >= 2:
         return GfsVerdict(CERTIFIED_NO, reason="deg B >= 2: boundary is not log Fano")
@@ -397,23 +400,30 @@ def gfr_p1_bounded(B: P1Divisor, e_max: int = DEFAULT_EMAX) -> GfsVerdict:
         return GfsVerdict(UNKNOWN, reason="no admissible level within e_max",
                           evidence=evidence)
 
+    # Each level's g = prod (x - c_i)^(n_i) is built at most once, when a
+    # window first needs it, and serves the aggregate and the perturbations.
+    data = [_level_data(B, e) for e in levels]
+    sums = [sum(n for _, n in finite_parts) for _, finite_parts, _ in data]
+    boundary = functools.cache(lambda i: _boundary_poly(data[i][1], p))
+    support = functools.cache(lambda: _boundary_poly([(c, 1) for c, _ in data[0][1]], p))
+
     # aggregate certificate B + E0/(q-1), E0 the support (inf if it is empty;
     # a nonempty support already has affine complement): +1 on each support
-    # exponent.  That lifts no c < 1 above 1, as (q-1)*c + 1 <= q - 1.
-    data = [(e, _level_data(B, e)) for e in levels]
+    # exponent, so its polynomial is g * prod (x - c_i).  That lifts no c < 1
+    # above 1, as (q-1)*c + 1 <= q - 1.
     aggregate = None
-    for e, (q, finite_parts, n_inf) in data:
+    for i, (q, finite_parts, n_inf) in enumerate(data):
         E0_inf = 1 if n_inf or not finite_parts else 0
-        ok, j = _window_split(q, [(elt, n + 1) for elt, n in finite_parts],
-                              n_inf + E0_inf, p)
+        ok, j = _window_split(q, sums[i] + len(finite_parts), n_inf + E0_inf,
+                              lambda: _umul(boundary(i), support(), p))
         if ok:
-            aggregate = (e, j)
+            aggregate = (levels[i], j)
             break
 
     # A centre fails when it fails at every level; a support point s, like
     # any finite centre, turns g into g*(x - s), so only inf is tested alone.
-    perturbed = [_perturbed_level(q, finite_parts, n_inf, p)
-                 for _, (q, finite_parts, n_inf) in data]
+    perturbed = [_perturbed_level(q, sums[i], n_inf, p, functools.partial(boundary, i))
+                 for i, (q, _, n_inf) in enumerate(data)]
     outcomes = {finite for finite, _ in perturbed} - {_ALL}
     if not outcomes:  # inf perturbs the same zero window
         failing = range(p * p + 1)

@@ -119,12 +119,18 @@ def _umul(f: UPoly, g: UPoly, p: int) -> UPoly:
     return acc
 
 
+def _uproduct(polys: Sequence[UPoly], p: int) -> UPoly:
+    """The product of polys, 1 when there are none; no factor is the unit."""
+    return reduce(lambda a, b: _umul(a, b, p), polys) if polys else {0: (1, 0)}
+
+
 def _upow_small(f: UPoly, k: int, p: int) -> UPoly:
-    result: UPoly = {0: (1, 0)}
+    """f^k, k >= 1, by squaring; f itself when k = 1."""
+    result = None
     base = f
     while k:
         if k & 1:
-            result = _umul(result, base, p)
+            result = base if result is None else _umul(result, base, p)
         k >>= 1
         if k:
             base = _umul(base, base, p)
@@ -140,8 +146,6 @@ def _ufrob(f: UPoly, j: int, p: int) -> UPoly:
 
 def _upow_frobenius(f: UPoly, n: int, p: int) -> UPoly:
     """f^n via base-p digits: prod_j Frob^j(f^(d_j))."""
-    if n == 0:
-        return {0: (1, 0)}
     pieces = []
     j = 0
     while n:
@@ -150,7 +154,7 @@ def _upow_frobenius(f: UPoly, n: int, p: int) -> UPoly:
             pieces.append(_ufrob(_upow_small(f, d, p), j, p))
         n //= p
         j += 1
-    return reduce(lambda a, b: _umul(a, b, p), pieces)
+    return _uproduct(pieces, p)
 
 
 def _boundary_poly(finite_parts: Sequence[tuple[tuple[int, int], int]], p: int) -> UPoly:
@@ -164,7 +168,4 @@ def _boundary_poly(finite_parts: Sequence[tuple[tuple[int, int], int]], p: int) 
         if a or b:
             u[0] = (-a % p, -b % p)
         by_n[n] = _umul(by_n[n], u, p) if n in by_n else u
-    prod: UPoly = {0: (1, 0)}
-    for n, u in sorted(by_n.items()):
-        prod = _umul(prod, _upow_frobenius(u, n, p), p)
-    return prod
+    return _uproduct([_upow_frobenius(u, n, p) for n, u in sorted(by_n.items())], p)

@@ -687,13 +687,16 @@ def test_text_mode_renders(capsys):
 # at 4001, where E has degree 1000, from the Taylor shift of H_p by 1/2: a
 # change of root finder must not reorder or change the roots.  15073, the
 # first prime at which every class-number-one order splits, takes the walk's
-# j-scan start; its digest is the gcd route's on the half-degree polynomial
+# j-scan start; its digest is the gcd route's on the half-degree polynomial.
+# 18313, the next such prime, was taken from the j-scan before its
+# [p + 1]P = O test, when the start took about 9 s
 _SUPERSINGULAR_SHA256 = {
     101: "b13d2f86ee2d4b0b9c5dfcb33b120f5420fa87338f24780561811068942326a3",
     199: "71c2d4771ee7182978261bed0d9c5811cb32e8acb3c9a35448954873c97b6fdd",
     1009: "ac2919b8cd4992a12b7b9d92957bc7280df0cbd9550a6ecd254dec5979970fb9",
     4001: "a5adb7f286f055b889784e373cd81f76c6b2841968e4acc5cbfb8f02886e0a15",
     15073: "83220628e3dfaf1b0c1d4b51ebeae769b270f8fde20ccca4152db238a8feb90a",
+    18313: "d85a271694521871f5e90f6b5e2fadc3c15a3d3fb97118a8947c8f0a0d7762b6",
 }
 
 
@@ -869,6 +872,49 @@ def test_workload_outputs_pinned():
     count, digest = proc.stdout.split()
     assert int(count) > 600, count
     assert digest == _WORKLOAD_OUTPUTS_SHA256
+
+
+_VERSION_PROBE = ("import platform, sys; "
+                  "print(platform.python_implementation(), *sys.version_info[:3])")
+
+
+def _other_cpythons():
+    """The oldest and the newest CPython >= 3.10 other than the running
+    version, at most two interpreters, from the python3 and python3.N
+    commands on PATH and the pyenv versions under $PYENV_ROOT (default
+    ~/.pyenv)."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    candidates = sorted(pyenv.glob("*/bin/python3"))
+    for d in os.environ.get("PATH", "").split(os.pathsep):
+        candidates += sorted(p for p in Path(d or ".").glob("python3*") if p.name == "python3"
+                             or p.name[:8] == "python3." and p.name[8:].isdigit())
+    found = {}
+    for exe in dict.fromkeys(str(p.resolve()) for p in candidates if os.access(p, os.X_OK)):
+        try:
+            proc = subprocess.run([exe, "-c", _VERSION_PROBE], capture_output=True, text=True,
+                                  timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        impl, *version = proc.stdout.split() or ["?"]
+        if proc.returncode == 0 and impl == "CPython":
+            found.setdefault(tuple(map(int, version)), exe)
+    versions = sorted(v for v in found if v >= (3, 10) and v != tuple(sys.version_info[:3]))
+    return [found[v] for v in dict.fromkeys(versions[:1] + versions[-1:])]
+
+
+def test_workload_outputs_pinned_on_the_declared_python_floor():
+    # pyproject declares requires-python >= 3.10: the oldest and the newest
+    # other CPython found must print the same bytes as this one
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 on PATH or under pyenv")
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONHOME")}
+    for exe in interpreters:
+        proc = subprocess.run([exe, "-c", _WORKLOAD_OUTPUTS, str(root)], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, (exe, proc.stderr)
+        assert proc.stdout.split()[1] == _WORKLOAD_OUTPUTS_SHA256, exe
 
 
 _IMPORT_CLI = """

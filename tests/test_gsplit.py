@@ -12,12 +12,13 @@ from fedder_oracle import _pruned_power_survives
 from frobsplit import fedder, gsplit, upoly
 from frobsplit.arith import (ExtFieldElement, FieldElement, ZpViolationError, is_prime,
                              quadratic_nonresidue)
+from frobsplit.cli import run
 from frobsplit.cover import DoubleCover, _routes_agree, pushforward_splitting_check
 from frobsplit.elliptic import hasse_closed
 from frobsplit.fedder import _CountLattice, _diagonal_coefficient, _half_power_diagonal
-from frobsplit.gsplit import (P1Divisor, P1Point, gfr_p1_bounded, gfs_bigraded_hypersurface,
-                              gfs_cy_hypersurface, gfs_p1, gfs_p1_level, parse_divisor,
-                              parse_point)
+from frobsplit.gsplit import (GfsVerdict, P1Divisor, P1Point, gfr_p1_bounded,
+                              gfs_bigraded_hypersurface, gfs_cy_hypersurface, gfs_p1,
+                              gfs_p1_level, parse_divisor, parse_point)
 from frobsplit.mpoly import MPoly, parse_poly
 
 
@@ -132,6 +133,34 @@ def test_divisor_order_refuses_other_primes():
 def test_divisor_zp_enforcement():
     with pytest.raises(ZpViolationError):
         parse_divisor("1/5@0", 5)
+
+
+def test_divisor_constructor_contract():
+    pt, inf = P1Point((2, 0)), P1Point.infinity()
+    # an int, a Fraction, a string and a float each read as their Fraction
+    for c, want in ((3, Fraction(3)), (Fraction(3, 4), Fraction(3, 4)), ("3/4", Fraction(3, 4)),
+                    (0.75, Fraction(3, 4)), (-2, Fraction(-2))):
+        B = P1Divisor(5, [(pt, c)])
+        assert B.entries == {pt: want} and type(B.entries[pt]) is Fraction, c
+    c = Fraction(3, 4)
+    assert P1Divisor(5, [(pt, c)]).entries[pt] is c
+    # negative coefficients are kept; a repeated point is summed in its first
+    # place, and dropped where the sum is zero
+    B = P1Divisor(5, [(pt, Fraction(1, 2)), (inf, Fraction(-1, 4)), (pt, "1/4")])
+    assert list(B.entries.items()) == [(pt, Fraction(3, 4)), (inf, Fraction(-1, 4))]
+    B = P1Divisor(5, [(pt, Fraction(1, 2)), (inf, 1), (pt, -0.5), (P1Point((1, 0)), 0)])
+    assert list(B.entries.items()) == [(inf, Fraction(1))]
+    assert B.degree == 1 and B.level() == 1
+    # the error names the coefficient as a Fraction and the prime
+    for c, text in ((Fraction(1, 5), "1/5"), ("3/10", "3/10"), (Fraction(2, 25), "2/25")):
+        with pytest.raises(ZpViolationError,
+                           match=f"^denominator of {text} is divisible by the working prime 5$"):
+            P1Divisor(5, [(inf, Fraction(1, 2)), (pt, c)])
+    # degree and level of the empty divisor, and of a mixed one
+    zero = P1Divisor.zero(5)
+    assert zero.degree == 0 and type(zero.degree) is Fraction and zero.level() == 1
+    B = P1Divisor(5, [(pt, Fraction(1, 2)), (inf, Fraction(-1, 3))])
+    assert B.degree == Fraction(1, 6) and type(B.degree) is Fraction and B.level() == 2
 
 
 def test_divisor_exponent_notation_refused():
@@ -984,6 +1013,7 @@ def _loop_routes_agree(lhs_core, g_y, q, p, e, degree_range):
 
 # every binding of an integer kernel that gsplit and cover call
 _OBJECT_KERNEL = {"frobsplit.gsplit._boundary_poly": _obj_boundary_poly,
+                  "frobsplit.gsplit._umul": _obj_umul,
                   "frobsplit.cover._boundary_poly": _obj_boundary_poly,
                   "frobsplit.cover._umul": _obj_umul,
                   "frobsplit.cover._upow_frobenius": _obj_upow_frobenius}
@@ -1112,6 +1142,230 @@ def test_gfr_p1_equals_object_oracle_drawn():
 
     check()
     assert verdicts == {"yes", "unknown"}
+
+
+# -- one boundary product per level against the two-product route -------------------
+#
+# gfs_p1 and gfr_p1_bounded as they were before each level's g was shared:
+# coefficients read by Fraction arithmetic, the aggregate's polynomial built
+# from scratch with every support exponent raised by one, and the
+# perturbations' g built again.  Kept as an oracle for the shared route.
+
+def _two_product_level_data(B, e):
+    q = B.prime ** e
+    finite_parts, n_inf = [], 0
+    for point, c in B.sorted_entries():
+        if c < 0 or c > 1:
+            raise ValueError(f"coefficient {c} at {point} outside [0, 1]")
+        n = c * (q - 1)
+        if n.denominator != 1:
+            raise ValueError(f"(p^e - 1)*B is not integral at level e = {e}")
+        if point.is_infinity:
+            n_inf = int(n)
+        else:
+            finite_parts.append((point.value, int(n)))
+    return q, finite_parts, n_inf
+
+
+def _two_product_window(q, finite_parts, n_inf, p):
+    S = sum(n for _, n in finite_parts)
+    D = 2 * (q - 1) - n_inf - S
+    if D < 0:
+        return False, None
+    if S <= q - 1:
+        return True, q - 1 - S
+    g = upoly._boundary_poly(finite_parts, p)
+    for k in range(min(q - 1, S), max(0, q - 1 - D) - 1, -1):
+        if k in g:
+            return True, q - 1 - k
+    return False, None
+
+
+def _two_product_perturbed(q, finite_parts, n_inf, p):
+    S = sum(n for _, n in finite_parts)
+    D = 2 * (q - 1) - n_inf - S - 1
+    if D < 0:
+        return "all", False
+    if S + 1 <= q - 1:
+        return None, True
+    g = upoly._boundary_poly(finite_parts, p)
+    window = range(max(0, q - 1 - D), q)
+    inf_ok = any(k in g for k in window)
+    roots = set()
+    for k in window:
+        lead, low = g.get(k), g.get(k - 1)
+        if lead is None:
+            if low is not None:
+                return None, inf_ok
+            continue
+        a, b = upoly._udiv(low or (0, 0), lead, p)
+        roots.add(1 + p * b + a)
+    if not roots:
+        return "all", inf_ok
+    return (roots.pop() if len(roots) == 1 else None), inf_ok
+
+
+def _two_product_gfs(B, e_max):
+    for _, c in B.sorted_entries():
+        if c < 0 or c > 1:
+            return GfsVerdict("certified-no", reason=f"coefficient {c} outside [0, 1]")
+    if B.degree > 2:
+        return GfsVerdict("certified-no", reason="deg B > 2: not sub-log-canonical")
+    levels = tuple(range(B.level(), e_max + 1, B.level()))
+    if not levels:
+        return GfsVerdict("unknown", reason="no admissible level within e_max")
+    for e in levels:
+        ok, j = _two_product_window(*_two_product_level_data(B, e), B.prime)
+        if ok:
+            return GfsVerdict("yes", level=e, certificate=j, levels_tested=levels)
+    return GfsVerdict("no", levels_tested=levels)
+
+
+def _two_product_gfr(B, e_max):
+    p = B.prime
+    for point, c in B.sorted_entries():
+        if c >= 1:
+            return GfsVerdict("certified-no", reason=f"coefficient {c} at {point} is >= 1")
+        if c < 0:
+            return GfsVerdict("certified-no", reason=f"coefficient {c} at {point} is negative")
+    if B.degree >= 2:
+        return GfsVerdict("certified-no", reason="deg B >= 2: boundary is not log Fano")
+    levels = tuple(range(B.level(), e_max + 1, B.level()))
+    evidence = {"e_max": e_max, "levels": list(levels)}
+    if not levels:
+        return GfsVerdict("unknown", reason="no admissible level within e_max",
+                          evidence=evidence)
+    data = [(e, _two_product_level_data(B, e)) for e in levels]
+    aggregate = None
+    for e, (q, finite_parts, n_inf) in data:
+        E0_inf = 1 if n_inf or not finite_parts else 0
+        ok, j = _two_product_window(q, [(elt, n + 1) for elt, n in finite_parts],
+                                    n_inf + E0_inf, p)
+        if ok:
+            aggregate = (e, j)
+            break
+    perturbed = [_two_product_perturbed(q, finite_parts, n_inf, p)
+                 for _, (q, finite_parts, n_inf) in data]
+    outcomes = {finite for finite, _ in perturbed} - {"all"}
+    if not outcomes:
+        failing = range(p * p + 1)
+    else:
+        failing = [] if any(inf_ok for _, inf_ok in perturbed) else [0]
+        if len(outcomes) == 1 and None not in outcomes:
+            failing += outcomes
+    evidence.update({
+        "aggregate_certificate": list(aggregate) if aggregate else None,
+        "family_failures": [str(gsplit._centre_at(i, p)) for i in failing[:10]],
+        "generic_point": bool(outcomes),
+    })
+    if aggregate and not failing and outcomes:
+        return GfsVerdict("yes", level=aggregate[0], certificate=aggregate[1],
+                          levels_tested=levels, evidence=evidence)
+    reasons = []
+    if aggregate is None:
+        reasons.append("no aggregate certificate within e_max")
+    if failing:
+        reasons.append(f"{len(failing)} point perturbations undecided")
+    if not outcomes:
+        reasons.append("generic perturbation undecided")
+    return GfsVerdict("unknown", levels_tested=levels, reason="; ".join(reasons),
+                      evidence=evidence)
+
+
+@contextlib.contextmanager
+def _recorded_products(calls):
+    """gsplit with each boundary polynomial's parts appended to calls, and
+    every _umul refusing the unit polynomial as a factor."""
+    boundary, umul = upoly._boundary_poly, upoly._umul
+
+    def recorded(finite_parts, p):
+        calls.append(list(finite_parts))
+        return boundary(finite_parts, p)
+
+    def refusing_unit(f, g, p):
+        assert {0: (1, 0)} not in (f, g), (f, g)
+        return umul(f, g, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("frobsplit.gsplit._boundary_poly", recorded)
+        mp.setattr("frobsplit.gsplit._umul", refusing_unit)
+        mp.setattr("frobsplit.upoly._umul", refusing_unit)
+        yield
+
+
+def _aggregate_only(B):
+    """At B's first level the perturbations need no polynomial (S + 1 <= q - 1)
+    and the aggregate does (q - 1 < S + #finite, its window open)."""
+    q, finite_parts, n_inf = gsplit._level_data(B, B.level())
+    S, F = sum(n for _, n in finite_parts), len(finite_parts)
+    E0_inf = 1 if n_inf or not finite_parts else 0
+    return S + 1 <= q - 1 < S + F and 2 * (q - 1) - n_inf - E0_inf - S - F >= 0
+
+
+@st.composite
+def _couples_to_level_3(draw):
+    """(B, e_max), p in {3, ..., 13}, e_max <= 3 with p^e_max <= 343:
+    coefficients k/den in (0, 1), den | p^d - 1 for a level d <= e_max.  One
+    draw in three puts den = p^d - 1 and the finite numerators' sum in
+    [q - #finite, q - 2], where at level d only the aggregate's window needs a
+    polynomial."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    e_max = draw(st.integers(1, max(e for e in (1, 2, 3) if p ** e <= 343)))
+    q = p ** draw(st.integers(1, e_max))
+    band = draw(st.integers(0, 2)) == 0
+    den = q - 1 if band else draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0]))
+    finite = draw(_finite_points(p, 5))
+    nums = [draw(st.integers(1, den - 1)) for _ in finite]
+    if band and len(finite) >= 2:
+        nums = _rescaled(nums, draw(st.integers(q - len(finite), q - 2)), den)
+    entries = [(P1Point(pt), Fraction(k, den)) for pt, k in zip(finite, nums)]
+    if draw(st.booleans()):
+        entries.append((P1Point.infinity(), Fraction(draw(st.integers(1, den - 1)), den)))
+    return P1Divisor(p, entries), e_max
+
+
+def test_shared_boundary_products_equal_the_two_product_route_drawn():
+    aggregate_only, statuses = 0, set()
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(_couples_to_level_3())
+    def check(drawn):
+        nonlocal aggregate_only
+        B, e_max = drawn
+        calls = []
+        with _recorded_products(calls):
+            gfs = gfs_p1(B, e_max).to_dict()
+            del calls[:]
+            gfr = gfr_p1_bounded(B, e_max).to_dict()
+        assert gfs == _two_product_gfs(B, e_max).to_dict(), (B, e_max)
+        assert gfr == _two_product_gfr(B, e_max).to_dict(), (B, e_max)
+        # one Frobenius-powered g per tested level at most, besides which
+        # only the support polynomial prod (x - c_i) is built, once
+        levels = gfr.get("levels_tested", [])
+        powered = [parts for parts in calls if any(n > 1 for _, n in parts)]
+        assert len(powered) <= len(levels) and len(calls) <= len(levels) + 1, (B, calls)
+        if levels and _aggregate_only(B):
+            aggregate_only += 1
+            assert calls, B
+        statuses.add((gfs["status"], gfr["status"]))
+
+    check()
+    assert aggregate_only >= 20, aggregate_only
+    assert {s for s, _ in statuses} >= {"yes", "no"}
+    assert {s for _, s in statuses} >= {"yes", "unknown", "certified-no"}
+
+
+def test_gfr_query_forms_one_boundary_product_per_level(capsys):
+    # at p = 3 the perturbations need g at each of levels 2, 4 and 6; the
+    # aggregate, whose level-2 window is empty and which is certified at
+    # level 4, multiplies level 4's g by prod (x - c_i): three
+    # Frobenius-powered products and the support polynomial, nothing more
+    calls = []
+    argv = ["gfr-p1", "--p", "3", "--divisor", "1/2@0,1/2@1,1/4@2,1/2@1+1t", "--emax", "6"]
+    with _recorded_products(calls):
+        assert run(argv)[0] == 0
+    assert "aggregate_certificate:\n        - 4\n" in capsys.readouterr().out
+    assert [max(n for _, n in parts) for parts in calls] == [40, 1, 4, 364], calls
 
 
 @st.composite
@@ -1244,7 +1498,9 @@ def test_level_tests_build_no_field_elements(field_elements_built):
     # thousands, so the oracle tests above compare two different kernels
     B = parse_divisor("1/2@1+3t,1/4@6,1/2@inf,1/2@4+3t,1/4@3+4t", 7)
     assert gfs_p1_level(B, 2) == (False, None)
-    gsplit._perturbed_level(*gsplit._level_data(B, 2), 7)
+    q, parts, n_inf = gsplit._level_data(B, 2)
+    gsplit._perturbed_level(q, sum(n for _, n in parts), n_inf, 7,
+                            lambda: upoly._boundary_poly(parts, 7))
     assert field_elements_built == []
     with _object_kernel():
         assert gfs_p1(B, 2).status == "no"
