@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import _factorials, require_p_free
@@ -49,47 +50,54 @@ def _require_local_input(f: MPoly, e: int) -> None:
         raise ValueError("e must be >= 1")
 
 
-# Pruned product arithmetic on monomials packed into single integers, one
-# base-2q digit per variable.  Both operands keep every digit < q, so digitwise
-# sums stay < 2q and the packing has no carries; dropping the keys with a digit
-# >= lim (q unless a smaller box is asked for) is reduction mod the monomial
+# Pruned products on monomials packed into single integers, exponent i in
+# slot i of w + 1 bits, 2^w > 2q.  Both operands keep exponents < q, so sums
+# stay below 2^w in their slots; adding 2^w - lim to each slot sets its top
+# bit iff the exponent is >= lim, again with no carry.  Dropping those keys
+# (lim is q unless a smaller box is asked for) is reduction mod the monomial
 # ideal m^[lim], which commutes with products.
+
+def _slot(q: int) -> int:
+    return q.bit_length() + 2  # w + 1
+
+
+@lru_cache(maxsize=256)
+def _mask(nvars: int, q: int, lim: int) -> tuple[int, int]:
+    """(shift, high), lim <= q: (key + shift) & high == 0 iff all exponents are < lim."""
+    top, ones = 1 << (_slot(q) - 1), sum(1 << (_slot(q) * i) for i in range(nvars))
+    return (top - lim) * ones, top * ones
+
 
 def _pack_terms(f: MPoly, q: int) -> list[tuple[int, int]]:
     """f's terms inside the box [0, q)^n, packed; the others lie in m^[q]."""
-    base = 2 * q
-    return [(sum(e * base ** i for i, e in enumerate(exps)), c)
+    width = _slot(q)
+    return [(sum(e << (width * i) for i, e in enumerate(exps)), c)
             for exps, c in f.terms.items() if max(exps) < q]
 
 
 def _box(terms: dict[int, int], nvars: int, q: int, lim: int, p: int) -> dict[int, int]:
-    """The terms with a coefficient nonzero mod p and every base-2q digit < lim."""
-    base = 2 * q
-    out = {}
-    for key, c in terms.items():
-        c %= p
-        if not c:
-            continue
-        kk = key
-        for _ in range(nvars):
-            if kk % base >= lim:
-                break
-            kk //= base
-        else:
-            out[key] = c
-    return out
+    """The terms with a coefficient nonzero mod p and every exponent < lim."""
+    shift, high = _mask(nvars, q, lim)
+    return {key: v for key, c in terms.items() if not (key + shift) & high and (v := c % p)}
 
 
 def _pruned_times(acc: dict[int, int], fac: list[tuple[int, int]],
                   nvars: int, q: int, p: int, lim: int | None = None) -> dict[int, int]:
-    """acc * fac mod m^[lim], on base-2q packed terms; lim is q by default."""
+    """acc * fac mod m^[lim], on packed terms; lim is q by default."""
+    shift, high = _mask(nvars, q, q if lim is None else lim)
     out: dict[int, int] = {}
     get = out.get
     for k1, c1 in acc.items():
+        k1 += shift  # out is keyed by key + shift
         for k2, c2 in fac:
             key = k1 + k2
-            out[key] = get(key, 0) + c1 * c2
-    return _box(out, nvars, q, q if lim is None else lim, p)
+            if not key & high:
+                out[key] = get(key, 0) + c1 * c2
+    res = {}
+    for key, c in out.items():  # a loop, not a comprehension: most products are small
+        if c := c % p:
+            res[key - shift] = c
+    return res
 
 
 def _half_power_diagonal(f: MPoly) -> int:
@@ -99,14 +107,14 @@ def _half_power_diagonal(f: MPoly) -> int:
     With A = f^((p-1)/2), that coefficient is sum_u A_u * A_(D-u) over
     D = (p-1, ..., p-1); both u and D - u lie in the box [0, p)^n, so A mod
     m^[p] suffices, built by (p-1)/2 pruned products.  A packed key u has
-    every digit <= p - 1, so D - u subtracts digitwise with no borrow.
+    every slot <= p - 1, so D - u subtracts slotwise with no borrow.
     """
     p, n = f.p, f.nvars
     fac = _pack_terms(f, p)
     half = {0: 1}
     for _ in range((p - 1) // 2):
         half = _pruned_times(half, fac, n, p, p)
-    diag = sum((p - 1) * (2 * p) ** i for i in range(n))
+    diag = sum((p - 1) << (_slot(p) * i) for i in range(n))
     get = half.get
     return sum(c * get(diag - u, 0) for u, c in half.items()) % p
 
@@ -203,8 +211,8 @@ def _nu_levels(f: MPoly, e_max: int) -> list[int]:
     nu_f(p^e) = p*nu + d and is the next P.  That d lies in [0, p - 1]
     (Mustata-Takagi-Watanabe): Frob(P) is nonzero mod m^[p^e] as P is nonzero
     mod m^[p^(e-1)], and f^(nu+1) in m^[p^(e-1)] gives f^(p*nu+p) in m^[p^e].
-    A level outside that bracket raises NuMonotonicityError.  One packing
-    base, 2*p^e_max, serves every level: digits stay below p^e + p^e_max.
+    A level outside that bracket raises NuMonotonicityError.  The slots of
+    p^e_max serve every level: P's exponents times p stay below p^e < 2^w.
     """
     p, n = f.p, f.nvars
     top = p ** e_max

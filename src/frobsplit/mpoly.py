@@ -14,7 +14,7 @@ import re
 from functools import reduce
 from math import comb
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .arith import AnyFieldElement, FieldElement, _check_modulus, read_int
 
@@ -31,24 +31,19 @@ class MPoly:
             raise ValueError("nvars must be >= 1")
         _set(self, "nvars", nvars)
         _set(self, "p", p)
-        cleaned: dict[tuple, int] = {}
-        if terms:
-            for exps, c in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent vector {exps} has wrong arity")
-                if not all(isinstance(e, int) for e in exps):
-                    raise ValueError(f"exponent vector {exps} has a non-integer entry")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if not isinstance(c, int):
-                    raise ValueError(f"coefficient {c!r} is not an integer")
-                c = (cleaned.get(exps, 0) + c) % p
-                if c:
-                    cleaned[exps] = c
-                elif exps in cleaned:
-                    del cleaned[exps]
-        _set(self, "terms", cleaned)
+        pairs = []
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps} has wrong arity")
+            if not all(isinstance(e, int) for e in exps):
+                raise ValueError(f"exponent vector {exps} has a non-integer entry")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an integer")
+            pairs.append((exps, c))
+        _set(self, "terms", _merge({}, pairs, p))
 
     def __setattr__(self, name, val):
         raise AttributeError("MPoly is immutable")
@@ -114,15 +109,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        p = self.p
-        for exps, c in other.terms.items():
-            v = (terms.get(exps, 0) + c) % p
-            if v:
-                terms[exps] = v
-            elif exps in terms:
-                del terms[exps]
-        return MPoly._raw(self.nvars, p, terms)
+        return MPoly._raw(self.nvars, self.p, _merge(dict(self.terms), other.terms.items(), self.p))
 
     __radd__ = __add__
 
@@ -143,48 +130,14 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.p
-        # iterate the smaller factor outside
-        small, big = (self.terms, other.terms)
-        if len(small) > len(big):
-            small, big = big, small
-        if len(small) == 1:
-            # a monomial c*x^e shifts the other factor by e and scales it by
-            # c: the keys stay distinct, and c*c' is a unit mod the prime p
-            (e1, c1), = small.items()
-            acc = {tuple(map(add, e1, e2)): c1 * c2 % p for e2, c2 in big.items()}
-            return MPoly._raw(self.nvars, p, acc)
-        acc: dict[tuple, int] = {}
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                key = tuple(map(add, e1, e2))
-                v = (acc.get(key, 0) + c1 * c2) % p
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-        return MPoly._raw(self.nvars, p, acc)
+        return MPoly._raw(self.nvars, self.p, _times(self.terms, other.terms, self.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "MPoly":
         if exp < 0:
             raise ValueError("negative exponent")
-        n, p = self.nvars, self.p
-        if not exp:
-            return MPoly._raw_constant(1, n, p)
-        if len(self.terms) <= 1:
-            # (c*x^e)^k = c^k*x^(k*e), c^k a unit mod p; and 0^k = 0
-            return MPoly._raw(n, p, {tuple(exp * a for a in e): pow(c, exp, p)
-                                     for e, c in self.terms.items()})
-        result, base = None, self
-        while True:
-            if exp & 1:
-                result = base if result is None else result * base
-            exp >>= 1
-            if not exp:
-                return result
-            base = base * base
+        return MPoly._raw(self.nvars, self.p, _power(self.terms, exp, self.nvars, self.p))
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -211,14 +164,10 @@ class MPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return _degree(self.terms)
 
     def degree_on(self, var_indices: Sequence[int]) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e[i] for i in var_indices) for e in self.terms)
+        return max((sum(e[i] for i in var_indices) for e in self.terms), default=-1)
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
@@ -257,6 +206,61 @@ class MPoly:
         return sum((c * x ** e for (e,), c in self.terms.items()), x - x)
 
 
+# -- term-dict kernels of MPoly's arithmetic and the parser --------------------
+
+def _merge(acc: dict, pairs: Iterable[tuple[tuple, int]], p: int) -> dict:
+    """acc plus the (exps, c) pairs, in place: cancelled keys leave, new ones go last."""
+    for exps, c in pairs:
+        v = (acc.get(exps, 0) + c) % p
+        if v:
+            acc[exps] = v
+        elif exps in acc:
+            del acc[exps]
+    return acc
+
+
+def _times(a: dict, b: dict, p: int) -> dict:
+    """The terms of a*b, the smaller factor (a on a tie) iterated outside."""
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    if len(small) == 1:
+        # a monomial c*x^e shifts the other factor by e and scales it by
+        # c: the keys stay distinct, and c*c' is a unit mod the prime p
+        (e1, c1), = small.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 % p for e2, c2 in big.items()}
+    acc: dict[tuple, int] = {}
+    for e1, c1 in small.items():
+        for e2, c2 in big.items():
+            key = tuple(map(add, e1, e2))
+            v = (acc.get(key, 0) + c1 * c2) % p
+            if v:
+                acc[key] = v
+            elif key in acc:
+                del acc[key]
+    return acc
+
+
+def _power(terms: dict, k: int, n: int, p: int) -> dict:
+    """f^k for k >= 0 and n variables: by squaring, or for at most one term
+    (c*x^e)^k = c^k*x^(k*e), c^k a unit mod p, and 0^k = 0."""
+    if not k:
+        return {(0,) * n: 1}
+    if len(terms) <= 1:
+        return {tuple(k * a for a in e): pow(c, k, p) for e, c in terms.items()}
+    result, base = None, terms
+    while True:
+        if k & 1:
+            result = base if result is None else _times(result, base, p)
+        k >>= 1
+        if not k:
+            return result
+        base = _times(base, base, p)
+
+
+def _degree(terms: dict) -> int:
+    """Total degree; -1 for no terms."""
+    return max(map(sum, terms), default=-1)
+
+
 # -- parsing / printing ------------------------------------------------------
 
 def _default_names(nvars: int) -> list[str]:
@@ -285,113 +289,22 @@ class PolyParseError(ValueError):
     pass
 
 
-class _Parser:
-    """Recursive descent for: integer coefficients, declared variables, + - * ^, parens."""
-
-    def __init__(self, text: str, names: Sequence[str], p: int):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-        zero = (0,) * len(names)
-        # each name's exponent vector, the variable's one term
-        self.names = {name: zero[:i] + (1,) + zero[i + 1:] for i, name in enumerate(names)}
-        self.nvars = len(names)
-        self.p = p
-
-    @staticmethod
-    def _tokenize(text: str) -> list[str | None]:
-        """The tokens, then None for the end of input."""
-        pairs = _TOKEN_RE.findall(text)
-        tokens = [tok for tok, _ in pairs]
-        if "" in tokens:
-            bad = next(m for m in _TOKEN_RE.finditer(text) if m.group(2))
-            raise PolyParseError(f"bad character at {text[bad.start():]!r}")
-        tokens.append(None)
-        return tokens
-
-    def _peek(self) -> str | None:
-        return self.tokens[self.pos]
-
-    def _next(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok is None:
-            raise PolyParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> MPoly:
-        out = self._expr()
-        if self._peek() is not None:
-            raise PolyParseError(f"trailing input at {self._peek()!r}")
-        return out
-
-    def _expr(self) -> MPoly:
-        if self._peek() == "-":
-            self._next()
-            acc = -self._term()
-        else:
-            acc = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._next()
-            rhs = self._term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
-
-    def _term(self) -> MPoly:
-        acc = self._factor()
-        while self._peek() == "*":
-            self._next()
-            rhs = self._factor()
-            sizes = len(acc.terms), len(rhs.terms)
-            if (min(sizes) > 1
-                    and min(sizes[0] * sizes[1],
-                            comb(self.nvars + acc.degree() + rhs.degree(), self.nvars))
-                    > MAX_POWER_TERMS):
-                raise PolyParseError(f"product of a {sizes[0]}-term and a {sizes[1]}-term "
-                                     f"factor may have more than {MAX_POWER_TERMS} terms")
-            acc = acc * rhs
-        return acc
-
-    def _factor(self) -> MPoly:
-        base = self._base()
-        if self._peek() == "^":
-            self._next()
-            tok = self._next()
-            if not _DIGITS_RE.fullmatch(tok):
-                raise PolyParseError(f"exponent must be a nonnegative integer, got {tok!r}")
-            k = self._int(tok)
-            if (len(base.terms) > 1
-                    and comb(self.nvars + k * base.degree(), self.nvars) > MAX_POWER_TERMS):
-                raise PolyParseError(f"power ^{k} of a {len(base.terms)}-term base may have "
-                                     f"more than {MAX_POWER_TERMS} terms")
-            return base ** k
-        return base
-
-    @staticmethod
-    def _int(tok: str) -> int:
-        try:
-            return read_int(tok)
-        except ValueError as exc:
-            raise PolyParseError(str(exc)) from None
-
-    def _base(self) -> MPoly:
-        tok = self._next()
-        if tok == "(":
-            inner = self._expr()
-            if self._next() != ")":
-                raise PolyParseError("unbalanced parentheses")
-            return inner
-        if tok == "-":
-            return -self._factor()
-        # parse_poly has checked p: the leaves are built unchecked
-        if _DIGITS_RE.fullmatch(tok):
-            return MPoly._raw_constant(self._int(tok), self.nvars, self.p)
-        if tok in self.names:
-            return MPoly._raw(self.nvars, self.p, {self.names[tok]: 1})
-        raise PolyParseError(f"unknown variable {tok!r}")
+def _read(tok: str) -> int:
+    try:
+        return read_int(tok)
+    except ValueError as exc:
+        raise PolyParseError(str(exc)) from None
 
 
 def parse_poly(text: str, names: Sequence[str], p: int) -> MPoly:
-    """Parse the plain-text grammar over the declared ordered variable list."""
+    """Parse the plain-text grammar over the declared ordered variable list.
+
+    Recursive descent on term dicts, wrapped in an MPoly at the end.  A term
+    reads variables, their powers and integers as one run: exponents and a
+    coefficient mod p, from -1 in a negated term.  The run is flushed before
+    a polynomial factor (parenthesised, a power of one, or negated) is
+    multiplied in, so products, size checks and term order follow the text.
+    """
     if not names:
         raise PolyParseError("empty variable list")
     for i, name in enumerate(names):
@@ -400,7 +313,86 @@ def parse_poly(text: str, names: Sequence[str], p: int) -> MPoly:
         if name in names[:i]:
             raise PolyParseError(f"variable {name!r} declared twice")
     _check_modulus(p)
-    return _Parser(text, names, p).parse()
+    tokens = [tok for tok, _ in _TOKEN_RE.findall(text)]
+    if "" in tokens:
+        bad = next(m for m in _TOKEN_RE.finditer(text) if m.group(2))
+        raise PolyParseError(f"bad character at {text[bad.start():]!r}")
+    tokens.append(None)  # the end of input
+    n, index, pos = len(names), {name: i for i, name in enumerate(names)}, 0
+
+    def take() -> str:
+        nonlocal pos
+        if tokens[pos] is None:
+            raise PolyParseError("unexpected end of input")
+        pos += 1
+        return tokens[pos - 1]
+
+    def power() -> int | None:
+        """The exponent after a '^', None when no '^' follows."""
+        nonlocal pos
+        if tokens[pos] != "^":
+            return None
+        pos += 1
+        if not (tok := take()).isdigit():
+            raise PolyParseError(f"exponent must be a nonnegative integer, got {tok!r}")
+        return _read(tok)
+
+    def expr() -> dict:
+        nonlocal pos
+        neg = tokens[pos] == "-"
+        pos += neg
+        acc = term(p - 1 if neg else 1)
+        while (tok := tokens[pos]) == "+" or tok == "-":
+            pos += 1
+            _merge(acc, term(1 if tok == "+" else p - 1).items(), p)
+        return acc
+
+    def term(c: int, single: bool = False) -> dict:
+        """A product times c; only its first factor when single."""
+        nonlocal pos
+        acc, exps = None, [0] * n
+        while True:
+            tok, fac = take(), None
+            if tok in index:
+                k = power()
+                exps[index[tok]] += 1 if k is None else k
+            elif tok.isdigit():
+                v, k = _read(tok), power()
+                c = c * (v if k is None else pow(v, k, p)) % p
+            elif tok == "-":
+                fac = term(p - 1, single=True)
+            elif tok == "(":
+                fac = expr()
+                if take() != ")":
+                    raise PolyParseError("unbalanced parentheses")
+            else:
+                raise PolyParseError(f"unknown variable {tok!r}")
+            if fac is not None and (k := power()) is not None:
+                if len(fac) > 1 and comb(n + k * _degree(fac), n) > MAX_POWER_TERMS:
+                    raise PolyParseError(f"power ^{k} of a {len(fac)}-term base may have "
+                                         f"more than {MAX_POWER_TERMS} terms")
+                fac = _power(fac, k, n, p)
+            more = not single and tokens[pos] == "*"
+            # a run of 1 changes no term and is left out
+            if (fac is not None or not more) and (acc is None or c != 1 or any(exps)):
+                mono = {tuple(exps): c} if c else {}
+                acc = mono if acc is None else _times(acc, mono, p)
+                exps, c = [0] * n, 1
+            if fac is not None:
+                a, b = len(acc), len(fac)
+                if (min(a, b) > 1 and min(a * b, comb(n + _degree(acc) + _degree(fac), n))
+                        > MAX_POWER_TERMS):
+                    raise PolyParseError(f"product of a {a}-term and a {b}-term factor "
+                                         f"may have more than {MAX_POWER_TERMS} terms")
+                acc = _times(acc, fac, p)
+            if not more:
+                return acc
+            pos += 1
+
+    acc = expr()
+    if tokens[pos] is not None:
+        raise PolyParseError(f"trailing input at {tokens[pos]!r}")
+    return MPoly._raw(n, p, acc)
 
 
 def format_poly(f: MPoly, names: Sequence[str] | None = None) -> str:

@@ -26,6 +26,7 @@ from frobsplit.fibration import f_discriminant_legendre
 from frobsplit.mpoly import parse_poly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 def _json_report(argv, capsys):
@@ -878,11 +879,24 @@ _VERSION_PROBE = ("import platform, sys; "
                   "print(platform.python_implementation(), *sys.version_info[:3])")
 
 
+def _python_floor():
+    """The version in pyproject's requires-python = ">=X.Y.Z", as a tuple."""
+    floor, = (line.split('">=')[1].rstrip('"') for line in PYPROJECT.read_text().splitlines()
+              if line.startswith("requires-python"))
+    return tuple(map(int, floor.split(".")))
+
+
+def test_declared_python_floor_has_the_int_digit_limit():
+    # arith.read_int and cli._printed_level call sys.get_int_max_str_digits(),
+    # which CPython added in 3.10.7; the digit ceilings rest on it
+    assert _python_floor() >= (3, 10, 7)
+
+
 def _other_cpythons():
-    """The oldest and the newest CPython >= 3.10 other than the running
-    version, at most two interpreters, from the python3 and python3.N
-    commands on PATH and the pyenv versions under $PYENV_ROOT (default
-    ~/.pyenv)."""
+    """The oldest and the newest CPython at or above pyproject's floor other
+    than the running version, at most two interpreters, from the python3
+    and python3.N commands on PATH and the pyenv versions under $PYENV_ROOT
+    (default ~/.pyenv)."""
     pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
     candidates = sorted(pyenv.glob("*/bin/python3"))
     for d in os.environ.get("PATH", "").split(os.pathsep):
@@ -898,16 +912,17 @@ def _other_cpythons():
         impl, *version = proc.stdout.split() or ["?"]
         if proc.returncode == 0 and impl == "CPython":
             found.setdefault(tuple(map(int, version)), exe)
-    versions = sorted(v for v in found if v >= (3, 10) and v != tuple(sys.version_info[:3]))
+    floor = _python_floor()
+    versions = sorted(v for v in found if v >= floor and v != tuple(sys.version_info[:3]))
     return [found[v] for v in dict.fromkeys(versions[:1] + versions[-1:])]
 
 
 def test_workload_outputs_pinned_on_the_declared_python_floor():
-    # pyproject declares requires-python >= 3.10: the oldest and the newest
-    # other CPython found must print the same bytes as this one
+    # the oldest and the newest other CPython at or above pyproject's
+    # requires-python floor must print the same bytes as this one
     interpreters = _other_cpythons()
     if not interpreters:
-        pytest.skip("no other CPython >= 3.10 on PATH or under pyenv")
+        pytest.skip("no other CPython at or above the floor on PATH or under pyenv")
     root = Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONHOME")}
     for exe in interpreters:

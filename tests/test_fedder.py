@@ -11,7 +11,7 @@ from frobsplit import fedder
 from frobsplit.arith import is_prime
 from frobsplit.elliptic import hasse_closed, hasse_coeff
 from frobsplit.fedder import (NuMonotonicityError, _CountLattice, _diagonal_coefficient,
-                              _half_power_diagonal, _pack_terms, fpt_bounds,
+                              _half_power_diagonal, _mask, _pack_terms, _slot, fpt_bounds,
                               in_bracket_ideal, is_fpure_pair, nu)
 from frobsplit.mpoly import MPoly, parse_poly
 
@@ -226,6 +226,33 @@ def test_pruned_power_matches_full_power_drawn():
 
     check()
     assert seen == {True, False}
+
+
+# -- the masked box test on packed keys ------------------------------------------
+
+@st.composite
+def _slot_cases(draw):
+    """Exponents at 0, lim - 1, lim and 2q - 1, past any sum of two exponents
+    below q, for q = p^e up to hundreds of bits and lim in [1, q]."""
+    p = draw(st.sampled_from([3, 5, 7, 101, 65537]))
+    q = p ** draw(st.integers(1, max(1, 300 // p.bit_length())))
+    lim = draw(st.sampled_from([1, 2, p, q - 1, q]) | st.integers(1, q))
+    exps = draw(st.lists(st.sampled_from([0, lim - 1, lim, 2 * q - 1]) | st.integers(0, 2 * q - 1),
+                         min_size=1, max_size=4))
+    return q, lim, exps
+
+
+def test_masked_add_is_the_box_test_drawn():
+    # (key + shift) & high == 0 exactly when every packed exponent is < lim
+    @settings(derandomize=True, max_examples=600, deadline=None, database=None)
+    @given(_slot_cases())
+    def check(case):
+        q, lim, exps = case
+        shift, high = _mask(len(exps), q, lim)
+        key = sum(e << (_slot(q) * i) for i, e in enumerate(exps))
+        assert (not (key + shift) & high) == all(e < lim for e in exps), case
+
+    check()
 
 
 # -- the digit table against full powers ----------------------------------------

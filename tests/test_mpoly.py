@@ -12,6 +12,7 @@ from frobsplit.cli import run
 from frobsplit.elliptic import SupersingularReport, hasse_closed_symbolic, supersingular_report
 from frobsplit.mpoly import MAX_POWER_TERMS, MPoly, PolyParseError, format_poly, parse_poly
 from frobsplit.upoly import univ_eval, univ_squarefree
+from mpoly_oracle import oracle_parse
 from upoly_oracle import _norm_character, _Residues, univ_roots
 
 
@@ -546,6 +547,85 @@ def test_parse_poly_fuzz_parses_or_rejects():
 
     check()
     assert outcomes == {"parsed", "rejected"}
+
+
+# the token alphabet, undeclared names, and characters that start no token
+_FUZZ_TOKENS = ["x", "y", "z", "w", "q", "x1", "0", "1", "2", "3", "7", "10", "101",
+                "1000000000", "+", "-", "*", "^", "(", ")", " ", "!", ".", "\u0663", "\u00b2"]
+# multi-term factors whose products pass or fail the size checks by their
+# degrees, and runs that raise the degree or zero the product, so that a run
+# multiplied in late would change the verdict
+_FUZZ_FACTORS = ["(x+1)^70", "(x+y+1)^15", "(x+y+1)^14", "(x+y+1)^13", "-(x-y+2)^12"]
+_FUZZ_RUNS = ["x^5000", "y^40", "0", "3", "-1", "z"]
+
+
+def _fuzz_texts(rng, count):
+    """Token soup, grammar-shaped sums and products, and one point edits of them."""
+    def shaped(names, depth=0):
+        k = rng.random()
+        if depth > 2 or k < 0.3:
+            atom = rng.choice(names + ["0", "1", "2", "3", "7", "10", "q"])
+            return atom + ("^" + rng.choice(["0", "1", "2", "3", "10"]) if rng.random() < 0.3
+                           else "")
+        if k < 0.55:
+            return "*".join(shaped(names, depth + 1) for _ in range(rng.randint(1, 4)))
+        if k < 0.65:
+            return "-" + shaped(names, depth + 1)
+        terms = [shaped(names, depth + 1) for _ in range(rng.randint(1, 4))]
+        text = "(" + rng.choice(["", "-"]) + terms[0] + "".join(
+            rng.choice(["+", "-"]) + t for t in terms[1:]) + ")"
+        return text + ("^" + rng.choice(["0", "1", "2", "5", "12"]) if rng.random() < 0.4 else "")
+
+    for i in range(count):
+        p = rng.choice([3, 5, 7, 101])
+        names = rng.choice([["x"], ["x", "y"], ["x", "y", "z"], ["z", "x"], ["y", "x", "w"]])
+        if i % 2:
+            text = "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randrange(14)))
+        else:
+            text = shaped(names)
+            if rng.random() < 0.3:
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + rng.choice(_FUZZ_TOKENS + [""]) + text[at + 1:]
+        yield text, names, p
+
+
+def _outcome(parse, text, names, p):
+    try:
+        return list(parse(text, names, p).terms.items())
+    except PolyParseError as exc:
+        return str(exc)
+
+
+def test_parse_poly_matches_the_recursive_descent_oracle():
+    # the same terms in the same insertion order, or the same error text, as
+    # the parser that builds an MPoly per leaf and applies one operator at a time
+    rng = random.Random(34)
+    cases = list(_fuzz_texts(rng, 100_000))
+    for _ in range(150):
+        pieces = rng.sample(_FUZZ_FACTORS, 2) + rng.sample(_FUZZ_RUNS, rng.randint(1, 2))
+        rng.shuffle(pieces)
+        cases.append(("*".join(pieces), ["x", "y", "z"], 101))
+    parsed = refused = 0
+    for text, names, p in cases:
+        got = _outcome(parse_poly, text, names, p)
+        assert got == _outcome(oracle_parse, text, names, p), (text, names, p)
+        parsed += isinstance(got, list)
+        refused += "more than" in str(got)
+    assert parsed > 20_000 and refused > 40, (parsed, refused)
+
+
+def test_parse_poly_wraps_one_mpoly(monkeypatch):
+    raw, calls = MPoly._raw, []
+
+    def counted(cls, nvars, p, terms):
+        calls.append(terms)
+        return raw(nvars, p, terms)
+
+    monkeypatch.setattr(MPoly, "_raw", classmethod(counted))
+    for text in ("x", "0", "-3*x^2*y*2 - (x+y)^3*(x-1) + -(y)^2", "y^2*z-x*(x-z)*(x-3*z)"):
+        calls.clear()
+        f = parse_poly(text, ["x", "y", "z"], 7)
+        assert len(calls) == 1 and calls[0] is f.terms, text
 
 
 def test_format_zero_and_constants():
