@@ -126,68 +126,82 @@ class _CountLattice:
     is a form of degree n in n variables).  A term with an exponent >= p
     has k_i = 0 and is left out.
 
-    The system is row-reduced once over Z.  Row r, (c, d, m, b) in `rows`,
-    then reads d * k_c + sum_j m_j * k_(free[j]) = b for its pivot column c,
-    so each choice of the free counts gives the pivot counts by exact
-    division; `consistent` is False when a zero row has a nonzero
-    right-hand side.
+    The system is row-reduced once over Z by Bareiss's fraction-free
+    Gauss-Jordan: exact division by the previous pivot keeps every entry a
+    minor, and with pivots made positive pivot row r ends reading
+    d * k_c + sum_j m[j][r] * k_(free[j]) = b[r], d > 0.  `progressions`
+    finds the points, apart from `diagonal`'s weights mod p, for other weights.
     """
 
     def __init__(self, f: MPoly):
         p = f.p
-        terms = [(exps, c) for exps, c in f.terms.items() if max(exps) < p]
-        self.p, self.coeffs = p, [c for _, c in terms]
-        rows = [[exps[v] for exps, _ in terms] + [p - 1] for v in range(f.nvars)]
-        rows.append([1] * len(terms) + [p - 1])
-        pivots = []
-        for col in range(len(terms)):
-            r = len(pivots)
-            i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-            if i is None:
+        box = [exps for exps in f.terms if max(exps) < p]
+        rows = [[*col, p - 1] for col in zip(*box)] + [[1] * len(box) + [p - 1]]
+        pivots, self.free, d = [], [], 1
+        for col in range(len(box)):
+            r = i = len(pivots)
+            while i < len(rows) and not rows[i][col]:
+                i += 1
+            if i == len(rows):
+                self.free.append(col)
                 continue
-            rows[r], rows[i] = rows[i], rows[r]
-            top = rows[r]
+            top = rows[i] if rows[i][col] > 0 else [-x for x in rows[i]]
+            rows[i], rows[r], prev, d = rows[r], top, d, top[col]
             for i, row in enumerate(rows):
-                if i != r and row[col]:
-                    new = [top[col] * x - row[col] * y for x, y in zip(row, top)]
-                    g = math.gcd(*new) or 1  # a row of zeros stays one
-                    rows[i] = [x // g for x in new]
+                a = row[col]
+                if i != r and (a or d != prev):  # else the row stays as it is
+                    rows[i] = [(d * x - a * y) // prev for x, y in zip(row, top)]
             pivots.append(col)
-        self.rank = len(pivots)
+        self.p, self.d, self.rank = p, d, len(pivots)
         self.consistent = not any(row[-1] for row in rows[self.rank:])
-        self.free = [col for col in range(len(terms)) if col not in pivots]
-        self.rows = [(col, row[col], [row[j] for j in self.free], row[-1])
-                     for row, col in zip(rows, pivots)]
+        self.m = [[row[j] for row in rows[:self.rank]] for j in self.free]
+        self.b = [row[-1] for row in rows[:self.rank]]
+        self.exps = [box[c] for c in pivots + self.free]  # the counts' order in `progressions`
+        self.coeffs = [f.terms[exps] for exps in self.exps]
+
+    def progressions(self) -> list[tuple[list[int], list[int], int]]:
+        """The points, each once, as (k, step, length): k + i*step for i < length.
+        The free counts but the last are looped over; the last, t, solves
+        m*t = b (mod d) on every row: one progression, cut to where each pivot
+        count is >= 0 (so <= p - 1, as the counts add up to p - 1)."""
+        d, mc, out = self.d, self.m, []
+        def visit(ks: list[int], bs: list[int], budget: int) -> None:
+            j = len(ks)  # ks: the free counts set so far
+            if j + 1 < len(mc):
+                for k in range(budget + 1):  # the counts add up to p - 1
+                    visit(ks + [k], [b - m * k for m, b in zip(mc[j], bs)], budget - k)
+                return
+            ms = mc[j] if mc else [0] * len(bs)
+            t0, step, lo, hi = 0, 1, 0, budget if mc else 0
+            for m, b in zip(ms, bs):
+                g, c = math.gcd(m * step, d), b - m * t0  # t = t0 + step*u, m*step*u = c (mod d)
+                if c % g or not (m or b >= 0):
+                    return
+                if m:  # k_c = (b - m*t) / d >= 0 bounds t
+                    h = d // g
+                    t0, step = t0 + step * (c // g * pow(m * step // g, -1, h) % h), step * h
+                    lo, hi = (lo, min(hi, b // m)) if m > 0 else (max(lo, -(-b // m)), hi)
+            t = lo + (t0 - lo) % step
+            if t <= hi:  # [t][:len(mc)]: no t when no count is free
+                out.append(([(b - m * t) // d for m, b in zip(ms, bs)] + ks + [t][:len(mc)],
+                            [-m * step // d for m in ms] + [0] * j + [step][:len(mc)],
+                            (hi - t) // step + 1))
+
+        if self.consistent:
+            visit([], self.b, self.p - 1)
+        return out
 
     def diagonal(self) -> int:
         """sum_k (p-1)!/(k_1!...k_s!) * prod_i c_i^(k_i) mod p over the count
         vectors; (p-1)! = -1 (Wilson), and every k_i! is a unit as k_i < p."""
-        if not self.consistent:
-            return 0
-        p, coeffs = self.p, self.coeffs
-        _, inv_fact = _factorials(p)
-
-        solve = [(d, coeffs[col]) for col, d, _, _ in self.rows]
-        steps = [([m[j] for _, _, m, _ in self.rows], coeffs[col])
-                 for j, col in enumerate(self.free)]
-
-        def visit(j: int, rhs: list[int], budget: int, acc: int) -> int:
-            # the free counts before j are set, and rhs is each b_r less their terms
-            if j < len(steps):
-                (ms, c), ck, total = steps[j], 1, 0
-                for k in range(budget + 1):  # the counts add up to p - 1
-                    total += visit(j + 1, [b - m * k for b, m in zip(rhs, ms)], budget - k,
-                                   acc * ck * inv_fact[k] % p)
-                    ck = ck * c % p
-                return total
-            for (d, c), b in zip(solve, rhs):
-                k, rem = divmod(b, d)
-                if rem or not 0 <= k < p:  # a later count may still be negative
-                    return 0
-                acc = acc * pow(c, k, p) * inv_fact[k] % p
-            return acc
-
-        return -visit(0, [b for _, _, _, b in self.rows], p - 1, 1) % p
+        p, total, (_, inv_fact) = self.p, 0, _factorials(self.p)
+        for k, steps, length in self.progressions():
+            term = math.prod(map(pow, self.coeffs, k, [p] * len(k))) % p  # prod_i c_i^(k_i)
+            unit = math.prod(map(pow, self.coeffs, steps, [p] * len(k))) % p  # per step
+            for _ in range(length):
+                total += term * math.prod([inv_fact[a] for a in k])
+                k, term = [a + s for a, s in zip(k, steps)], term * unit % p
+        return -total % p
 
 
 def _diagonal_coefficient(f: MPoly) -> int:
@@ -201,6 +215,15 @@ def _diagonal_coefficient(f: MPoly) -> int:
 
 
 def _nu_levels(f: MPoly, e_max: int) -> list[int]:
+    """nu_f(p^e) for e = 1..e_max.  For f = c*x^a, c a unit, f^r is outside
+    m^[q] iff r*a_i < q for every i, so nu_f(q) = floor((q-1)/max_i a_i)."""
+    if len(f.terms) > 1:
+        return _nu_loop(f, e_max)
+    (a,) = f.terms
+    return [(f.p ** e - 1) // max(a) for e in range(1, e_max + 1)]
+
+
+def _nu_loop(f: MPoly, e_max: int) -> list[int]:
     """nu_f(p^e) for e = 1..e_max, one level at a time from one kept power.
 
     nu_f(1) = 0 since f lies in m = m^[1].  Given nu = nu_f(p^(e-1)) and

@@ -477,15 +477,12 @@ def gfs_cy_hypersurface(F: MPoly, e: int = 1) -> bool:
     monomial with every exponent <= p-1: the test is that one coefficient,
     the Hasse-Witt invariant of the hypersurface.
 
-    For F = sum_i c_i x^(a_i) with s terms, the multinomial theorem gives it
-    as sum_k (p-1)!/(k_1!...k_s!) * prod_i c_i^(k_i) over the count vectors
-    k >= 0 with sum_i k_i a_i = (p-1, ..., p-1); every k_i! is a unit, as
-    k_i < p.  The k are the lattice points of a polytope of dimension
-    f = s - rank A, A the exponent matrix, and fedder sums them over the f
-    free counts.  The route rule: that lattice sum when f <= 1, at most p
-    count vectors; the half power F^((p-1)/2) mod m^[p] otherwise.  On
-    the Legendre cone y^2*z - x*(x-z)*(x-lam*z) the coefficient is H_p(lam),
-    `elliptic`'s Hasse invariant, exactly.
+    By the multinomial theorem it is a sum over the lattice points of a
+    polytope of dimension f = s - rank A, for F's s terms and exponent
+    matrix A.  The route rule: fedder sums over those points when f <= 1, at
+    most p of them, and squares the half power F^((p-1)/2) mod m^[p]
+    otherwise.  On the Legendre cone y^2*z - x*(x-z)*(x-lam*z) it is
+    H_p(lam), `elliptic`'s Hasse invariant.
     """
     n1 = F.nvars
     if F.is_zero() or not F.is_homogeneous_on(range(n1)) or F.degree() != n1:

@@ -1,18 +1,21 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedder_oracle import _DigitTable, _pruned_power_survives, nu_binary
+from fedder_oracle import (ScanLattice, _DigitTable, _pruned_power_survives, brute_diagonal,
+                           brute_points, nu_binary)
 from frobsplit import fedder
 from frobsplit.arith import is_prime
 from frobsplit.elliptic import hasse_closed, hasse_coeff
 from frobsplit.fedder import (NuMonotonicityError, _CountLattice, _diagonal_coefficient,
                               _half_power_diagonal, _mask, _pack_terms, _slot, fpt_bounds,
                               in_bracket_ideal, is_fpure_pair, nu)
+from frobsplit.gsplit import gfs_bigraded_hypersurface
 from frobsplit.mpoly import MPoly, parse_poly
 
 
@@ -283,7 +286,8 @@ def _nu_from_fpt(fpt, q):
 
 
 def test_monomial_nu_closed_form():
-    # f^r = x^(r*a) is outside m^[q] iff r*max(a) <= q - 1
+    # f^r = x^(r*a) is outside m^[q] iff r*max(a) <= q - 1; fedder answers a
+    # monomial by that formula, and its level loop is the oracle here
     rng = random.Random(3)
     for p in (3, 5, 7, 11):
         for _ in range(8):
@@ -293,6 +297,38 @@ def test_monomial_nu_closed_form():
             seq = fpt_bounds(f, e_max)
             assert seq.values == tuple((e, (p ** e - 1) // max(exps))
                                        for e in range(1, e_max + 1)), (exps, p)
+            assert [v for _, v in seq.values] == fedder._nu_loop(f, e_max), (exps, p)
+
+
+def test_monomial_short_circuit_matches_the_level_loop():
+    # every caller of the closed form against the loop: nu, fpt_bounds,
+    # is_fpure_pair at the boundary t(q-1) = nu, and the bigraded test, whose
+    # monomial splits iff every exponent is at most 1
+    rng, seen = random.Random(29), set()
+    for _ in range(150):
+        p = rng.choice((3, 5, 7, 11, 13))
+        nvars = rng.randint(1, 4)
+        exps = tuple(rng.randint(0, 12) for _ in range(nvars))
+        if not any(exps):
+            continue
+        f = MPoly(nvars, p, {exps: rng.randrange(1, p)})
+        e_max = rng.randint(1, 4 if p < 11 else 2)
+        loop = fedder._nu_loop(f, e_max)
+        assert fedder._nu_levels(f, e_max) == loop, (exps, p)
+        assert nu(f, e_max) == loop[-1] == nu_binary(f, e_max), (exps, p)
+        assert [v for _, v in fpt_bounds(f, e_max).values] == loop, (exps, p)
+        q = p ** e_max
+        for r in (loop[-1], loop[-1] + 1):
+            if r <= q - 1:
+                assert is_fpure_pair(f, Fraction(r, q - 1), e_max) == (r <= loop[-1])
+    for p, nvars in itertools.product((3, 5, 7), (2, 3, 4)):
+        for exps in itertools.product(range(nvars), repeat=nvars):
+            if exps[0] <= 1 and sum(exps[1:]) <= nvars - 1 and any(exps):
+                f = MPoly(nvars, p, {exps: p - 1})
+                got = gfs_bigraded_hypersurface(f, (1, nvars - 1))
+                assert got == (fedder._nu_loop(f, 1) == [p - 1]) == (max(exps) <= 1), (exps, p)
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_cusp_nu_closed_form():
@@ -375,6 +411,120 @@ def test_fermat_diagonal_coefficient_closed_form():
                 assert _CountLattice(F).diagonal() == _half_power_diagonal(F) == got, (p, a)
                 kinds.add(got != 0)
     assert kinds == {True, False}
+
+
+@st.composite
+def _lattice_forms(draw, primes3, primes4, max_terms):
+    """A form of degree n in n = 3 or 4 variables, p drawn from primes3 or
+    primes4, up to max_terms terms."""
+    n = draw(st.sampled_from((3, 4)))
+    p = draw(st.sampled_from(primes3 if n == 3 else primes4))
+    monomials = [e for e in itertools.product(range(n + 1), repeat=n) if sum(e) == n]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(1, p - 1),
+                                 min_size=1, max_size=max_terms))
+    return MPoly(n, p, terms)
+
+
+def _points(lattice):
+    """The points `progressions` walks, as {exponents: count} over the nonzero
+    counts, in walking order."""
+    return [{exps: a + i * s for exps, a, s in zip(lattice.exps, k, step) if a + i * s}
+            for k, step, length in lattice.progressions() for i in range(length)]
+
+
+def test_lattice_sum_matches_scan_and_half_power_drawn():
+    # the progressions against the scan they replaced and the half power, at
+    # every f up to 3; the half power stays cheap for n = 4 up to p = 13
+    free = set()
+
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(_lattice_forms((3, 5, 7, 11, 13, 17, 19, 23, 29, 31), (3, 5, 7, 11, 13), 7))
+    def check(F):
+        lattice = _CountLattice(F)
+        assume(len(lattice.free) <= 3)
+        assert lattice.diagonal() == ScanLattice(F).diagonal() == _half_power_diagonal(F), F
+        free.add(len(lattice.free))
+
+    check()
+    assert free == {0, 1, 2, 3}
+
+
+def test_lattice_sum_matches_scan_seeded():
+    # terms in random order, so pivots fall on every column: the order decides
+    # which rows carry a congruence for the last free count
+    rng, free = random.Random(35), set()
+    for _ in range(600):
+        n = rng.choice((3, 4))
+        p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31)[:9 if n == 3 else 4])
+        monomials = [e for e in itertools.product(range(n + 1), repeat=n) if sum(e) == n]
+        F = MPoly(n, p, {rng.choice(monomials): rng.randrange(1, p)
+                         for _ in range(rng.randint(2, 7))})
+        lattice = _CountLattice(F)
+        if len(lattice.free) <= 3:
+            assert lattice.diagonal() == ScanLattice(F).diagonal(), F
+            free.add(len(lattice.free))
+    assert free == {0, 1, 2, 3}
+
+
+def test_lattice_points_match_brute_force_drawn():
+    # at p <= 7 every count vector in [0, p)^s is tried: the progressions walk
+    # exactly the solutions, each once, and the sum over them agrees
+    free = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_lattice_forms((3, 5, 7), (3, 5), 6))
+    def check(F):
+        assume(F.p ** len(F.terms) <= 20000)
+        lattice = _CountLattice(F)
+        walked, solutions = _points(lattice), brute_points(F)
+        assert len(walked) == len(solutions), F
+        assert sorted(map(sorted, map(dict.items, walked))) == \
+            sorted(map(sorted, map(dict.items, solutions))), F
+        assert lattice.diagonal() == brute_diagonal(F), F
+        free.add(len(lattice.free))
+
+    check()
+    assert free >= {0, 1, 2, 3}
+
+
+# (form, variables, p, the branch it takes), each found by instrumenting the walk
+_LATTICE_EDGE_CASES = [
+    ("x^4+y^4+z^4+w^4", "x,y,z,w", 3, "no term inside the box"),
+    ("2*x^3", "x,y,z", 3, "no term inside the box"),
+    ("8*y^2*z", "x,y,z", 13, "x never appears: a zero row with b = p - 1"),
+    ("3*x^3+4*y^3+3*y*z^2", "x,y,z", 5, "no free count, d does not divide b"),
+    ("2*x^2*z+2*x*y^2+y^3", "x,y,z", 7, "no free count, b/d outside [0, p-1]"),
+    ("4*x^2*z+3*y^3+2*y^2*z+7*y*z^2", "x,y,z", 13, "a pivot row with m = 0"),
+    ("x*y*z+3*x*z^2", "x,y,z", 5, "a negative pivot, no free count"),
+    ("6*x*y*z^2+7*x*y*z*w+7*x*y*w^2", "x,y,z,w", 13, "a negative pivot, f = 1"),
+    ("12*x^2*y+12*x^2*z+9*x*y^2+8*x*y*z+6*y^2*z", "x,y,z", 13, "a negative pivot, f = 2"),
+    ("2*x^3+7*x^2*y+8*x*z^2+7*z^3", "x,y,z", 13, "congruences met, empty interval"),
+    ("6*x^3+9*x^2*z+9*x*z^2+4*y^3", "x,y,z", 11, "a congruence with no solution"),
+    ("2*x*z^2+x^3+3*y^3+3*y^2*z", "x,y,z", 5, "two rows' congruences combine"),
+    ("4*x*z^2+x^2*y+5*y^3+z^3", "x,y,z", 7, "two rows' congruences combine"),
+]
+
+
+def test_lattice_sum_edge_cases():
+    values = set()
+    for text, names, p, why in _LATTICE_EDGE_CASES:
+        F = parse_poly(text, names.split(","), p)
+        lattice = _CountLattice(F)
+        want = brute_diagonal(F) if p <= 7 else ScanLattice(F).diagonal()
+        assert lattice.diagonal() == want == _half_power_diagonal(F), why
+        assert lattice.diagonal() == ScanLattice(F).diagonal(), why
+        if "box" in why:
+            assert lattice.coeffs == [] and not lattice.consistent, why
+        if "zero row" in why:
+            assert not lattice.consistent and _points(lattice) == [], why
+        if "m = 0" in why:
+            assert any(0 in column for column in lattice.m), why
+        if "empty" in why or "no solution" in why:
+            assert lattice.consistent and len(lattice.free) == 1 and _points(lattice) == [], why
+        if "negative" in why:
+            assert lattice.d > 0 and _points(lattice), why
+        values.add(want)
+    assert len(values) > 1
 
 
 def test_legendre_cone_nu_matches_hasse():
